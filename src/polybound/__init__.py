@@ -12,8 +12,7 @@ from .polyhedron import (ClosureResult, Graph, HRep, VRep,
                          projective_closure, reverse_search_vertices)
 from .incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
                         is_simple, restrict_to_near, vertex_edge_graph)
-from .bounded import (FaceTree, HasseDiagram, WHOLE, closure, covers,
-                      face_tree_insert_or_find, filter_bounded,
+from .bounded import (HasseDiagram, WHOLE, closure, covers, filter_bounded,
                       full_face_lattice, selective_generation)
 from .moebius import (VertexPoset, moebius_generation, moebius_oracle_filter,
                       vertex_poset)

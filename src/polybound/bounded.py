@@ -1,12 +1,16 @@
-"""Closure operator, cover generation, face tree, and the bounded-subcomplex
+"""Closure operator, cover generation, and the bounded-subcomplex
 algorithms that work on a closure's incidence matrix.
 
 The face poset is explored bottom-up from the empty face.  Covers of a
-closed vertex set H are the inclusion-minimal sets among the closures
-cl(H + {v}); a face of the closure polytope is bounded exactly when its
-vertex set avoids the far face, so the main algorithm simply refuses to
-step onto far-meeting faces and thereby runs in time proportional to the
-bounded part alone.
+closed vertex set H are generated as Kaibel & Pfetsch do ("Computing the
+face lattice of a polytope from its vertex-facet incidences", Comput.
+Geom. 23, 2002): the facets through H + {v} are F(H) & col(v), vertices
+with equal facet sets share one closure, and a closure G covers H exactly
+when |G \\ H| vertices lead to it.  A face of the closure polytope is
+bounded exactly when its vertex set avoids the far face, so the main
+algorithm simply refuses to step onto far-meeting faces and thereby runs
+in time proportional to the bounded part alone.  Faces are looked up by
+their vertex bitmask in a dict, whose ids follow discovery order.
 """
 
 from __future__ import annotations
@@ -30,89 +34,30 @@ def closure(mask: int, inc: IncidenceMatrix) -> Optional[int]:
 
 def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     """Faces covering the closed set `mask`: the inclusion-minimal closures
-    cl(mask + {v}) over vertices v outside mask, deduplicated and sorted by
-    vertex tuple."""
-    candidates: set[int] = set()
-    rest = inc.all_mask & ~mask
-    v = 0
-    while rest:
-        if rest & 1:
-            cl = closure_mask(mask | (1 << v), inc.row_masks)
-            if cl is not None:
-                candidates.add(cl)
-        rest >>= 1
-        v += 1
-    minimal = [c for c in candidates
-               if not any(o != c and o & ~c == 0 for o in candidates)]
+    cl(mask + {v}) over vertices v outside mask, sorted by vertex tuple.
+
+    Each v contributes the facet set F(mask) & col(v); a closure G is
+    minimal exactly when all |G \\ mask| of its new vertices share its
+    facet set, since any other one would generate a smaller closure."""
+    rows, cols, full = inc.row_masks, inc.column_masks, inc.all_mask
+    facets = (1 << len(rows)) - 1
+    for v in indices_from_mask(mask):
+        facets &= cols[v]
+    counts: dict[int, int] = {}
+    for v in indices_from_mask(full & ~mask):
+        key = facets & cols[v]
+        if key:  # no facet holds mask + {v}: its closure is WHOLE
+            counts[key] = counts.get(key, 0) + 1
+    through = [(1 << i, rows[i]) for i in indices_from_mask(facets)]
+    minimal = []
+    for key, count in counts.items():
+        face = full
+        for bit, row in through:
+            if key & bit:
+                face &= row
+        if (face & ~mask).bit_count() == count:
+            minimal.append(face)
     return sorted(minimal, key=indices_from_mask)
-
-
-class FaceTree:
-    """Trie over canonical generator sequences of bounded faces.
-
-    The canonical path of a face repeatedly appends the smallest vertex of
-    the face not yet inside the closure of the generators chosen so far;
-    the empty face lives at the root.  Node ids are handed out in insertion
-    order, so they double as discovery-order diagram ids.
-    """
-
-    __slots__ = ("_inc", "_root", "_count")
-
-    def __init__(self, inc: IncidenceMatrix):
-        self._inc = inc
-        self._root = {}
-        self._count = 0
-
-    def _path(self, face: int) -> list[int]:
-        gens = 0
-        current = 0
-        path = []
-        while current != face:
-            v = (face & ~current & -(face & ~current)).bit_length() - 1
-            gens |= 1 << v
-            path.append(v)
-            current = closure_mask(gens, self._inc.row_masks)
-            if current is None or current & ~face:
-                raise InputError("face tree expects a closed vertex set")
-        return path
-
-    def insert_or_find(self, face: int) -> tuple[int, bool]:
-        node = self._root
-        for v in self._path(face):
-            node = node.setdefault(v, {})
-        if "id" in node:
-            return node["id"], False
-        node["id"] = self._count
-        self._count += 1
-        return node["id"], True
-
-    def find(self, face: int) -> Optional[int]:
-        node = self._root
-        for v in self._path(face):
-            if v not in node:
-                return None
-            node = node[v]
-        return node.get("id")
-
-    def __len__(self) -> int:
-        """Number of trie nodes (excluding the root)."""
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for key, child in node.items():
-                if key != "id":
-                    total += 1
-                    stack.append(child)
-        return total
-
-
-def face_tree_insert_or_find(tree: FaceTree, face: int,
-                             inc: IncidenceMatrix) -> tuple[int, bool]:
-    """Functional form of FaceTree.insert_or_find (inc must match the tree's)."""
-    if inc is not tree._inc:
-        raise InputError("face tree belongs to a different incidence matrix")
-    return tree.insert_or_find(face)
 
 
 @dataclass(frozen=True)
@@ -170,10 +115,7 @@ def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) ->
     far = inc.far_face
     if far is None:
         raise InputError("far face required; use moebius_generation")
-    tree = FaceTree(inc)
-    root_id, fresh = tree.insert_or_find(0)
-    if root_id != 0 or not fresh:
-        raise InternalError("face tree must start empty")
+    ids = {0: 0}
     nodes = [HasseNode(0, 0, -1)]
     arcs: list[tuple[int, int]] = []
     if far == inc.all_mask:
@@ -187,8 +129,9 @@ def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) ->
         for cover in covers(face, inc):
             if cover & far:
                 continue
-            gid, new = tree.insert_or_find(cover)
-            if new:
+            gid = ids.get(cover)
+            if gid is None:
+                gid = ids[cover] = len(nodes)
                 nodes.append(HasseNode(gid, cover, rank + 1))
                 queue.append((gid, cover))
             elif nodes[gid].rank != rank + 1:
@@ -200,8 +143,7 @@ def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) ->
 def full_face_lattice(inc: IncidenceMatrix) -> HasseDiagram:
     """Complete face lattice of a polytope, including the improper top face
     (whose node carries the full vertex set).  Ignores far-face data."""
-    tree = FaceTree(inc)
-    tree.insert_or_find(0)
+    ids = {0: 0}
     nodes = [HasseNode(0, 0, -1)]
     arcs: list[tuple[int, int]] = []
     coatoms: list[int] = []
@@ -214,8 +156,9 @@ def full_face_lattice(inc: IncidenceMatrix) -> HasseDiagram:
             coatoms.append(nid)
             continue
         for cover in ups:
-            gid, new = tree.insert_or_find(cover)
-            if new:
+            gid = ids.get(cover)
+            if gid is None:
+                gid = ids[cover] = len(nodes)
                 nodes.append(HasseNode(gid, cover, rank + 1))
                 queue.append((gid, cover))
             elif nodes[gid].rank != rank + 1:

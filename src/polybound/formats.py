@@ -34,6 +34,16 @@ def _expect(condition: bool, message: str):
         raise InputError(message)
 
 
+def _count(token: str, what: str) -> int:
+    """A non-negative integer token, or InputError naming `what`."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    _expect(value >= 0, f"{what} must be a non-negative integer, got {token!r}")
+    return value
+
+
 def hrep_to_text(h: HRep) -> str:
     out = [HREP_MAGIC, f"dim {h.dim} rows {len(h.rows)}"]
     for a, b in h.rows:
@@ -120,10 +130,11 @@ def incidence_to_text(inc: IncidenceMatrix) -> str:
 
 def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
     _expect(bool(text_lines) and text_lines[0] == INC_MAGIC, "not an incidence file")
+    _expect(len(text_lines) > 1, "missing incidence header")
     head = text_lines[1].split()
     _expect(len(head) == 4 and head[0] == "facets" and head[2] == "vertices",
             "malformed incidence header")
-    m, n = int(head[1]), int(head[3])
+    m, n = _count(head[1], "facet count"), _count(head[3], "vertex count")
     masks = []
     for ln in text_lines[2:2 + m]:
         _expect(len(ln) == n and set(ln) <= {"0", "1"}, "bad incidence row")
@@ -132,9 +143,10 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
     far: Optional[int] = None
     rest = [ln for ln in text_lines[2 + m:] if ln.strip()]
     if rest:
-        _expect(len(rest) == 1 and rest[0].startswith("farface"),
+        tokens = rest[0].split()
+        _expect(len(rest) == 1 and tokens[0] == "farface",
                 "unexpected trailing content in incidence file")
-        far = mask_from_indices(int(tok) for tok in rest[0].split()[1:])
+        far = mask_from_indices(_count(tok, "far-face vertex") for tok in tokens[1:])
     return IncidenceMatrix(n, tuple(masks), far)
 
 

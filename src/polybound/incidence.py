@@ -8,6 +8,7 @@ algorithms exact and fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -24,12 +25,10 @@ def mask_from_indices(indices: Iterable[int]) -> int:
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -52,6 +51,8 @@ class IncidenceMatrix:
                 raise InputError("row mask references a vertex out of range")
             if row == 0:
                 raise InputError("every facet must contain at least one vertex")
+        if self.far_face is not None and self.far_face & ~full:
+            raise InputError("far face references a vertex out of range")
 
     @property
     def m(self) -> int:
@@ -68,13 +69,18 @@ class IncidenceMatrix:
     def far_face_indices(self) -> Optional[tuple[int, ...]]:
         return None if self.far_face is None else indices_from_mask(self.far_face)
 
+    @cached_property
+    def column_masks(self) -> tuple[int, ...]:
+        """Per vertex, a bitmask over rows: which facets contain it."""
+        cols = [0] * self.n
+        for i, row in enumerate(self.row_masks):
+            for v in indices_from_mask(row):
+                cols[v] |= 1 << i
+        return tuple(cols)
+
     def column_mask(self, v: int) -> int:
         """Bitmask over rows: which facets contain vertex v."""
-        mask = 0
-        for i, row in enumerate(self.row_masks):
-            if row >> v & 1:
-                mask |= 1 << i
-        return mask
+        return self.column_masks[v]
 
     def with_far_face(self, far: Iterable[int]) -> "IncidenceMatrix":
         return IncidenceMatrix(self.n, self.row_masks, mask_from_indices(far))
@@ -159,7 +165,7 @@ def vertex_edge_graph(inc: IncidenceMatrix, d: int) -> Graph:
     so non-simple input is rejected."""
     if not is_simple(inc, d):
         raise InputError("not simple")
-    cols = [inc.column_mask(v) for v in range(inc.n)]
+    cols = inc.column_masks
     edges = []
     for u in range(inc.n):
         for v in range(u + 1, inc.n):

@@ -8,16 +8,18 @@ vertex set of a bounded face exactly when its Moebius number is nonzero.
 `moebius_generation` interleaves the poset search with the Moebius
 recursion.  The work queue is ordered by vertex-set cardinality, a linear
 extension of containment, so when an element is popped every element
-strictly below it has been processed; its Moebius number is then an exact
-sum over the registry of bounded elements seen so far (unbounded elements
-contribute zero and need not be stored).  `vertex_poset` materializes the
-whole poset and serves as the independent oracle.
+strictly below it has been processed.  Its Moebius number is then minus
+the sum over its down-set of bounded elements (unbounded elements
+contribute zero and need not be stored), and that down-set is walked from
+the empty face along the recorded covers: every face of a bounded face is
+bounded, so each bounded element below is reached through bounded ones.
+`vertex_poset` materializes the whole poset and serves as the independent
+oracle.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,31 +47,46 @@ class VertexPoset:
 
 
 class BoundedRegistry:
-    """Bounded poset elements popped so far, with their Moebius numbers.
+    """Bounded poset elements popped so far, with their Moebius numbers and
+    covers.
 
-    The stored pairs are exactly the nonzero-Moebius elements, so for any
+    The stored elements are exactly the nonzero-Moebius ones, so for any
     element H whose strict subsets have all been processed,
     `mu_hat(H)` is its exact Moebius number.
     """
 
-    __slots__ = ("_mu",)
+    __slots__ = ("_mu", "_covers")
 
     def __init__(self):
         self._mu: dict[int, int] = {}
+        self._covers: dict[int, list[int]] = {}
 
-    def add(self, mask: int, mu: int) -> None:
+    def add(self, mask: int, mu: int, ups: list[int]) -> None:
+        """Store a bounded element with the covers it was expanded into
+        (none when it was not expanded)."""
         if mu == 0:
             raise InternalError("registry stores bounded elements only")
         self._mu[mask] = mu
+        self._covers[mask] = ups
 
     def below(self, mask: int) -> list[tuple[int, int]]:
-        """The (vertex_set, mu) pairs strictly below `mask`."""
-        return [(s, m) for s, m in self._mu.items() if s != mask and s & ~mask == 0]
+        """The (vertex_set, mu) pairs strictly below `mask`, reached from the
+        empty face through stored elements inside `mask`."""
+        if mask == 0:
+            return []
+        seen = {0}
+        stack = [0]
+        while stack:
+            for up in self._covers[stack.pop()]:
+                if up not in seen and up != mask and up & ~mask == 0 and up in self._mu:
+                    seen.add(up)
+                    stack.append(up)
+        return [(s, self._mu[s]) for s in seen]
 
     def mu_hat(self, mask: int) -> int:
         if mask == 0:
             return 1
-        return -sum(m for s, m in self._mu.items() if s != mask and s & ~mask == 0)
+        return -sum(m for _, m in self.below(mask))
 
 
 def vertex_poset(inc: IncidenceMatrix,
@@ -111,60 +128,38 @@ def moebius_oracle_filter(vp: VertexPoset) -> set[int]:
 
 
 def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
-                       order: str = "bycard",
                        budget: int = DEFAULT_ELEMENT_BUDGET) -> HasseDiagram:
     """Hasse diagram of the bounded faces from the incidences of the
     unbounded polyhedron, without any far-face data.
 
-    `order` is "bycard" (cardinality-ordered queue, the guaranteed-correct
-    linear extension) or "fifo" (plain breadth-first, kept for fidelity
-    experiments).  With `max_dim`, faces above that rank are not emitted.
+    Elements are popped in order of cardinality, a linear extension of
+    containment.  With `max_dim`, faces above that rank are not emitted.
     """
     if inc.far_face is not None:
         raise InputError("far-face data present; restrict to near vertices first")
-    if order not in ("bycard", "fifo"):
-        raise InputError(f"unknown queue discipline {order!r}")
 
     registry = BoundedRegistry()
     node_rank: dict[int, int] = {0: -1}     # mask -> rank, set at creation
     emitted: dict[int, int] = {}            # mask -> final node index
     nodes: list[HasseNode] = []
     pending_arcs: list[tuple[int, int]] = []  # (parent mask, child mask)
-    seq = 0
-    heap: list = []
-    fifo = deque()
-
-    def push(mask: int):
-        nonlocal seq
-        if order == "bycard":
-            heapq.heappush(heap, (mask.bit_count(), seq, mask))
-        else:
-            fifo.append(mask)
-        seq += 1
-
-    def pop() -> int:
-        return heapq.heappop(heap)[2] if order == "bycard" else fifo.popleft()
-
-    push(0)
-    created = {0}
-    while heap or fifo:
-        face = pop()
+    heap = [(0, 0, 0)]  # (cardinality, push sequence, mask)
+    while heap:
+        face = heapq.heappop(heap)[2]
         mu = registry.mu_hat(face)
         if mu == 0:
             continue  # unbounded face: not emitted, not expanded
-        registry.add(face, mu)
         rank = node_rank[face]
         emitted[face] = len(nodes)
         nodes.append(HasseNode(len(nodes), face, rank))
         if len(nodes) > budget:
             raise BudgetExceededError(f"bounded complex exceeds element budget {budget}")
-        if max_dim is not None and rank >= max_dim:
-            continue
-        for cover in covers(face, inc):
-            if cover not in created:
-                created.add(cover)
+        ups = [] if max_dim is not None and rank >= max_dim else covers(face, inc)
+        registry.add(face, mu, ups)
+        for cover in ups:
+            if cover not in node_rank:
                 node_rank[cover] = rank + 1
-                push(cover)
+                heapq.heappush(heap, (cover.bit_count(), len(node_rank), cover))
             pending_arcs.append((face, cover))
 
     arcs = []

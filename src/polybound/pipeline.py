@@ -206,13 +206,11 @@ def aggregate_random_rows(rows: Sequence[BenchRow]) -> list[dict]:
     return out
 
 
-def format_rows(rows: Sequence[BenchRow], fmt: str = "table") -> str:
-    header = ("label", "d", "m", "n", "alpha", "phi'", "ms", "error")
-    cells = [[r.label, str(r.d), str(r.m_bar), str(r.n_bar), str(r.alpha),
-              str(r.phi_prime), f"{r.time_ms:.1f}", r.error or ""] for r in rows]
+def _format_table(header: Sequence[str], cells: Sequence[Sequence[str]],
+                 fmt: str = "table") -> str:
+    """Rows of string cells as CSV or as a left-aligned text table."""
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(c) for c in cells]
-        return "\n".join(lines) + "\n"
+        return "\n".join([",".join(header)] + [",".join(c) for c in cells]) + "\n"
     if fmt != "table":
         raise InputError(f"unknown format {fmt!r}")
     widths = [max(len(header[i]), *(len(c[i]) for c in cells)) if cells else len(header[i])
@@ -223,17 +221,17 @@ def format_rows(rows: Sequence[BenchRow], fmt: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_rows(rows: Sequence[BenchRow], fmt: str = "table") -> str:
+    header = ("label", "d", "m", "n", "alpha", "phi'", "ms", "error")
+    return _format_table(header, [
+        [r.label, str(r.d), str(r.m_bar), str(r.n_bar), str(r.alpha),
+         str(r.phi_prime), f"{r.time_ms:.1f}", r.error or ""] for r in rows], fmt)
+
+
 def format_random_summary(summary: Sequence[dict], fmt: str = "table") -> str:
     header = ("d", "samples", "m", "n_mean", "alpha_mean", "phi'_mean", "phi'_std", "ms_mean")
-    cells = [[str(s["d"]), str(s["samples"]), str(s["m_bar"]),
-              f"{s['n_bar_mean']:.2f}", f"{s['alpha_mean']:.2f}",
-              f"{s['phi_prime_mean']:.2f}", f"{s['phi_prime_stddev']:.2f}",
-              f"{s['time_ms_mean']:.1f}"] for s in summary]
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(c) for c in cells]) + "\n"
-    widths = [max(len(header[i]), *(len(c[i]) for c in cells)) if cells else len(header[i])
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for c in cells:
-        lines.append("  ".join(c[i].ljust(widths[i]) for i in range(len(c))).rstrip())
-    return "\n".join(lines) + "\n"
+    return _format_table(header, [
+        [str(s["d"]), str(s["samples"]), str(s["m_bar"]),
+         f"{s['n_bar_mean']:.2f}", f"{s['alpha_mean']:.2f}",
+         f"{s['phi_prime_mean']:.2f}", f"{s['phi_prime_stddev']:.2f}",
+         f"{s['time_ms_mean']:.1f}"] for s in summary], fmt)

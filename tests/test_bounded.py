@@ -3,8 +3,7 @@ import random
 import pytest
 
 from conftest import cube3, instance, random_pointed_hrep, square_incidence
-from polybound.bounded import (FaceTree, WHOLE, closure, covers,
-                               face_tree_insert_or_find, filter_bounded,
+from polybound.bounded import (WHOLE, closure, covers, filter_bounded,
                                full_face_lattice, selective_generation)
 from polybound.errors import InputError
 from polybound.incidence import compute_incidences, indices_from_mask, mask_from_indices
@@ -65,39 +64,41 @@ def test_covers_of_vertices_match_lattice_arcs():
         assert set(covers(nd.vertex_set, inc)) == ups
 
 
-def test_face_tree_insert_then_find():
-    inc = square_incidence()
-    tree = FaceTree(inc)
-    nid, new = tree.insert_or_find(0b0001)
-    assert new
-    again, new2 = face_tree_insert_or_find(tree, 0b0001, inc)
-    assert again == nid and not new2
+def reference_covers(mask, inc):
+    """Reference for `covers`: scan the rows for every closure
+    cl(mask + {v}), then keep the inclusion-minimal ones pairwise."""
+    candidates = set()
+    for v in indices_from_mask(inc.all_mask & ~mask):
+        cl = closure(mask | 1 << v, inc)
+        if cl is not WHOLE:
+            candidates.add(cl)
+    minimal = [c for c in candidates
+               if not any(o != c and o & ~c == 0 for o in candidates)]
+    return sorted(minimal, key=indices_from_mask)
 
 
-def test_face_tree_distinct_faces_distinct_ids():
-    inc = square_incidence()
-    tree = FaceTree(inc)
-    a, _ = tree.insert_or_find(0b0011)
-    b, _ = tree.insert_or_find(0b1001)
-    assert a != b
+def test_covers_match_reference_on_every_lattice_face():
+    rng = random.Random(7)
+    incs = [closure_data(random_pointed_hrep(rng, rng.randint(2, 3), rng.randint(1, 3)))[2]
+            for _ in range(10)]
+    incs += [instance(family, *params)[4] for family, params in
+             [("dwarfed-cube", (3,)), ("thrackle", (5,)), ("tropical-cyclic", (4, 4))]]
+    for inc in incs:
+        for nd in full_face_lattice(inc).nodes:
+            assert covers(nd.vertex_set, inc) == reference_covers(nd.vertex_set, inc)
 
 
-def test_face_tree_stores_dwarfed_5_bounded_faces():
-    _, _, _, _, inc = instance("dwarfed-cube", 5)
-    hd = selective_generation(inc)
-    tree = FaceTree(inc)
-    ids = set()
-    for nd in hd.nodes:
-        nid, _ = tree.insert_or_find(nd.vertex_set)
-        ids.add(nid)
-    assert len(ids) == 12
-    assert len(tree) <= inc.n * 12  # storage bound
-
-
-def test_face_tree_rejects_unclosed_sets():
-    inc = square_incidence()
-    with pytest.raises(InputError):
-        FaceTree(inc).insert_or_find(0b0101)
+def test_diagram_ids_follow_discovery_order():
+    hd = full_face_lattice(square_incidence())
+    assert [nd.vertex_set for nd in hd.nodes] == [
+        0, 0b0001, 0b0010, 0b0100, 0b1000,   # covers of the empty face
+        0b0011, 0b1001, 0b0110, 0b1100,      # first reached from vertices 0, 0, 1, 2
+        0b1111]
+    _, _, _, _, inc = instance("thrackle", 5)
+    for hd in (selective_generation(inc), full_face_lattice(inc)):
+        assert [nd.id for nd in hd.nodes] == list(range(hd.node_count()))
+        first_seen = list(dict.fromkeys(hi for _, hi in hd.arcs))
+        assert first_seen == list(range(1, hd.node_count()))
 
 
 def test_selective_dwarfed_5():

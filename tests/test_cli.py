@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polybound.cli import main
 
 
@@ -75,6 +77,26 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert run(["-o", tmp_path, "close", tmp_path / "missing.hrep"]) == 2
     assert run(["-o", tmp_path, "gen", "dwarfed-cube", "3", "4"]) == 2
     capsys.readouterr()
+
+
+BAD_INCIDENCE_FILES = {
+    "far face out of range": "facets 1 vertices 2\n11\nfarface 5\n",
+    "negative far face": "facets 1 vertices 2\n11\nfarface -1\n",
+    "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
+    "non-integer facet count": "facets x vertices 2\n11\n",
+    "non-integer vertex count": "facets 1 vertices 2.5\n11\n",
+    "negative vertex count": "facets 0 vertices -1\n",
+    "missing header": "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INCIDENCE_FILES))
+def test_bounded_rejects_bad_incidence_file(tmp_path, capsys, case):
+    path = tmp_path / "bad.inc"
+    path.write_text("polybound-inc 1\n" + BAD_INCIDENCE_FILES[case])
+    assert run(["-o", tmp_path, "bounded", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import instance, strip
-from polybound.bounded import filter_bounded, full_face_lattice, relabel_vertices, selective_generation
+from polybound.bounded import (covers, filter_bounded, full_face_lattice,
+                               relabel_vertices, selective_generation)
 from polybound.errors import BudgetExceededError, InputError
 from polybound.incidence import IncidenceMatrix, restrict_to_near
 from polybound.moebius import (BoundedRegistry, moebius_generation,
@@ -86,16 +87,6 @@ def test_phi_prime_at_most_phi_doubleprime():
             assert phi_prime < vp.size
 
 
-def test_fifo_mode_agrees_on_benchmarks():
-    for family, params in [("dwarfed-cube", (2,)), ("thrackle", (3,))]:
-        _, _, _, _, inc = instance(family, *params)
-        near_inc, _ = restrict_to_near(inc)
-        assert (moebius_generation(near_inc, order="fifo").canonical()
-                == moebius_generation(near_inc, order="bycard").canonical())
-    with pytest.raises(InputError):
-        moebius_generation(halfline_incidence(), order="lifo")
-
-
 def test_moebius_max_dim():
     _, _, _, _, inc = instance("thrackle", 5)
     near_inc, _ = restrict_to_near(inc)
@@ -117,22 +108,21 @@ def test_moebius_matches_selective_and_oracle():
 
 
 def test_below_sets_track_bounded_elements():
-    _, _, _, _, inc = instance("dwarfed-cube", 2)
-    near_inc, _ = restrict_to_near(inc)
-    vp = vertex_poset(near_inc)
-    registry = BoundedRegistry()
-    for element in vp.elements:  # already ordered by cardinality
-        mu = registry.mu_hat(element)
-        assert mu == vp.mu[element]
-        if mu:
-            registry.add(element, mu)
-    probe = near_inc.all_mask
-    below = registry.below(probe)
-    assert len({s for s, _ in below}) == len(below)  # keys pairwise distinct
-    assert all(m != 0 for _, m in below)
-    want = {s: m for s, m in vp.mu.items() if m != 0 and s != probe}
-    assert dict(below) == want
-    assert vp.mu_top == -sum(vp.mu.values())
+    # the down-set walk along recorded covers gives vertex_poset's mu everywhere
+    for family, params in [("dwarfed-cube", (3,)), ("thrackle", (4,)),
+                           ("tropical-cyclic", (3, 3))]:
+        _, _, _, _, inc = instance(family, *params)
+        near_inc, _ = restrict_to_near(inc)
+        vp = vertex_poset(near_inc)
+        registry = BoundedRegistry()
+        for element in vp.elements:  # already ordered by cardinality
+            want = {s: m for s, m in vp.mu.items()
+                    if m and s != element and s & ~element == 0}
+            assert dict(registry.below(element)) == want
+            mu = registry.mu_hat(element)
+            assert mu == vp.mu[element]
+            if mu:
+                registry.add(element, mu, covers(element, near_inc))
 
 
 def test_moebius_rejects_far_face_data():

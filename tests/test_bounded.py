@@ -88,6 +88,30 @@ def test_covers_match_reference_on_every_lattice_face():
             assert covers(nd.vertex_set, inc) == reference_covers(nd.vertex_set, inc)
 
 
+def test_face_tree_insert_then_find():
+    # Edge {0,1} of the square is a cover of vertex 0 and of vertex 1; the
+    # face index must hand the second discovery the id of the first.
+    hd = full_face_lattice(square_incidence())
+    ids = {nd.vertex_set: nd.id for nd in hd.nodes}
+    edge = ids[0b0011]
+    assert sorted(lo for lo, hi in hd.arcs if hi == edge) == [ids[0b0001], ids[0b0010]]
+    _, _, _, _, inc = instance("dwarfed-cube", 5)
+    hd = selective_generation(inc)
+    for lo, hi in hd.arcs:
+        assert hd.nodes[hi].vertex_set in covers(hd.nodes[lo].vertex_set, inc)
+
+
+def test_face_tree_distinct_faces_distinct_ids():
+    hd = full_face_lattice(square_incidence())
+    ids = {nd.vertex_set: nd.id for nd in hd.nodes}
+    assert ids[0b0011] != ids[0b1001]
+    _, _, _, _, inc = instance("dwarfed-cube", 5)
+    for hd in (full_face_lattice(square_incidence()), selective_generation(inc)):
+        masks = [nd.vertex_set for nd in hd.nodes]
+        assert len(set(masks)) == len(masks)
+        assert len({nd.id for nd in hd.nodes}) == len(masks)
+
+
 def test_diagram_ids_follow_discovery_order():
     hd = full_face_lattice(square_incidence())
     assert [nd.vertex_set for nd in hd.nodes] == [

@@ -4,7 +4,7 @@ computed exactly from inequality descriptions or vertex-facet incidences."""
 from .errors import (BudgetExceededError, InputError, InternalError,
                      PolyboundError)
 from .rational import Rational, format_rational, parse_rational
-from .linalg import Matrix, dot, nullspace, rank, solve_linear_system
+from .linalg import dot, nullspace, rank, solve_linear_system
 from .lp import LpOutcome, LpStatus, lp_solve
 from .polyhedron import (ClosureResult, Graph, HRep, VRep,
                          enumerate_vertices_bruteforce,

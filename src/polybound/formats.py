@@ -44,6 +44,13 @@ def _count(token: str, what: str) -> int:
     return value
 
 
+def _section_count(text_lines: list[str], idx: int, key: str) -> int:
+    """The count on line idx, which must read `key <count>`."""
+    parts = text_lines[idx].split() if idx < len(text_lines) else []
+    _expect(len(parts) == 2 and parts[0] == key, f"missing {key} line")
+    return _count(parts[1], f"{key} count")
+
+
 def hrep_to_text(h: HRep) -> str:
     out = [HREP_MAGIC, f"dim {h.dim} rows {len(h.rows)}"]
     for a, b in h.rows:
@@ -53,10 +60,11 @@ def hrep_to_text(h: HRep) -> str:
 
 def parse_hrep(text_lines: list[str]) -> HRep:
     _expect(bool(text_lines) and text_lines[0] == HREP_MAGIC, "not an H-rep file")
+    _expect(len(text_lines) > 1, "missing H-rep header")
     head = text_lines[1].split()
     _expect(len(head) == 4 and head[0] == "dim" and head[2] == "rows",
             "malformed H-rep header")
-    d, m = int(head[1]), int(head[3])
+    d, m = _count(head[1], "dimension"), _count(head[3], "row count")
     rows = []
     for ln in text_lines[2:2 + m]:
         parts = [parse_rational(tok) for tok in ln.split()]
@@ -87,10 +95,8 @@ def vrep_to_text(v: VRep) -> str:
 
 def parse_vrep(text_lines: list[str]) -> VRep:
     _expect(bool(text_lines) and text_lines[0] == VREP_MAGIC, "not a V-rep file")
-    _expect(text_lines[1].startswith("dim "), "malformed V-rep header")
-    d = int(text_lines[1].split()[1])
-    _expect(text_lines[2].startswith("vertices "), "missing vertices section")
-    k = int(text_lines[2].split()[1])
+    d = _section_count(text_lines, 1, "dim")
+    k = _section_count(text_lines, 2, "vertices")
     idx = 3
     vertices = []
     for ln in text_lines[idx:idx + k]:
@@ -98,9 +104,7 @@ def parse_vrep(text_lines: list[str]) -> VRep:
         _expect(len(parts) == d, "vertex has wrong width")
         vertices.append(tuple(parts))
     idx += k
-    _expect(idx < len(text_lines) and text_lines[idx].startswith("rays "),
-            "missing rays section")
-    r = int(text_lines[idx].split()[1])
+    r = _section_count(text_lines, idx, "rays")
     idx += 1
     rays = []
     for ln in text_lines[idx:idx + r]:

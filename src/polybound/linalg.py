@@ -1,12 +1,14 @@
-"""Small exact linear algebra kernel: Gauss-Jordan solving, rank, null spaces.
+"""Exact linear algebra kernel: rank, null spaces, unique solutions, inverses.
 
 Everything works over `Fraction`; there is deliberately no floating-point
-path anywhere in the package.
+path anywhere in the package.  `_pivot` is the package's only row
+elimination step: `_rref` (behind `rank` and `nullspace`), the square
+driver `_eliminate` (behind `solve_linear_system` and `inverse`) and the
+simplex tableau in `lp` all call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -28,73 +30,58 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense exact matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: Vector
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError("entry count does not match matrix shape")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [as_vector(r) for r in rows]
-        if not rows:
-            raise InputError("matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise InputError("ragged rows in matrix")
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), width, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        flat = tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
-        return cls(n, n, flat)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_list(self) -> list[Vector]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def times_vector(self, v: Sequence[Fraction]) -> Vector:
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
-
-
 def _as_row_list(a) -> list[list[Fraction]]:
-    if isinstance(a, Matrix):
-        return [list(a.row(i)) for i in range(a.rows)]
-    return [[Fraction(x) for x in row] for row in a]
+    """Fresh rows of Fractions; entries that already are Fractions are kept,
+    which saves the constructor call on the solver's hot path."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
+
+
+def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """Scale row r to a 1 in `col` and clear `col` from every other row."""
+    inv = ONE / rows[r][col]
+    pivot_row = rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
+    """In-place reduced row echelon form; returns (rows, pivot column indices).
+
+    The pivot columns are the first columns, in order, that are independent
+    of the columns before them.
+    """
     if not rows:
         return rows, []
-    ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        _pivot(rows, r, col)
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _eliminate(rows: list[list[Fraction]], n: int) -> bool:
+    """Reduce the leading n columns of rows to the identity on rows[:n].
+
+    Stops and returns False at the first column with no pivot, that is as
+    soon as those columns are known to have rank below n.
+    """
+    for col in range(n):
+        pivot_row = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            return False
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        _pivot(rows, col, col)
+    return True
 
 
 def rank(a) -> int:
@@ -106,27 +93,31 @@ def rank(a) -> int:
 
 
 def solve_linear_system(a, b: Sequence) -> Optional[Vector]:
-    """Exact solution of A x = b, or None when the system is inconsistent.
-
-    When the solution space is positive-dimensional, free variables are
-    pinned to 0, so the returned solution is deterministic.
-    """
+    """The unique exact solution of A x = b, or None when there is none:
+    when A has rank below its column count or the system is inconsistent."""
     rows = _as_row_list(a)
     rhs = [Fraction(x) for x in b]
     if len(rows) != len(rhs):
         raise InputError("A and b row counts differ")
     if not rows:
         return ()
-    ncols = len(rows[0])
-    aug = [rows[i] + [rhs[i]] for i in range(len(rows))]
-    aug, pivots = _rref(aug)
-    # A pivot in the rhs column marks an inconsistent row 0 = 1.
-    if pivots and pivots[-1] == ncols:
+    n = len(rows[0])
+    aug = [row + [bi] for row, bi in zip(rows, rhs)]
+    if not _eliminate(aug, n) or any(row[n] != 0 for row in aug[n:]):
         return None
-    x = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return tuple(x)
+    return tuple(row[n] for row in aug[:n])
+
+
+def inverse(a) -> list[Vector]:
+    """Exact inverse of a square matrix, from one elimination of [A | I]."""
+    rows = _as_row_list(a)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise InputError("only a square matrix has an inverse")
+    aug = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
+    if not _eliminate(aug, n):
+        raise InputError("singular matrix has no inverse")
+    return [tuple(row[n:]) for row in aug]
 
 
 def nullspace(a) -> list[Vector]:
@@ -145,8 +136,3 @@ def nullspace(a) -> list[Vector]:
             v[col] = -rows[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def invertible(a) -> bool:
-    rows = _as_row_list(a)
-    return bool(rows) and len(rows) == len(rows[0]) and rank(rows) == len(rows)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError
-from .linalg import ZERO, ONE, Vector, dot, nullspace
+from .linalg import ZERO, ONE, Vector, _as_row_list, _pivot, dot, nullspace
 
 MAX = "max"
 MIN = "min"
@@ -35,18 +35,17 @@ class LpOutcome:
     objective: Optional[Fraction] = None
 
 
-def _simplex(tableau, rhs, basis, costs, ncols):
+def _simplex(tableau, basis, costs):
     """Run Bland-rule simplex on the given tableau in place.
 
-    tableau rows are already expressed in the current basis.  Returns
-    "optimal" or "unbounded".
+    tableau rows are already expressed in the current basis, each with its
+    right-hand side as the last entry.  Returns "optimal" or "unbounded".
     """
     m = len(tableau)
     while True:
         # reduced costs r_j = c_j - c_B . T[:,j]
         entering = -1
-        for j in range(ncols):
-            rj = costs[j]
+        for j, rj in enumerate(costs):
             for i in range(m):
                 cb = costs[basis[i]]
                 if cb:
@@ -62,26 +61,14 @@ def _simplex(tableau, rhs, basis, costs, ncols):
         for i in range(m):
             a = tableau[i][entering]
             if a > 0:
-                ratio = rhs[i] / a
+                ratio = tableau[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, rhs, basis, leave, entering)
-
-
-def _pivot(tableau, rhs, basis, row, col):
-    piv = tableau[row][col]
-    inv = ONE / piv
-    tableau[row] = [x * inv for x in tableau[row]]
-    rhs[row] *= inv
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[row])]
-            rhs[i] -= f * rhs[row]
-    basis[row] = col
+        _pivot(tableau, leave, entering)
+        basis[leave] = entering
 
 
 def purify_to_vertex(rows, b, c, x):
@@ -104,26 +91,35 @@ def purify_to_vertex(rows, b, c, x):
         if not kernel:
             return tuple(x), True
         v = kernel[0]
-        t_fwd = _blocking_step(rows, b, x, v)
+        t_fwd, _ = ray_step(rows, b, x, v)
         if t_fwd is not None:
             x = [xi + t_fwd * vi for xi, vi in zip(x, v)]
             continue
-        t_bwd = _blocking_step(rows, b, x, [-vi for vi in v])
+        t_bwd, _ = ray_step(rows, b, x, [-vi for vi in v])
         if t_bwd is not None:
             x = [xi - t_bwd * vi for xi, vi in zip(x, v)]
             continue
         return tuple(x), False  # line through x: not pointed
 
 
-def _blocking_step(rows, b, x, v):
+def ray_step(rows, b, x, v) -> tuple[Optional[Fraction], list[int]]:
+    """Ratio test along the ray x + t v, t >= 0, inside {A x <= b}.
+
+    Returns the largest feasible step t and the indices of the rows that
+    block it, in row order; (None, []) when no row blocks, i.e. v is a
+    recession direction.
+    """
     best = None
-    for a, bi in zip(rows, b):
+    blockers: list[int] = []
+    for i, (a, bi) in enumerate(zip(rows, b)):
         av = dot(a, v)
         if av > 0:
             t = (bi - dot(a, x)) / av
             if best is None or t < best:
-                best = t
-    return best
+                best, blockers = t, [i]
+            elif t == best:
+                blockers.append(i)
+    return best, blockers
 
 
 def lp_solve(a, b: Sequence, c: Sequence, sense: str = MAX, purify: bool = True) -> LpOutcome:
@@ -132,8 +128,6 @@ def lp_solve(a, b: Sequence, c: Sequence, sense: str = MAX, purify: bool = True)
     With c = 0 this is the feasibility test.  When the region is pointed,
     an Optimal outcome carries a vertex of the region.
     """
-    from .linalg import _as_row_list
-
     rows = _as_row_list(a)
     rhs_in = [Fraction(x) for x in b]
     obj = [Fraction(x) for x in c]
@@ -153,84 +147,73 @@ def lp_solve(a, b: Sequence, c: Sequence, sense: str = MAX, purify: bool = True)
         return flipped
 
     m = len(rows)
-    # columns: x = u - w split (2d), slacks (m), artificials appended per need
+    # columns: x = u - w split (2d), slacks (m), one artificial per row whose
+    # right side is negative (it gets negated, so its slack cannot be basic),
+    # then the right-hand side
     base_cols = 2 * d + m
+    ncols = base_cols + sum(1 for ri in rhs_in if ri < 0)
     tableau = []
-    rhs = []
     basis = []
     art_cols = []
     for i in range(m):
-        row = [ZERO] * base_cols
+        row = [ZERO] * (ncols + 1)
         for j in range(d):
             row[j] = rows[i][j]
             row[d + j] = -rows[i][j]
         row[2 * d + i] = ONE
-        ri = rhs_in[i]
-        if ri < 0:
+        row[-1] = rhs_in[i]
+        if rhs_in[i] < 0:
             row = [-x for x in row]
-            ri = -ri
-        tableau.append(row)
-        rhs.append(ri)
-    # rows whose slack got negated need an artificial to provide a basis
-    for i in range(m):
-        if tableau[i][2 * d + i] == ONE:
-            basis.append(2 * d + i)
-        else:
             col = base_cols + len(art_cols)
             art_cols.append(col)
-            for k in range(m):
-                tableau[k].append(ONE if k == i else ZERO)
+            row[col] = ONE
             basis.append(col)
-    ncols = base_cols + len(art_cols)
+        else:
+            basis.append(2 * d + i)
+        tableau.append(row)
 
     if art_cols:
         costs1 = [ZERO] * ncols
         for col in art_cols:
             costs1[col] = Fraction(-1)
-        status = _simplex(tableau, rhs, basis, costs1, ncols)
+        status = _simplex(tableau, basis, costs1)
         if status != "optimal":
             raise InternalError("phase I cannot be unbounded")
-        if any(rhs[i] != 0 for i in range(len(basis)) if basis[i] in art_cols):
+        if any(row[-1] != 0 for row, var in zip(tableau, basis) if var in art_cols):
             return LpOutcome(LpStatus.INFEASIBLE)
-        _expel_artificials(tableau, rhs, basis, base_cols, set(art_cols))
+        _expel_artificials(tableau, basis, base_cols, set(art_cols))
 
     costs2 = [ZERO] * base_cols
     for j in range(d):
         costs2[j] = obj[j]
         costs2[d + j] = -obj[j]
-    for i in range(len(tableau)):
-        tableau[i] = tableau[i][:base_cols]
-    status = _simplex(tableau, rhs, basis, costs2, base_cols)
+    for i, row in enumerate(tableau):
+        tableau[i] = row[:base_cols] + row[-1:]
+    status = _simplex(tableau, basis, costs2)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
     x = [ZERO] * d
-    for i, var in enumerate(basis):
+    for row, var in zip(tableau, basis):
         if var < d:
-            x[var] += rhs[i]
+            x[var] += row[-1]
         elif var < 2 * d:
-            x[var - d] -= rhs[i]
+            x[var - d] -= row[-1]
     point = tuple(x)
     if purify and d:
         point, _ = purify_to_vertex(rows, rhs_in, obj, point)
     return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
 
 
-def _expel_artificials(tableau, rhs, basis, base_cols, art_cols):
+def _expel_artificials(tableau, basis, base_cols, art_cols):
     """Pivot basic artificials out; drop rows that turn out redundant."""
     i = 0
     while i < len(tableau):
         if basis[i] in art_cols:
             col = next((j for j in range(base_cols) if tableau[i][j] != 0), None)
             if col is None:
-                del tableau[i], rhs[i], basis[i]
+                del tableau[i], basis[i]
                 continue
-            _pivot(tableau, rhs, basis, i, col)
+            _pivot(tableau, i, col)
+            basis[i] = col
         i += 1
-
-
-def feasible_point(rows, b) -> Optional[Vector]:
-    """A feasible point of {A x <= b}, or None.  Vertex when pointed."""
-    d = len(rows[0]) if rows else 0
-    out = lp_solve(rows, b, [ZERO] * d)
-    return out.point if out.status is LpStatus.OPTIMAL else None

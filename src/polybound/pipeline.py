@@ -116,6 +116,16 @@ def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
     raise InputError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
 
 
+def verify_diagram(inc: IncidenceMatrix, hd: HasseDiagram, alg: str,
+                   max_dim: Optional[int] = None) -> None:
+    """Recompute the diagram hd (made by alg) with a second algorithm and
+    raise InternalError unless both agree."""
+    other_alg = "moebius" if alg != "moebius" else "selective"
+    other = bounded_diagram(inc, other_alg, max_dim)
+    if other.canonical() != hd.canonical():
+        raise InternalError(f"algorithms {alg} and {other_alg} disagree on the bounded complex")
+
+
 def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
                  max_dim: Optional[int] = None, out_dir: Optional[str] = None,
                  budget: int = DEFAULT_BUDGET, verify: bool = False) -> BenchRow:
@@ -130,10 +140,7 @@ def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
         hd = bounded_diagram(inc, alg, max_dim)
         if verify:
             stage = "verify"
-            other = bounded_diagram(inc, "moebius" if alg != "moebius" else "selective",
-                                    max_dim)
-            if other.canonical() != hd.canonical():
-                raise InternalError("algorithms disagree on the bounded complex")
+            verify_diagram(inc, hd, alg, max_dim)
     except Exception as exc:
         raise type(exc)(f"{stage}: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -27,9 +27,10 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, InputError, InternalError
-from .linalg import ZERO, ONE, Vector, as_vector, dot, nullspace, rank, solve_linear_system
-from .lp import LpStatus, lp_solve
+from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
+from .linalg import (ZERO, ONE, Vector, _rref, as_vector, dot, inverse, nullspace, rank,
+                     solve_linear_system)
+from .lp import LpStatus, lp_solve, ray_step
 
 DEFAULT_BUDGET = 10**7
 
@@ -164,18 +165,6 @@ def _canonical_row(a: Sequence[Fraction], b: Fraction) -> tuple[Vector, Fraction
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
-def _matrix_inverse(rows: Sequence[Vector]) -> list[Vector]:
-    d = len(rows)
-    cols = []
-    for j in range(d):
-        e = [ONE if i == j else ZERO for i in range(d)]
-        col = solve_linear_system(rows, e)
-        if col is None:
-            raise InternalError("singular matrix passed to inverse")
-        cols.append(col)
-    return [tuple(cols[j][i] for j in range(d)) for i in range(d)]
-
-
 def projective_closure(h: HRep) -> ClosureResult:
     """Bounded polytope projectively equivalent to the pointed polyhedron h.
 
@@ -192,19 +181,15 @@ def projective_closure(h: HRep) -> ClosureResult:
     if out.status is LpStatus.INFEASIBLE:
         raise InputError("empty polyhedron")
     v = out.point
-    active = [i for i, (a, bi) in enumerate(h.rows) if dot(a, v) == bi]
-    # dual basis: scan active constraints in input order, keep rank-increasing rows
-    basis_rows: list[Vector] = []
-    for i in active:
-        candidate = basis_rows + [h.rows[i][0]]
-        if rank(candidate) > len(basis_rows):
-            basis_rows.append(h.rows[i][0])
-        if len(basis_rows) == d:
-            break
-    if len(basis_rows) < d:
+    active = [a for a, bi in h.rows if dot(a, v) == bi]
+    # dual basis: the first active rows, in input order, that are independent
+    # of the rows before them, i.e. the pivot columns of the active rows
+    # laid out as columns
+    _, pivots = _rref([list(col) for col in zip(*active)])
+    if len(pivots) < d:
         raise InputError("not pointed")
-    rho = tuple(tuple(-x for x in row) for row in basis_rows)  # R = -W
-    rho_inv = tuple(_matrix_inverse(rho))
+    rho = tuple(tuple(-x for x in active[j]) for j in pivots)  # R = -W
+    rho_inv = tuple(inverse(rho))
 
     new_rows = []
     for a, bi in h.rows:
@@ -215,24 +200,6 @@ def projective_closure(h: HRep) -> ClosureResult:
     new_rows.append((tuple(ONE for _ in range(d)), ONE))
     closure = HRep(d, tuple(new_rows))
     return ClosureResult(closure, tuple(v), rho, rho_inv, len(new_rows) - 1)
-
-
-def _solve_square_unique(rows: list[Vector], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solution of a square system if the matrix is invertible, else None."""
-    d = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][d] for i in range(d)]
 
 
 def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
@@ -265,10 +232,9 @@ def _bruteforce_points(h: HRep, budget: int) -> list[Vector]:
     b = h.rhs()
     seen = set()
     for subset in itertools.combinations(range(m), d):
-        x = _solve_square_unique([a_rows[i] for i in subset], [b[i] for i in subset])
-        if x is None:
+        point = solve_linear_system([a_rows[i] for i in subset], [b[i] for i in subset])
+        if point is None:
             continue
-        point = tuple(x)
         if point in seen:
             continue
         if all(dot(a, point) <= bi for a, bi in h.rows):
@@ -318,13 +284,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
             elif all(s >= 0 for s in signs):
                 directions.add(normalize_ray([-c for c in v]))
         for v in directions:
-            t_best = None
-            for a, bi in zip(a_rows, b):
-                av = dot(a, v)
-                if av > 0:
-                    t = (bi - dot(a, x)) / av
-                    if t_best is None or t < t_best:
-                        t_best = t
+            t_best, _ = ray_step(a_rows, b, x, v)
             if t_best is None:
                 rays.add(v)
                 continue
@@ -358,11 +318,8 @@ def reverse_search_with_retries(h: HRep, seed: int = 0,
     for attempt in range(attempts):
         try:
             return reverse_search_vertices(h, bounded_generic_objective(h, attempt, seed))
-        except InputError as exc:
+        except ObjectiveError as exc:
             last = exc
-            message = str(exc)
-            if "generic" not in message and "unbounded" not in message:
-                raise
     raise InputError(f"no generic objective found after {attempts} attempts: {last}")
 
 
@@ -385,7 +342,7 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
     if out.status is LpStatus.INFEASIBLE:
         raise InputError("empty polyhedron")
     if out.status is LpStatus.UNBOUNDED:
-        raise InputError("objective unbounded on polyhedron")
+        raise ObjectiveError("objective unbounded on polyhedron")
     root = out.point
 
     def active_basis(x: Vector) -> list[int]:
@@ -399,25 +356,16 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
         # v solves: a_i . v = 0 for i in act - {k}, a_k . v = -1
         mat = [a_rows[i] for i in act if i != k] + [a_rows[k]]
         rhs = [ZERO] * (d - 1) + [Fraction(-1)]
-        v = _solve_square_unique([list(r) for r in mat], rhs)
+        v = solve_linear_system(mat, rhs)
         if v is None:
             raise InputError("not simple")
-        t_best = None
-        blockers: list[int] = []
-        for i in range(len(a_rows)):
-            av = dot(a_rows[i], v)
-            if av > 0:
-                t = (b[i] - dot(a_rows[i], x)) / av
-                if t_best is None or t < t_best:
-                    t_best, blockers = t, [i]
-                elif t == t_best:
-                    blockers.append(i)
+        t_best, blockers = ray_step(a_rows, b, x, v)
         if t_best is None:
             return ("ray", normalize_ray(v))
         if t_best == 0 or len(blockers) > 1:
             raise InputError("not simple")
         y = tuple(xi + t_best * vi for xi, vi in zip(x, v))
-        return ("vertex", y, tuple(v))
+        return ("vertex", y, v)
 
     def ascent_neighbor(x: Vector, act: list[int]) -> Optional[Vector]:
         """Smallest-index improving pivot (Bland); None at the optimum."""
@@ -450,7 +398,7 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
             _, y, _ = res
             vx, vy = dot(c, x), dot(c, y)
             if vx == vy:
-                raise InputError("objective not generic")
+                raise ObjectiveError("objective not generic")
             edges.add((min(x, y), max(x, y)))
             if vy < vx:
                 # y is a child iff its Bland ascent pivot leads back to x
@@ -459,7 +407,7 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
                     stack.append(y)
     values = [dot(c, x) for x in vertices]
     if len(set(values)) != len(values):
-        raise InputError("objective not generic")
+        raise ObjectiveError("objective not generic")
 
     vrep = VRep.build(d, vertices, [r for _, r in ray_flags])
     index = {v: i for i, v in enumerate(vrep.vertices)}

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polybound import pipeline
 from polybound.cli import main
 
 
@@ -97,6 +98,54 @@ def test_bounded_rejects_bad_incidence_file(tmp_path, capsys, case):
     assert run(["-o", tmp_path, "bounded", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BAD_REP_FILES = {
+    "close: non-integer dimension": ("close", "polybound-hrep 1\ndim x rows 2\n"),
+    "close: negative row count": ("close", "polybound-hrep 1\ndim 2 rows -1\n"),
+    "close: missing header": ("close", "polybound-hrep 1\n"),
+    "fvector: non-integer vertex count": ("fvector", "polybound-vrep 1\ndim 1\nvertices x\n"),
+    "fvector: non-integer dimension": ("fvector", "polybound-vrep 1\ndim 1.5\n"),
+    "fvector: missing rays line": ("fvector", "polybound-vrep 1\ndim 1\nvertices 0\n"),
+    "fvector: missing header": ("fvector", "polybound-vrep 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REP_FILES))
+def test_close_and_fvector_reject_bad_rep_file(tmp_path, capsys, case):
+    command, text = BAD_REP_FILES[case]
+    path = tmp_path / "bad.rep"
+    path.write_text(text)
+    if command == "close":
+        argv = ["close", path]
+    else:
+        inc = tmp_path / "one.inc"
+        inc.write_text("polybound-inc 1\nfacets 1 vertices 1\n1\n")
+        argv = ["fvector", inc, path, "--simple"]
+    assert run(["-o", tmp_path] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bench_exit_code_when_one_row_fails(tmp_path, capsys):
+    # dwarfed-cube-5 fits the budget, dwarfed-cube-10 trips it
+    assert run(["-o", tmp_path, "--budget", "100", "bench", "--suite", "dwarfed",
+                "--max-size", "10"]) == 4
+    table = capsys.readouterr().out.splitlines()
+    assert "too large" not in table[1] and "too large" in table[2]
+
+
+def test_bounded_verify_disagreement_exits_4(tmp_path, capsys, monkeypatch):
+    inc = tmp_path / "square.inc"
+    inc.write_text("polybound-inc 1\nfacets 4 vertices 4\n1100\n0110\n0011\n1001\n"
+                   "farface 2 3\n")
+    real = pipeline.moebius_generation
+    # a moebius run that stops at the vertices misses the bounded edge
+    monkeypatch.setattr(pipeline, "moebius_generation", lambda inc, max_dim=None: real(inc, 0))
+    assert run(["-o", tmp_path, "bounded", inc, "--verify"]) == 4
+    err = capsys.readouterr().err
+    assert err == ("internal error: algorithms selective and moebius disagree "
+                   "on the bounded complex\n")
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -4,25 +4,27 @@ from fractions import Fraction
 import pytest
 
 from polybound.errors import InputError
-from polybound.linalg import (Matrix, dot, nullspace, rank, solve_linear_system)
+from polybound.linalg import dot, inverse, nullspace, rank, solve_linear_system
 
 
 def test_solve_identity():
-    assert solve_linear_system(Matrix.identity(2), [3, 5]) == (3, 5)
+    assert solve_linear_system([[1, 0], [0, 1]], [3, 5]) == (3, 5)
 
 
 def test_solve_inconsistent():
     assert solve_linear_system([[1, 1], [1, 1]], [1, 2]) is None
+    # full column rank, but the extra equation contradicts the others
+    assert solve_linear_system([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
+    assert solve_linear_system([[1, 0], [0, 1], [1, 1]], [1, 1, 2]) == (1, 1)
 
 
 def test_solve_diagonal():
     assert solve_linear_system([[2, 0], [0, 4]], [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
 
 
-def test_solve_underdetermined_pins_free_variables():
-    # one equation, two unknowns: the free variable comes back as 0
-    x = solve_linear_system([[1, 1]], [5])
-    assert x == (5, 0)
+def test_solve_underdetermined_returns_none():
+    # one equation, two unknowns: a line of solutions, so no unique one
+    assert solve_linear_system([[1, 1]], [5]) is None
 
 
 def test_solve_row_count_mismatch():
@@ -31,15 +33,19 @@ def test_solve_row_count_mismatch():
 
 
 def test_solutions_satisfy_system_random():
+    # square, over- and underdetermined systems A x = A x0: the solution is
+    # x0 exactly when A has full column rank, and there is none otherwise
     rng = random.Random(3)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        x0 = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
         b = [dot(row, x0) for row in a]
         x = solve_linear_system(a, b)
-        assert x is not None
-        assert [dot(row, x) for row in a] == b
+        if rank(a) == n:
+            assert x == x0
+        else:
+            assert x is None
 
 
 def test_rank_nullity():
@@ -54,13 +60,25 @@ def test_rank_nullity():
             assert all(dot(row, v) == 0 for row in a)
 
 
-def test_matrix_shape_validation():
-    with pytest.raises(InputError):
-        Matrix.from_rows([[1, 2], [3]])
-    with pytest.raises(InputError):
-        Matrix(2, 2, (Fraction(1),) * 3)
+def test_inverse_swaps_rows_and_rejects_singular():
+    # a zero in the leading position forces a row swap
+    assert inverse([[0, 2], [4, 0]]) == [(0, Fraction(1, 4)), (Fraction(1, 2), 0)]
+    with pytest.raises(InputError, match="singular"):
+        inverse([[1, 2], [2, 4]])
+    with pytest.raises(InputError, match="square"):
+        inverse([[1, 2]])
 
 
-def test_matrix_times_vector():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert m.times_vector([1, 1]) == (3, 7)
+def test_inverse_random():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        a = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if rank(a) < n:
+            with pytest.raises(InputError):
+                inverse(a)
+            continue
+        inv = inverse(a)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [[dot(row, col) for col in zip(*inv)] for row in a] == identity
+        assert [[dot(row, col) for col in zip(*a)] for row in inv] == identity

@@ -5,7 +5,7 @@ import pytest
 
 from polybound.errors import InputError
 from polybound.linalg import dot
-from polybound.lp import LpStatus, lp_solve
+from polybound.lp import LpStatus, lp_solve, ray_step
 from polybound.polyhedron import HRep, enumerate_vertices_bruteforce
 
 
@@ -61,6 +61,18 @@ def test_dimension_mismatch_rejected():
         lp_solve([[1, 0]], [1], [1])
     with pytest.raises(InputError):
         lp_solve([[1]], [1, 2], [1])
+
+
+def test_ray_step_ties_and_recession():
+    rows = [[1, 0], [0, 1], [1, 1], [-1, 0]]
+    b = [1, 1, 2, 0]
+    # from the origin along (1, 1) rows 0, 1 and 2 all block at t = 1
+    assert ray_step(rows, b, [0, 0], [1, 1]) == (1, [0, 1, 2])
+    assert ray_step(rows, b, [0, 0], [1, 0]) == (1, [0])
+    # row 3 is tight at the origin: a zero step
+    assert ray_step(rows, b, [0, 0], [-1, 0]) == (0, [3])
+    # nothing blocks a recession direction
+    assert ray_step(rows, b, [0, 0], [0, -1]) == (None, [])
 
 
 def test_optimum_matches_bruteforce_vertices():

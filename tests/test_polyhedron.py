@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import cube3, instance, quadrant, random_pointed_hrep, square_pyramid, strip, unit_square
-from polybound.errors import BudgetExceededError, InputError
-from polybound.generators import dwarfed_cube
-from polybound.linalg import ZERO
+from polybound.errors import BudgetExceededError, InputError, ObjectiveError
+from polybound.generators import cyclic_matrix, dwarfed_cube, tropical_hrep
+from polybound import polyhedron
+from polybound.linalg import ZERO, dot, rank
 from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
                                   enumerate_vertices_pivoting, normalize_ray,
                                   projective_closure, reverse_search_vertices,
@@ -55,6 +56,28 @@ def test_closure_vertex_bijection():
         originals = enumerate_vertices_bruteforce(h)
         assert len(near) == len(originals.vertices)
         assert sorted(clo.unmap_point(p) for p in near) == list(originals.vertices)
+
+
+def greedy_basis_rows(h, v):
+    """Reference dual basis: the rows active at v, scanned in input order,
+    each kept when it raises the rank of the rows kept so far."""
+    basis = []
+    for a, bi in h.rows:
+        if dot(a, v) == bi and rank(basis + [a]) > len(basis):
+            basis.append(a)
+    return basis
+
+
+def test_closure_basis_is_greedy_rank_scan():
+    rng = random.Random(11)
+    cases = [random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(0, 6))
+             for _ in range(30)]
+    # degenerate vertices: more than d active rows to choose from
+    cases += [square_pyramid(), dwarfed_cube(3)[1], tropical_hrep(cyclic_matrix(3, 3))]
+    for h in cases:
+        clo = projective_closure(h)
+        basis = [tuple(-x for x in row) for row in clo.rho]
+        assert basis == greedy_basis_rows(h, clo.translation)
 
 
 def test_closure_error_empty():
@@ -129,13 +152,30 @@ def test_reverse_search_rejects_non_simple():
         reverse_search_vertices(square_pyramid(), [1, 2, 4])
 
 
+def test_reverse_search_retries_only_objective_failures(monkeypatch):
+    # "not simple" does not depend on the objective, so it is not retried
+    with pytest.raises(InputError, match="^not simple$"):
+        reverse_search_with_retries(square_pyramid())
+    # an unbounded first objective is retried with the next attempt's
+    real = polyhedron.bounded_generic_objective
+    attempts = []
+
+    def first_unbounded(h, attempt, seed):
+        attempts.append(attempt)
+        return (1, 2) if attempt == 0 else real(h, attempt, seed)
+
+    monkeypatch.setattr(polyhedron, "bounded_generic_objective", first_unbounded)
+    v, _ = reverse_search_with_retries(quadrant())
+    assert v.vertices == ((0, 0),) and attempts == [0, 1]
+
+
 def test_reverse_search_rejects_non_generic():
-    with pytest.raises(InputError, match="not generic"):
+    with pytest.raises(ObjectiveError, match="not generic"):
         reverse_search_vertices(unit_square(), [1, 0])
 
 
 def test_reverse_search_rejects_unbounded_objective():
-    with pytest.raises(InputError, match="unbounded"):
+    with pytest.raises(ObjectiveError, match="unbounded"):
         reverse_search_vertices(quadrant(), [1, 2])
 
 

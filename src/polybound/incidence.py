@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .linalg import dot, rank
+from .linalg import Vector, dot, rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
 from .polyhedron import Graph, HRep, VRep, ClosureResult
 
 
@@ -101,47 +103,45 @@ def closure_mask(mask: int, rows: Sequence[int]) -> Optional[int]:
 def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     """Incidence matrix of the polytope h over its exact vertex set v.
 
-    Redundant rows (those whose incident vertices do not span a
-    (d-1)-dimensional affine hull) are dropped, and duplicate facet rows
-    are merged, so output rows biject with facets.  Rays in v are ignored.
+    Contract: h describes a full-dimensional polytope and v holds every one
+    of its vertices and no rays (close an unbounded polyhedron first).  A
+    row's incident vertices are read from exact integer slacks; the row is
+    a facet iff it touches at least d vertices and no other row's vertex
+    set strictly contains its own.  That test is valid only on
+    full-dimensional polytopes, so a nonzero row tight at every vertex is
+    refused as "not full-dimensional"; rows 0.x <= b are skipped.
+    Duplicate facet rows are merged, so output rows biject with facets, in
+    the order of their first row.
     """
-    d = h.dim
-    points = v.vertices
-    for p in points:
-        for a, b in h.rows:
-            if dot(a, p) > b:
-                raise InputError("point outside polyhedron")
-    masks: list[int] = []
-    seen = set()
+    if v.rays:
+        raise InputError("incidences need a polytope; close the polyhedron first")
+    points = [_integer_point(p) for p in v.vertices]
+    masks = []
     for a, b in h.rows:
-        incident = [i for i, p in enumerate(points) if dot(a, p) == b]
-        if len(incident) < d:
-            continue
-        if _affine_rank(points, incident, d) != d - 1:
-            continue
-        mask = mask_from_indices(incident)
-        if mask not in seen:
-            seen.add(mask)
+        scale = lcm(*(x.denominator for x in a), b.denominator)
+        a_int = [x.numerator * (scale // x.denominator) for x in a]
+        b_int = b.numerator * (scale // b.denominator)
+        mask = 0
+        for i, (num, den) in enumerate(points):
+            slack = b_int * den - sum(map(mul, a_int, num))
+            if slack < 0:
+                raise InputError("point outside polyhedron")
+            if slack == 0:
+                mask |= 1 << i
+        if any(a_int):
             masks.append(mask)
-    return IncidenceMatrix(len(points), tuple(masks))
+    if (1 << len(points)) - 1 in masks:
+        raise InputError("not full-dimensional")
+    candidates = list(dict.fromkeys(m for m in masks if m.bit_count() >= h.dim))
+    facets = [m for m in candidates
+              if not any(m != other and m & other == m for other in candidates)]
+    return IncidenceMatrix(len(points), tuple(facets))
 
 
-def _affine_rank(points, indices, d: int) -> int:
-    """Rank of the difference vectors of the indexed points (early exit at d-1)."""
-    base = points[indices[0]]
-    rows = []
-    r = 0
-    for i in indices[1:]:
-        diff = tuple(x - y for x, y in zip(points[i], base))
-        rows.append(diff)
-        new_rank = rank(rows)
-        if new_rank == r:
-            rows.pop()
-        else:
-            r = new_rank
-        if r >= d - 1:
-            return r
-    return r
+def _integer_point(p: Vector) -> tuple[list[int], int]:
+    """p as an integer numerator vector over one positive denominator."""
+    den = lcm(*(x.denominator for x in p))
+    return [x.numerator * (den // x.denominator) for x in p], den
 
 
 def far_face_vertices(closure: ClosureResult, v: VRep) -> set[int]:

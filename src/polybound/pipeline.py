@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from statistics import mean, pstdev
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, PolyboundError
 from .bounded import (HasseDiagram, HasseNode, filter_bounded,
                       full_face_lattice, relabel_vertices, selective_generation)
 from .moebius import moebius_generation
@@ -76,7 +76,11 @@ def make_instance(family: str, params: Sequence[int],
 def closure_data(h: HRep, vrep: Optional[VRep] = None,
                  budget: int = DEFAULT_BUDGET) -> tuple[ClosureResult, VRep, IncidenceMatrix]:
     """Close the polyhedron and assemble the closure's vertex set and
-    incidence matrix (far face attached) from one enumeration of h."""
+    incidence matrix (far face attached) from one enumeration of h.
+
+    The closure is a polytope, so `compute_incidences` applies to it; it
+    is full-dimensional exactly when h is, and lower-dimensional h (a
+    segment, a ray) is refused with InputError "not full-dimensional"."""
     clo = projective_closure(h)
     if vrep is None:
         vrep = enumerate_vertices_pivoting(h, budget)
@@ -141,7 +145,8 @@ def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
         if verify:
             stage = "verify"
             verify_diagram(inc, hd, alg, max_dim)
-    except Exception as exc:
+    except PolyboundError as exc:
+        # only our own errors are known to take a single message argument
         raise type(exc)(f"{stage}: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if out_dir is not None:

@@ -202,15 +202,28 @@ def projective_closure(h: HRep) -> ClosureResult:
     return ClosureResult(closure, tuple(v), rho, rho_inv, len(new_rows) - 1)
 
 
+def _start_vertex(h: HRep) -> Vector:
+    """A vertex of h.  Errors: "empty polyhedron" when infeasible, "not
+    pointed" when the feasible point found lies on fewer than d independent
+    rows (h then contains a line and has no vertex)."""
+    out = lp_solve(h.coefficient_rows(), h.rhs(), [ZERO] * h.dim)
+    if out.status is LpStatus.INFEASIBLE:
+        raise InputError("empty polyhedron")
+    start = out.point
+    if rank([a for a, bi in h.rows if dot(a, start) == bi]) < h.dim:
+        raise InputError("not pointed")
+    return start
+
+
 def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     """Oracle enumeration: solve every d-subset of rows, keep feasible solutions.
 
     Rays are recovered by running the same procedure on the projective
-    closure and pulling the far-face vertices back as directions.
+    closure and pulling the far-face vertices back as directions.  Empty
+    and non-pointed input is refused up front, as by the other enumerators.
     """
+    _start_vertex(h)
     vertices = _bruteforce_points(h, budget)
-    if not vertices:
-        return VRep.build(h.dim, [], [])
     rays: list[Vector] = []
     closure = projective_closure(h)
     far_candidates = _bruteforce_points(closure.closure, budget)
@@ -223,8 +236,6 @@ def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep
 def _bruteforce_points(h: HRep, budget: int) -> list[Vector]:
     m = len(h.rows)
     d = h.dim
-    if m < d:
-        return []
     if comb(m, d) > budget:
         raise BudgetExceededError(
             f"instance too large for brute force: C({m},{d}) subsets exceed budget {budget}")
@@ -253,14 +264,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     d = h.dim
     a_rows = h.coefficient_rows()
     b = h.rhs()
-    out = lp_solve(a_rows, b, [ZERO] * d)
-    if out.status is LpStatus.INFEASIBLE:
-        raise InputError("empty polyhedron")
-    start = out.point
-    active0 = [a for a, bi in zip(a_rows, b) if dot(a, start) == bi]
-    if rank(active0) < d:
-        raise InputError("not pointed")
-
+    start = _start_vertex(h)
     work = 0
     visited = {start}
     stack = [start]
@@ -313,7 +317,9 @@ def bounded_generic_objective(h: HRep, attempt: int = 0, seed: int = 0) -> Vecto
 def reverse_search_with_retries(h: HRep, seed: int = 0,
                                 attempts: int = 64) -> tuple[VRep, Graph]:
     """Reverse search under automatically chosen objectives, retrying with a
-    fresh perturbation whenever genericity or boundedness fails."""
+    fresh perturbation whenever genericity or boundedness fails.  Empty and
+    non-pointed input is refused up front: no objective can succeed there."""
+    _start_vertex(h)
     last = None
     for attempt in range(attempts):
         try:

@@ -31,6 +31,16 @@ def strip() -> HRep:
     return HRep.from_rows(2, [((0, -1), 0), ((0, 1), 1), ((-1, 0), 0)])
 
 
+def segment() -> HRep:
+    # {x = 0, 0 <= y <= 1}: a polytope, but not full-dimensional
+    return HRep.from_rows(2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
+
+
+def ray() -> HRep:
+    # {x = 0, y >= 0}: pointed and unbounded, but not full-dimensional
+    return HRep.from_rows(2, [((1, 0), 0), ((-1, 0), 0), ((0, -1), 0)])
+
+
 def cube3() -> HRep:
     rows = []
     for i in range(3):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from polybound import pipeline
+from conftest import segment
+from polybound import formats, pipeline
 from polybound.cli import main
 
 
@@ -146,6 +147,34 @@ def test_bounded_verify_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == ("internal error: algorithms selective and moebius disagree "
                    "on the bounded complex\n")
+
+
+NO_VERTEX_FILES = {
+    "half-plane x <= 1": ("1 0 1", "not pointed"),
+    "empty 0.x <= -1": ("0 0 -1", "empty polyhedron"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_VERTEX_FILES))
+def test_vertices_refuses_alike_for_every_algorithm(tmp_path, capsys, case):
+    row, message = NO_VERTEX_FILES[case]
+    path = tmp_path / "novertex.hrep"
+    path.write_text(f"polybound-hrep 1\ndim 2 rows 1\n{row}\n")
+    for alg in ("pivot", "brute", "rs"):
+        assert run(["-o", tmp_path, "vertices", path, "--alg", alg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_incidences_refuses_lower_dimensional_closure(tmp_path, capsys):
+    hrep = tmp_path / "segment.hrep"
+    formats.write_hrep(segment(), str(hrep))
+    assert run(["-o", tmp_path, "close", hrep]) == 0
+    closure = tmp_path / "segment.closure.hrep"
+    assert run(["-o", tmp_path, "vertices", closure]) == 0
+    vrep = tmp_path / "segment.closure.vrep"
+    capsys.readouterr()
+    assert run(["-o", tmp_path, "incidences", closure, vrep, "--closure"]) == 2
+    assert capsys.readouterr().err == "error: not full-dimensional\n"
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -1,14 +1,56 @@
+import random
+
 import pytest
 
-from conftest import cube3, instance, quadrant, square_incidence, square_pyramid, unit_square
+from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segment,
+                      square_incidence, square_pyramid, strip, unit_square)
 from polybound.bounded import full_face_lattice
 from polybound.errors import InputError
 from polybound.incidence import (compute_incidences, far_face_vertices,
                                  indices_from_mask, is_simple, mask_from_indices,
                                  polytope_edges, restrict_to_near,
                                  vertex_edge_graph)
+from polybound.linalg import dot, rank
+from polybound.pipeline import closure_data
 from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
                                   projective_closure)
+
+
+def reference_incidences(h, v):
+    """The coordinate facet test compute_incidences replaced: a row is a
+    facet iff its incident points span an affine hull of dimension d - 1.
+    The replaced code stopped its rank scan at d - 1 and so also accepted
+    a row 0.x <= 0 as an all-vertex facet; this oracle takes the full rank."""
+    d = h.dim
+    points = v.vertices
+    for p in points:
+        for a, b in h.rows:
+            if dot(a, p) > b:
+                raise InputError("point outside polyhedron")
+    masks = []
+    for a, b in h.rows:
+        incident = [i for i, p in enumerate(points) if dot(a, p) == b]
+        if len(incident) < d or _affine_rank(points, incident) != d - 1:
+            continue
+        mask = mask_from_indices(incident)
+        if mask not in masks:
+            masks.append(mask)
+    return tuple(masks)
+
+
+def _affine_rank(points, indices):
+    """Rank of the difference vectors of the indexed points."""
+    base = points[indices[0]]
+    return rank([tuple(x - y for x, y in zip(points[i], base)) for i in indices[1:]])
+
+
+def _cube(d, extra_rows=(), first_rows=()):
+    rows = list(first_rows)
+    for i in range(d):
+        e = [0] * d
+        e[i] = 1
+        rows += [(tuple(e), 1), (tuple(-x for x in e), 0)]
+    return HRep.from_rows(d, rows + list(extra_rows))
 
 
 def test_square_incidences():
@@ -153,3 +195,69 @@ def test_column_sums_at_least_d():
 
 def test_incidence_round_mask_helpers():
     assert indices_from_mask(mask_from_indices([5, 1, 3])) == (1, 3, 5)
+
+
+def test_incidences_match_rank_reference():
+    cases = []
+    rng = random.Random(7)
+    for _ in range(30):
+        clo, vbar, _ = closure_data(random_pointed_hrep(rng, rng.randint(2, 4),
+                                                        rng.randint(1, 4)))
+        cases.append((clo.closure, vbar))
+    roster = ([("dwarfed-cube", (d,)) for d in range(2, 7)]
+              + [("thrackle", (d,)) for d in range(3, 6)]
+              + [("tropical-cyclic", (3, 3)), ("tropical-cyclic", (4, 4))])
+    for family, params in roster:
+        _, _, clo, vbar, _ = instance(family, *params)
+        cases.append((clo.closure, vbar))
+    hp = square_pyramid()
+    cases.append((hp, enumerate_vertices_bruteforce(hp)))
+    # cube3 and the 4-cube with rows that are no facets: strictly redundant,
+    # weakly redundant on a vertex, an edge and (4-cube) a square 2-face with
+    # d vertices, a positively rescaled duplicate ahead of its original, and
+    # zero rows
+    extra = [((1, 1, 1), 4), ((1, 1, 1), 3), ((1, 1, 0), 2), ((0, 0, 0), 0),
+             ((0, 0, 0), 1), ((0, 3, 0), 3)]
+    cases.append((_cube(3, extra, first_rows=[((2, 0, 0), 2)]),
+                  enumerate_vertices_bruteforce(cube3())))
+    h4 = _cube(4, [((1, 1, 0, 0), 2), ((0, 0, 0, 0), 0), ((1, 1, 1, 1), 4)])
+    cases.append((h4, enumerate_vertices_bruteforce(_cube(4))))
+    for h, v in cases:
+        assert compute_incidences(h, v).row_masks == reference_incidences(h, v)
+
+
+def test_cube_facets_despite_extra_rows():
+    h = _cube(4, [((1, 1, 0, 0), 2), ((0, 0, 0, 0), 0), ((0, 0, 0, 0), 1)])
+    inc = compute_incidences(h, enumerate_vertices_bruteforce(_cube(4)))
+    assert inc.m == 8 and all(row.bit_count() == 8 for row in inc.row_masks)
+
+
+def test_zero_row_with_negative_right_side_is_violated():
+    h = _cube(3, [((0, 0, 0), -1)])
+    with pytest.raises(InputError, match="outside"):
+        compute_incidences(h, enumerate_vertices_bruteforce(cube3()))
+
+
+@pytest.mark.parametrize("make", [segment, ray])
+def test_closure_data_refuses_lower_dimensional(make):
+    with pytest.raises(InputError, match="not full-dimensional"):
+        closure_data(make())
+
+
+def test_compute_incidences_refuses_segment():
+    h = segment()
+    with pytest.raises(InputError, match="not full-dimensional"):
+        compute_incidences(h, VRep.build(2, [(0, 0), (0, 1)], []))
+
+
+def test_compute_incidences_refuses_rays():
+    h = quadrant()
+    with pytest.raises(InputError, match="close the polyhedron first"):
+        compute_incidences(h, enumerate_vertices_bruteforce(h))
+
+
+def test_closure_data_accepts_strip_and_quadrant():
+    _, vbar, inc = closure_data(strip())
+    assert (inc.m, inc.n) == (3, 3) and len(vbar.vertices) == 3
+    _, vbar, inc = closure_data(quadrant())
+    assert (inc.m, inc.n) == (3, 3) and inc.far_face.bit_count() == 2

@@ -1,0 +1,31 @@
+import pytest
+
+from conftest import segment
+from polybound import pipeline
+from polybound.errors import InputError
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+
+
+def test_run_pipeline_propagates_foreign_exceptions_unchanged(monkeypatch):
+    boom = TwoArgumentError(7, "detail")
+
+    def fail(*args):
+        raise boom
+
+    monkeypatch.setattr(pipeline, "bounded_diagram", fail)
+    with pytest.raises(TwoArgumentError) as info:
+        pipeline.run_pipeline("dwarfed-cube", (2,))
+    assert info.value is boom
+
+
+def test_run_pipeline_prefixes_own_errors_with_the_stage(monkeypatch):
+    monkeypatch.setattr(pipeline, "make_instance",
+                        lambda family, params, budget: ("segment", segment(), None))
+    with pytest.raises(InputError) as info:
+        pipeline.run_pipeline("dwarfed-cube", (2,))
+    assert str(info.value) == "close/enumerate: not full-dimensional"

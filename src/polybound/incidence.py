@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .linalg import Vector, dot, rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
+from .linalg import common_denominator, dot
+from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
 from .polyhedron import Graph, HRep, VRep, ClosureResult
 
 
@@ -115,12 +115,10 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     """
     if v.rays:
         raise InputError("incidences need a polytope; close the polyhedron first")
-    points = [_integer_point(p) for p in v.vertices]
+    points = [common_denominator(p) for p in v.vertices]
     masks = []
     for a, b in h.rows:
-        scale = lcm(*(x.denominator for x in a), b.denominator)
-        a_int = [x.numerator * (scale // x.denominator) for x in a]
-        b_int = b.numerator * (scale // b.denominator)
+        *a_int, b_int = common_denominator([*a, b])[0]
         mask = 0
         for i, (num, den) in enumerate(points):
             slack = b_int * den - sum(map(mul, a_int, num))
@@ -136,12 +134,6 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     facets = [m for m in candidates
               if not any(m != other and m & other == m for other in candidates)]
     return IncidenceMatrix(len(points), tuple(facets))
-
-
-def _integer_point(p: Vector) -> tuple[list[int], int]:
-    """p as an integer numerator vector over one positive denominator."""
-    den = lcm(*(x.denominator for x in p))
-    return [x.numerator * (den // x.denominator) for x in p], den
 
 
 def far_face_vertices(closure: ClosureResult, v: VRep) -> set[int]:

@@ -1,15 +1,23 @@
-"""Exact linear algebra kernel: rank, null spaces, unique solutions, inverses.
+"""Exact linear algebra: rank, null spaces, unique solutions, inverses.
 
-Everything works over `Fraction`; there is deliberately no floating-point
-path anywhere in the package.  `_pivot` is the package's only row
-elimination step: `_rref` (behind `rank` and `nullspace`), the square
-driver `_eliminate` (behind `solve_linear_system` and `inverse`) and the
-simplex tableau in `lp` all call it.
+Everything is exact; there is deliberately no floating-point path anywhere
+in the package.  Two elimination kernels, one per number type:
+
+* `_pivot`, a Gauss-Jordan step over `Fraction`, is behind `_rref` (and so
+  `rank` and `nullspace`), the square driver `_eliminate` (behind
+  `inverse`) and the simplex tableau in `lp`.
+* `kernel_line`, one fraction-free elimination over the integers in the
+  manner of Bareiss, returns the primitive integer vector spanning a
+  one-dimensional kernel.  It is behind the pivot walk of
+  `polyhedron.enumerate_vertices_pivoting` and `solve_linear_system`.
+  `common_denominator` brings rational data to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -34,6 +42,56 @@ def _as_row_list(a) -> list[list[Fraction]]:
     """Fresh rows of Fractions; entries that already are Fractions are kept,
     which saves the constructor call on the solver's hot path."""
     return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
+
+
+def common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Rationals (ints or Fractions) as an integer numerator vector over one
+    positive denominator, the lcm of theirs.  For entries in lowest terms
+    the pair is reduced: no prime divides the denominator and every
+    numerator."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> Optional[tuple[int, ...]]:
+    """The primitive integer vector spanning the kernel of an integer matrix
+    with ncols columns, or None unless the matrix has rank ncols - 1.
+
+    One fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each
+    update divides exactly by the previous pivot, so every entry stays an
+    integer minor of the input, and the last pivot D is the minor on the
+    pivot columns.  By Cramer's rule the kernel vector with D in the free
+    column has integer entries, so back substitution divides exactly too.
+    The sign of the result is not normalized.
+    """
+    m = [list(row) for row in rows]
+    pivot_cols: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivot_cols)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            if col + 1 - r > 1:  # a second free column: the kernel is larger
+                return None
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot_row = m[r]
+        piv = pivot_row[col]
+        for i in range(r + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = piv
+        pivot_cols.append(col)
+    if len(pivot_cols) != ncols - 1:
+        return None
+    v = [0] * ncols
+    v[next(c for c in range(ncols) if c not in pivot_cols)] = prev
+    for row, col in zip(reversed(m[:len(pivot_cols)]), reversed(pivot_cols)):
+        v[col] = -sum(map(mul, row[col + 1:], v[col + 1:])) // row[col]
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
@@ -92,20 +150,23 @@ def rank(a) -> int:
     return len(pivots)
 
 
-def solve_linear_system(a, b: Sequence) -> Optional[Vector]:
+def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     """The unique exact solution of A x = b, or None when there is none:
-    when A has rank below its column count or the system is inconsistent."""
-    rows = _as_row_list(a)
-    rhs = [Fraction(x) for x in b]
-    if len(rows) != len(rhs):
+    when A has rank below its column count or the system is inconsistent.
+    Entries are ints or Fractions.
+
+    The solution is the kernel of [A | -b] scaled to a last entry of 1; it
+    exists exactly when that kernel is one-dimensional and its last entry
+    is nonzero."""
+    if len(a) != len(b):
         raise InputError("A and b row counts differ")
-    if not rows:
+    if not a:
         return ()
-    n = len(rows[0])
-    aug = [row + [bi] for row, bi in zip(rows, rhs)]
-    if not _eliminate(aug, n) or any(row[n] != 0 for row in aug[n:]):
+    n = len(a[0])
+    v = kernel_line([common_denominator([*row, -bi])[0] for row, bi in zip(a, b)], n + 1)
+    if v is None or not v[n]:
         return None
-    return tuple(row[n] for row in aug[:n])
+    return tuple(Fraction(x, v[n]) for x in v[:n])
 
 
 def inverse(a) -> list[Vector]:

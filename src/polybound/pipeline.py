@@ -80,14 +80,19 @@ def closure_data(h: HRep, vrep: Optional[VRep] = None,
 
     The closure is a polytope, so `compute_incidences` applies to it; it
     is full-dimensional exactly when h is, and lower-dimensional h (a
-    segment, a ray) is refused with InputError "not full-dimensional"."""
+    segment, a ray) is refused with InputError "not full-dimensional".
+    Bounded h (no rays) is refused too, with InputError "bounded
+    polyhedron": its closure has an empty far face.  The enumeration walks
+    from the closure's own start vertex, so the LP runs once."""
     clo = projective_closure(h)
     if vrep is None:
-        vrep = enumerate_vertices_pivoting(h, budget)
+        vrep = enumerate_vertices_pivoting(h, budget, start=clo.translation)
     points = [clo.map_point(x) for x in vrep.vertices]
     points += [clo.map_ray(r) for r in vrep.rays]
     vbar = VRep.build(h.dim, points, [])
     inc = compute_incidences(clo.closure, vbar)
+    if not vrep.rays:
+        raise InputError("bounded polyhedron: without rays the whole face lattice is bounded")
     inc = inc.with_far_face(far_face_vertices(clo, vbar))
     return clo, vbar, inc
 

@@ -12,10 +12,17 @@ Three enumerators are provided:
   independent oracle for everything else and is budget-guarded.
 * `enumerate_vertices_pivoting` walks the vertex-edge graph, enumerating
   edge directions at each vertex from (d-1)-subsets of its active rows; it
-  is exact on degenerate (non-simple) polyhedra as well.
+  is exact on degenerate (non-simple) polyhedra as well, and runs in
+  integers (integer rows, points over one denominator, Bareiss kernels).
 * `reverse_search_vertices` is the classic reverse search for simple
   polyhedra under a generic objective, with a ratio test that flags
   unbounded edges.
+
+`projective_closure`, the pivot walk and `reverse_search_with_retries`
+find a first vertex (or refuse empty and non-pointed input) through
+`_start_vertex`, one feasibility LP; brute force takes it from the
+closure, and the pipeline hands the closure's vertex on to the pivot walk,
+so each solves that LP once.
 """
 
 from __future__ import annotations
@@ -24,12 +31,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
-from .linalg import (ZERO, ONE, Vector, _rref, as_vector, dot, inverse, nullspace, rank,
-                     solve_linear_system)
+from .linalg import (ZERO, ONE, Vector, _rref, as_vector, common_denominator, dot, inverse,
+                     kernel_line, rank, solve_linear_system)
+from .linalg import nullspace  # noqa: F401  (perfbench's tracer wraps polyhedron.nullspace)
 from .lp import LpStatus, lp_solve, ray_step
 
 DEFAULT_BUDGET = 10**7
@@ -152,16 +161,17 @@ def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> list[Fraction]:
     return [dot(r, v) for r in rows]
 
 
+def _integer_row(a: Sequence[Fraction], b: Fraction) -> list[int]:
+    """The row (a, b) with denominators cleared and divided by the gcd of
+    its entries, as integers [a..., b]; preserves the inequality."""
+    ints, _ = common_denominator([*a, b])
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _canonical_row(a: Sequence[Fraction], b: Fraction) -> tuple[Vector, Fraction]:
-    """Clear denominators and divide by the gcd; preserves the inequality."""
-    denoms = [x.denominator for x in a] + [b.denominator]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(x * scale) for x in a] + [int(b * scale)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
+    """`_integer_row` as Fractions."""
+    ints = _integer_row(a, b)
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
@@ -175,20 +185,8 @@ def projective_closure(h: HRep) -> ClosureResult:
     vertex exists.
     """
     d = h.dim
-    a_rows = [list(a) for a in h.coefficient_rows()]
-    b = h.rhs()
-    out = lp_solve(a_rows, b, [ZERO] * d)
-    if out.status is LpStatus.INFEASIBLE:
-        raise InputError("empty polyhedron")
-    v = out.point
-    active = [a for a, bi in h.rows if dot(a, v) == bi]
-    # dual basis: the first active rows, in input order, that are independent
-    # of the rows before them, i.e. the pivot columns of the active rows
-    # laid out as columns
-    _, pivots = _rref([list(col) for col in zip(*active)])
-    if len(pivots) < d:
-        raise InputError("not pointed")
-    rho = tuple(tuple(-x for x in active[j]) for j in pivots)  # R = -W
+    v, basis = _start_vertex(h)
+    rho = tuple(tuple(-x for x in a) for a in basis)  # R = -W
     rho_inv = tuple(inverse(rho))
 
     new_rows = []
@@ -202,17 +200,23 @@ def projective_closure(h: HRep) -> ClosureResult:
     return ClosureResult(closure, tuple(v), rho, rho_inv, len(new_rows) - 1)
 
 
-def _start_vertex(h: HRep) -> Vector:
-    """A vertex of h.  Errors: "empty polyhedron" when infeasible, "not
-    pointed" when the feasible point found lies on fewer than d independent
-    rows (h then contains a line and has no vertex)."""
+def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
+    """A vertex of h, found by one feasibility LP, and a dual basis there:
+    the first rows active at the vertex, in input order, that are
+    independent of the rows before them.  Errors: "empty polyhedron" when
+    infeasible, "not pointed" when the feasible point found lies on fewer
+    than d independent rows (h then contains a line and has no vertex)."""
     out = lp_solve(h.coefficient_rows(), h.rhs(), [ZERO] * h.dim)
     if out.status is LpStatus.INFEASIBLE:
         raise InputError("empty polyhedron")
     start = out.point
-    if rank([a for a, bi in h.rows if dot(a, start) == bi]) < h.dim:
+    active = [a for a, bi in h.rows if dot(a, start) == bi]
+    # the independent rows are the pivot columns of the active rows laid
+    # out as columns
+    _, pivots = _rref([list(col) for col in zip(*active)])
+    if len(pivots) < h.dim:
         raise InputError("not pointed")
-    return start
+    return start, [active[j] for j in pivots]
 
 
 def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
@@ -220,12 +224,12 @@ def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep
 
     Rays are recovered by running the same procedure on the projective
     closure and pulling the far-face vertices back as directions.  Empty
-    and non-pointed input is refused up front, as by the other enumerators.
+    and non-pointed input is refused up front by the closure's start
+    vertex, as by the other enumerators.
     """
-    _start_vertex(h)
+    closure = projective_closure(h)
     vertices = _bruteforce_points(h, budget)
     rays: list[Vector] = []
-    closure = projective_closure(h)
     far_candidates = _bruteforce_points(closure.closure, budget)
     for z in far_candidates:
         if sum(z, ZERO) == 1:
@@ -239,64 +243,90 @@ def _bruteforce_points(h: HRep, budget: int) -> list[Vector]:
     if comb(m, d) > budget:
         raise BudgetExceededError(
             f"instance too large for brute force: C({m},{d}) subsets exceed budget {budget}")
-    a_rows = h.coefficient_rows()
-    b = h.rhs()
+    rows = [_integer_row(a, b) for a, b in h.rows]
+    a_rows = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
     seen = set()
     for subset in itertools.combinations(range(m), d):
         point = solve_linear_system([a_rows[i] for i in subset], [b[i] for i in subset])
-        if point is None:
+        if point is None or point in seen:
             continue
-        if point in seen:
-            continue
-        if all(dot(a, point) <= bi for a, bi in h.rows):
+        num, den = common_denominator(point)
+        if all(bi * den >= sum(map(mul, a, num)) for a, bi in zip(a_rows, b)):
             seen.add(point)
     return sorted(seen)
 
 
-def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
+def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
+                                start: Optional[Sequence[Fraction]] = None) -> VRep:
     """Exact vertex/ray enumeration by walking the bounded vertex-edge graph.
 
     At each vertex the incident edge directions are the one-dimensional
-    null spaces of (d-1)-subsets of its active rows that point into the
+    kernels of (d-1)-subsets of its active rows that point into the
     polyhedron, so degenerate vertices are handled without perturbation.
-    The budget bounds the total number of subsets inspected.
+    The budget bounds the total number of subsets inspected.  `start` is a
+    vertex of h to walk from; without it one is found by LP.
+
+    The walk runs in integers, as lrs does (Avis, 2000): rows are scaled
+    to integers once, a point is an integer numerator vector over a
+    positive denominator reduced by their gcd, and an edge direction is
+    the primitive integer vector `kernel_line` returns.  Each vertex gets
+    one integer slack vector b*den - a.num, which gives its active rows
+    and the ratio test; the step to the row blocking first (the least
+    slack/(a.v), compared by cross-multiplying) lands on
+    (num*(a.v) + slack*v) / (den*(a.v)).  Points become Fractions only
+    for the returned VRep.
     """
     d = h.dim
-    a_rows = h.coefficient_rows()
-    b = h.rhs()
-    start = _start_vertex(h)
+    if start is None:
+        start, _ = _start_vertex(h)
+    rows = [_integer_row(a, b) for a, b in h.rows]
+    a_rows = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    nums, den = common_denominator(start)
+    point = (tuple(nums), den)
     work = 0
-    visited = {start}
-    stack = [start]
-    rays: set[Vector] = set()
+    visited = {point}
+    stack = [point]
+    rays: set[tuple[int, ...]] = set()
     while stack:
-        x = stack.pop()
-        act = [i for i in range(len(a_rows)) if dot(a_rows[i], x) == b[i]]
+        num, den = stack.pop()
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+        act = [i for i, s in enumerate(slack) if not s]
         work += comb(len(act), d - 1)
         if work > budget:
             raise BudgetExceededError(
                 f"instance too large for pivot enumeration (budget {budget})")
-        directions: set[Vector] = set()
+        directions: set[tuple[int, ...]] = set()
         for subset in itertools.combinations(act, d - 1):
-            kernel = nullspace([a_rows[i] for i in subset])
-            if len(kernel) != 1:
+            v = kernel_line([a_rows[i] for i in subset], d)
+            if v is None:
                 continue
-            v = kernel[0]
-            signs = [dot(a_rows[i], v) for i in act]
+            signs = [sum(map(mul, a_rows[i], v)) for i in act]
             if all(s <= 0 for s in signs):
-                directions.add(normalize_ray(v))
+                directions.add(v)
             elif all(s >= 0 for s in signs):
-                directions.add(normalize_ray([-c for c in v]))
+                directions.add(tuple(-c for c in v))
+        # only rows with positive slack can block: a.v <= 0 on active rows
+        loose = [(a_rows[i], s) for i, s in enumerate(slack) if s]
         for v in directions:
-            t_best, _ = ray_step(a_rows, b, x, v)
-            if t_best is None:
+            best_slack, best_av = 0, 0
+            for a, s in loose:
+                av = sum(map(mul, a, v))
+                if av > 0 and (not best_av or s * best_av < best_slack * av):
+                    best_slack, best_av = s, av
+            if not best_av:
                 rays.add(v)
                 continue
-            y = tuple(xi + t_best * vi for xi, vi in zip(x, v))
-            if y not in visited:
-                visited.add(y)
-                stack.append(y)
-    return VRep.build(d, visited, rays)
+            y = [n * best_av + best_slack * c for n, c in zip(num, v)]
+            y_den = den * best_av
+            g = gcd(y_den, *y)
+            nxt = (tuple(n // g for n in y), y_den // g)
+            if nxt not in visited:
+                visited.add(nxt)
+                stack.append(nxt)
+    vertices = [tuple(Fraction(n, den) for n in num) for num, den in visited]
+    return VRep.build(d, vertices, rays)
 
 
 def bounded_generic_objective(h: HRep, attempt: int = 0, seed: int = 0) -> Vector:

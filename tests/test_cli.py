@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import segment
+from conftest import segment, unit_square
 from polybound import formats, pipeline
 from polybound.cli import main
 
@@ -175,6 +175,18 @@ def test_incidences_refuses_lower_dimensional_closure(tmp_path, capsys):
     capsys.readouterr()
     assert run(["-o", tmp_path, "incidences", closure, vrep, "--closure"]) == 2
     assert capsys.readouterr().err == "error: not full-dimensional\n"
+
+
+def test_bench_refuses_bounded_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "make_instance",
+                        lambda family, params, budget: ("square", unit_square(), None))
+    # a refused row is a failed row, and bench exits 4 when any row fails
+    assert run(["-o", tmp_path, "bench", "--suite", "dwarfed", "--max-size", "5",
+                "--format", "csv"]) == 4
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.startswith("dwarfed-cube-5,") and row.endswith(
+        ",close/enumerate: bounded polyhedron: without rays the whole face lattice "
+        "is bounded")
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from polybound.errors import InputError
-from polybound.linalg import dot, inverse, nullspace, rank, solve_linear_system
+from polybound.linalg import dot, inverse, kernel_line, nullspace, rank, solve_linear_system
 
 
 def test_solve_identity():
@@ -82,3 +83,38 @@ def test_inverse_random():
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         assert [[dot(row, col) for col in zip(*inv)] for row in a] == identity
         assert [[dot(row, col) for col in zip(*a)] for row in inv] == identity
+
+
+def test_kernel_line_spans_the_nullspace():
+    rng = random.Random(13)
+    full = 0
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        a = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(k + 1)] for _ in range(k)]
+        if rng.random() < 0.2:
+            a[-1] = [2 * x for x in a[0]] if k > 1 else [0, 0]  # rank below k
+        v = kernel_line(a, k + 1)
+        kernel = nullspace(a)
+        if len(kernel) != 1:
+            assert v is None
+            continue
+        full += 1
+        (w,) = kernel
+        assert gcd(*v) == 1
+        # v and w span the same line: every 2x2 minor of [v; w] vanishes
+        assert all(v[i] * w[j] == v[j] * w[i] for i in range(k + 1) for j in range(k + 1))
+        assert any(v)
+    assert full > 100
+
+
+def test_kernel_line_rank_deficient_and_zero_pivot():
+    assert kernel_line([[1, 2, 3], [2, 4, 6]], 3) is None
+    assert kernel_line([[0, 0, 0], [0, 0, 0]], 3) is None
+    assert kernel_line([[1, 2, 3]], 3) is None
+    # a zero in the leading position forces a row swap
+    v = kernel_line([[0, 2, 4], [3, 0, 3]], 3)
+    assert v in ((1, 2, -1), (-1, -2, 1))
+    # a column without a pivot is the free one
+    assert kernel_line([[0, 5, 0], [0, 0, 7]], 3) in ((1, 0, 0), (-1, 0, 0))
+    # the kernel of no rows in one column is the whole line
+    assert kernel_line([], 1) == (1,)

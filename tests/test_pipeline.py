@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import segment
+from conftest import segment, unit_square
 from polybound import pipeline
 from polybound.errors import InputError
 
@@ -29,3 +29,12 @@ def test_run_pipeline_prefixes_own_errors_with_the_stage(monkeypatch):
     with pytest.raises(InputError) as info:
         pipeline.run_pipeline("dwarfed-cube", (2,))
     assert str(info.value) == "close/enumerate: not full-dimensional"
+
+
+def test_closure_data_refuses_bounded_input(monkeypatch):
+    with pytest.raises(InputError, match="^bounded polyhedron: without rays"):
+        pipeline.closure_data(unit_square())
+    monkeypatch.setattr(pipeline, "make_instance",
+                        lambda family, params, budget: ("square", unit_square(), None))
+    with pytest.raises(InputError, match="^close/enumerate: bounded polyhedron: without rays"):
+        pipeline.run_pipeline("dwarfed-cube", (2,))

@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import cube3, instance, quadrant, random_pointed_hrep, square_pyramid, strip, unit_square
 from polybound.errors import BudgetExceededError, InputError, ObjectiveError
-from polybound.generators import cyclic_matrix, dwarfed_cube, tropical_hrep
-from polybound import polyhedron
-from polybound.linalg import ZERO, dot, rank
-from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
+from polybound.generators import (cyclic_matrix, dwarfed_cube, thrackle_metric, tight_span_hrep,
+                                  tropical_hrep)
+from polybound import pipeline, polyhedron
+from polybound.linalg import ZERO, dot, nullspace, rank
+from polybound.lp import ray_step
+from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, enumerate_vertices_bruteforce,
                                   enumerate_vertices_pivoting, normalize_ray,
                                   projective_closure, reverse_search_vertices,
                                   reverse_search_with_retries)
@@ -125,6 +129,122 @@ def test_pivoting_agrees_with_bruteforce():
         pivot = enumerate_vertices_pivoting(h)
         assert pivot.vertices == brute.vertices
         assert pivot.rays == brute.rays
+
+
+def reference_pivoting(h, budget=DEFAULT_BUDGET):
+    """The Fraction pivot walk that the integer walk replaced: Fraction
+    points, `nullspace` edge directions and the `ray_step` ratio test."""
+    d = h.dim
+    a_rows = h.coefficient_rows()
+    b = h.rhs()
+    start, _ = polyhedron._start_vertex(h)
+    work = 0
+    visited = {start}
+    stack = [start]
+    rays = set()
+    while stack:
+        x = stack.pop()
+        act = [i for i in range(len(a_rows)) if dot(a_rows[i], x) == b[i]]
+        work += comb(len(act), d - 1)
+        if work > budget:
+            raise BudgetExceededError(
+                f"instance too large for pivot enumeration (budget {budget})")
+        directions = set()
+        for subset in itertools.combinations(act, d - 1):
+            kernel = nullspace([a_rows[i] for i in subset])
+            if len(kernel) != 1:
+                continue
+            v = kernel[0]
+            signs = [dot(a_rows[i], v) for i in act]
+            if all(s <= 0 for s in signs):
+                directions.add(normalize_ray(v))
+            elif all(s >= 0 for s in signs):
+                directions.add(normalize_ray([-c for c in v]))
+        for v in directions:
+            t_best, _ = ray_step(a_rows, b, x, v)
+            if t_best is None:
+                rays.add(v)
+                continue
+            y = tuple(xi + t_best * vi for xi, vi in zip(x, v))
+            if y not in visited:
+                visited.add(y)
+                stack.append(y)
+    return VRep.build(d, visited, rays)
+
+
+def fractional_rows():
+    # rows with coefficients such as 1/3 and 2/7, so rows are rescaled to
+    # integers and points have denominators other than 1
+    return HRep.from_rows(3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), Fraction(1, 5)),
+                              ((Fraction(1, 3), Fraction(2, 7), -1), Fraction(3, 4)),
+                              ((Fraction(-2, 7), Fraction(1, 3), Fraction(-1, 2)), 1),
+                              ((Fraction(1, 2), Fraction(-5, 3), 0), Fraction(7, 3))])
+
+
+def test_integer_walk_matches_fraction_reference():
+    rng = random.Random(17)
+    cases = [random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(1, 6)) for _ in range(30)]
+    cases += [dwarfed_cube(d)[1] for d in range(2, 7)]
+    cases += [tight_span_hrep(thrackle_metric(d)) for d in range(3, 7)]
+    cases += [tropical_hrep(cyclic_matrix(3, 3)), tropical_hrep(cyclic_matrix(4, 4))]
+    cases += [square_pyramid(), strip(), quadrant(), fractional_rows()]
+    for h in cases:
+        expected = reference_pivoting(h)
+        # the budget the reference walk used is enough: no vertex is visited twice
+        assert enumerate_vertices_pivoting(h, walk_work(h, expected.vertices)) == expected
+    # a fractional vertex, and the start vertex handed in
+    fractional = enumerate_vertices_pivoting(fractional_rows())
+    assert any(x.denominator > 1 for p in fractional.vertices for x in p)
+    start, _ = polyhedron._start_vertex(fractional_rows())
+    assert enumerate_vertices_pivoting(fractional_rows(), start=start) == fractional
+
+
+def walk_work(h, vertices):
+    """The walk's budget use: C(|active rows|, d-1) subsets per vertex."""
+    return sum(comb(sum(dot(a, x) == b for a, b in h.rows), h.dim - 1) for x in vertices)
+
+
+def test_integer_walk_budget_matches_reference():
+    h = tight_span_hrep(thrackle_metric(5))
+    vertices = reference_pivoting(h).vertices
+    work = walk_work(h, vertices)
+    for walk in (enumerate_vertices_pivoting, reference_pivoting):
+        assert walk(h, work).vertices == vertices
+        message = f"pivot enumeration \\(budget {work - 1}\\)"
+        with pytest.raises(BudgetExceededError, match=message):
+            walk(h, work - 1)
+
+
+def test_pivoting_in_one_dimension():
+    # the edge directions of a 1-dimensional polyhedron are the kernel of
+    # no rows at all: the whole line
+    half_line = HRep.from_rows(1, [((-1,), 0)])
+    interval = HRep.from_rows(1, [((-1,), 0), ((1,), 1)])
+    for h in (half_line, interval):
+        assert enumerate_vertices_pivoting(h) == enumerate_vertices_bruteforce(h)
+    assert enumerate_vertices_pivoting(half_line).rays == ((1,),)
+
+
+def counting_lp(monkeypatch):
+    calls = []
+    real = polyhedron.lp_solve
+
+    def lp_solve(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedron, "lp_solve", lp_solve)
+    return calls
+
+
+def test_one_start_vertex_lp_per_instance(monkeypatch):
+    h = tight_span_hrep(thrackle_metric(4))
+    calls = counting_lp(monkeypatch)
+    pipeline.closure_data(h)
+    assert len(calls) == 1
+    del calls[:]
+    enumerate_vertices_bruteforce(h)
+    assert len(calls) == 1
 
 
 def test_reverse_search_square():

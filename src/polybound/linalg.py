@@ -4,8 +4,7 @@ Everything is exact; there is deliberately no floating-point path anywhere
 in the package.  Two elimination kernels, one per number type:
 
 * `_pivot`, a Gauss-Jordan step over `Fraction`, is behind `_rref` (and so
-  `rank` and `nullspace`), the square driver `_eliminate` (behind
-  `inverse`) and the simplex tableau in `lp`.
+  `rank`, `nullspace` and `inverse`) and the simplex tableau in `lp`.
 * `kernel_line`, one fraction-free elimination over the integers in the
   manner of Bareiss, returns the primitive integer vector spanning a
   one-dimensional kernel.  It is behind the pivot walk of
@@ -127,21 +126,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def _eliminate(rows: list[list[Fraction]], n: int) -> bool:
-    """Reduce the leading n columns of rows to the identity on rows[:n].
-
-    Stops and returns False at the first column with no pivot, that is as
-    soon as those columns are known to have rank below n.
-    """
-    for col in range(n):
-        pivot_row = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            return False
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        _pivot(rows, col, col)
-    return True
-
-
 def rank(a) -> int:
     rows = _as_row_list(a)
     if not rows:
@@ -176,7 +160,9 @@ def inverse(a) -> list[Vector]:
     if any(len(row) != n for row in rows):
         raise InputError("only a square matrix has an inverse")
     aug = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
-    if not _eliminate(aug, n):
+    # A is invertible iff the rref of [A | I] is [I | A^-1]
+    aug, pivots = _rref(aug)
+    if pivots != list(range(n)):
         raise InputError("singular matrix has no inverse")
     return [tuple(row[n:]) for row in aug]
 

@@ -91,6 +91,8 @@ def closure_data(h: HRep, vrep: Optional[VRep] = None,
     points += [clo.map_ray(r) for r in vrep.rays]
     vbar = VRep.build(h.dim, points, [])
     inc = compute_incidences(clo.closure, vbar)
+    # checked after the incidences, so a bounded segment is still refused
+    # as "not full-dimensional"
     if not vrep.rays:
         raise InputError("bounded polyhedron: without rays the whole face lattice is bounded")
     inc = inc.with_far_face(far_face_vertices(clo, vbar))

@@ -3,7 +3,7 @@ computed exactly from inequality descriptions or vertex-facet incidences."""
 
 from .errors import (BudgetExceededError, InputError, InternalError,
                      PolyboundError)
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .linalg import dot, nullspace, rank, solve_linear_system
 from .lp import LpOutcome, LpStatus, lp_solve
 from .polyhedron import (ClosureResult, Graph, HRep, VRep,

@@ -13,7 +13,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .linalg import common_denominator, dot
+from .linalg import common_denominator, dot, integer_row
 from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
 from .polyhedron import Graph, HRep, VRep, ClosureResult
 
@@ -39,7 +39,8 @@ class IncidenceMatrix:
     """Facet x vertex 0/1 matrix; rows are vertex-set bitmasks.
 
     `far_face` is an optional bitmask of the vertices on the far face; it
-    is None when no unbounded-direction data is attached.
+    is None when no unbounded-direction data is attached.  An empty far
+    face is refused: the polyhedron behind it has no rays, so it is bounded.
     """
 
     n: int
@@ -55,6 +56,8 @@ class IncidenceMatrix:
                 raise InputError("every facet must contain at least one vertex")
         if self.far_face is not None and self.far_face & ~full:
             raise InputError("far face references a vertex out of range")
+        if self.far_face == 0:
+            raise InputError("bounded polyhedron: without rays the whole face lattice is bounded")
 
     @property
     def m(self) -> int:
@@ -67,9 +70,6 @@ class IncidenceMatrix:
     @property
     def all_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def far_face_indices(self) -> Optional[tuple[int, ...]]:
-        return None if self.far_face is None else indices_from_mask(self.far_face)
 
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
@@ -118,7 +118,7 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     points = [common_denominator(p) for p in v.vertices]
     masks = []
     for a, b in h.rows:
-        *a_int, b_int = common_denominator([*a, b])[0]
+        *a_int, b_int = integer_row([*a, b])
         mask = 0
         for i, (num, den) in enumerate(points):
             slack = b_int * den - sum(map(mul, a_int, num))

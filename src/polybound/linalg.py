@@ -1,22 +1,22 @@
 """Exact linear algebra: rank, null spaces, unique solutions, inverses.
 
 Everything is exact; there is deliberately no floating-point path anywhere
-in the package.  Two elimination kernels, one per number type:
-
-* `_pivot`, a Gauss-Jordan step over `Fraction`, is behind `_rref` (and so
-  `rank`, `nullspace` and `inverse`) and the simplex tableau in `lp`.
-* `kernel_line`, one fraction-free elimination over the integers in the
-  manner of Bareiss, returns the primitive integer vector spanning a
-  one-dimensional kernel.  It is behind the pivot walk of
-  `polyhedron.enumerate_vertices_pivoting` and `solve_linear_system`.
-  `common_denominator` brings rational data to it.
+in the package.  There is one elimination kernel, `_pivot`, the
+integer-preserving Gauss-Jordan step of Edmonds ("Systems of distinct
+representatives and linear algebra", J. Res. NBS 71B, 1967), which is the
+Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
+1968): rows hold integers over one common divisor det, and every pivot
+entry equals det.  `_echelon` drives it over the columns in order for
+`rank`, `nullspace`, `inverse`, `kernel_line` (and so
+`solve_linear_system`) and the start vertex of `polyhedron`; the simplex
+tableau in `lp` pivots with it directly.  Rational rows reach it through
+`integer_row`, a positive scaling, which leaves the rref unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -37,12 +37,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def _as_row_list(a) -> list[list[Fraction]]:
-    """Fresh rows of Fractions; entries that already are Fractions are kept,
-    which saves the constructor call on the solver's hot path."""
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in a]
-
-
 def common_denominator(values: Sequence) -> tuple[list[int], int]:
     """Rationals (ints or Fractions) as an integer numerator vector over one
     positive denominator, the lcm of theirs.  For entries in lowest terms
@@ -52,86 +46,86 @@ def common_denominator(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def integer_row(values: Sequence) -> list[int]:
+    """A rational row scaled by a positive factor to coprime integers: its
+    denominators cleared and the result divided by the gcd.  It preserves
+    an inequality a.x <= b given as [a..., b], and the rref of a matrix."""
+    ints, _ = common_denominator(values)
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _pivot(rows: list, r: int, col: int, det: int) -> int:
+    """One integer-preserving Gauss-Jordan step on rows[r][col]; returns the
+    new common divisor, the pivot p.
+
+    Every other row i becomes (p*row_i - f*row_r) // det with f = row_i[col];
+    the division is exact because every entry is, up to sign, a minor of
+    the rows the elimination started from.  Row r is kept.  Rows are
+    replaced, never mutated, so callers may pass rows they share.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[col]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f:
+            if i != r:
+                rows[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
+        elif p != det:
+            rows[i] = [p * x // det for x in row]
+    return p
+
+
+def _echelon(rows: list) -> tuple[list, list[int], int]:
+    """Integer Gauss-Jordan elimination of `rows` in place, over the columns
+    in order; returns (rows, pivot columns, det).
+
+    The pivot columns are the first columns, in order, that are independent
+    of the columns before them.  Row r (r < rank) divided by det is row r
+    of the reduced row echelon form; the remaining rows are zero.  det is
+    the minor on the pivot rows and columns, up to sign.
+    """
+    pivots: list[int] = []
+    det = 1
+    m = len(rows)
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        for p in range(r, m):
+            if rows[p][col]:
+                break
+        else:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        det = _pivot(rows, r, col, det)
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots, det
+
+
 def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> Optional[tuple[int, ...]]:
     """The primitive integer vector spanning the kernel of an integer matrix
     with ncols columns, or None unless the matrix has rank ncols - 1.
 
-    One fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each
-    update divides exactly by the previous pivot, so every entry stays an
-    integer minor of the input, and the last pivot D is the minor on the
-    pivot columns.  By Cramer's rule the kernel vector with D in the free
-    column has integer entries, so back substitution divides exactly too.
-    The sign of the result is not normalized.
+    It is read off the Jordan form: det in the one free column, and in each
+    pivot column minus its row's entry in the free column, divided by the
+    gcd.  The sign of the result is not normalized.
     """
-    m = [list(row) for row in rows]
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivot_cols)
-        if r == len(m):
-            break
-        p = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if p is None:
-            if col + 1 - r > 1:  # a second free column: the kernel is larger
-                return None
-            continue
-        m[r], m[p] = m[p], m[r]
-        pivot_row = m[r]
-        piv = pivot_row[col]
-        for i in range(r + 1, len(m)):
-            f = m[i][col]
-            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
-        prev = piv
-        pivot_cols.append(col)
-    if len(pivot_cols) != ncols - 1:
+    ech, pivots, det = _echelon(list(rows))
+    if len(pivots) != ncols - 1:
         return None
+    free = next(c for c in range(ncols) if c not in pivots)
     v = [0] * ncols
-    v[next(c for c in range(ncols) if c not in pivot_cols)] = prev
-    for row, col in zip(reversed(m[:len(pivot_cols)]), reversed(pivot_cols)):
-        v[col] = -sum(map(mul, row[col + 1:], v[col + 1:])) // row[col]
+    v[free] = det
+    for row, col in zip(ech, pivots):
+        v[col] = -row[free]
     g = gcd(*v)
     return tuple(x // g for x in v)
 
 
-def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
-    """Scale row r to a 1 in `col` and clear `col` from every other row."""
-    inv = ONE / rows[r][col]
-    pivot_row = rows[r] = [x * inv for x in rows[r]]
-    for i, row in enumerate(rows):
-        f = row[col]
-        if f and i != r:
-            rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices).
-
-    The pivot columns are the first columns, in order, that are independent
-    of the columns before them.
-    """
-    if not rows:
-        return rows, []
-    pivots: list[int] = []
-    r = 0
-    for col in range(len(rows[0])):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        _pivot(rows, r, col)
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rank(a) -> int:
-    rows = _as_row_list(a)
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_echelon([integer_row(row) for row in a])[1])
 
 
 def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
@@ -147,39 +141,39 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     if not a:
         return ()
     n = len(a[0])
-    v = kernel_line([common_denominator([*row, -bi])[0] for row, bi in zip(a, b)], n + 1)
+    v = kernel_line([integer_row([*row, -bi]) for row, bi in zip(a, b)], n + 1)
     if v is None or not v[n]:
         return None
     return tuple(Fraction(x, v[n]) for x in v[:n])
 
 
 def inverse(a) -> list[Vector]:
-    """Exact inverse of a square matrix, from one elimination of [A | I]."""
-    rows = _as_row_list(a)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Exact inverse of a square matrix: the elimination of [A | I] ends in
+    [det*I | det*A^-1] exactly when A is invertible."""
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise InputError("only a square matrix has an inverse")
-    aug = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
-    # A is invertible iff the rref of [A | I] is [I | A^-1]
-    aug, pivots = _rref(aug)
+    aug = [integer_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(a)]
+    aug, pivots, det = _echelon(aug)
     if pivots != list(range(n)):
         raise InputError("singular matrix has no inverse")
-    return [tuple(row[n:]) for row in aug]
+    return [tuple(Fraction(x, det) for x in row[n:]) for row in aug]
 
 
 def nullspace(a) -> list[Vector]:
-    """Basis of the null space of A (possibly empty)."""
-    rows = _as_row_list(a)
-    if not rows:
+    """Basis of the null space of A (possibly empty), one vector per free
+    column of the rref: 1 there, 0 in the other free columns."""
+    if not a:
         return []
-    ncols = len(rows[0])
-    rows, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(a[0])
+    rows, pivots, det = _echelon([integer_row(row) for row in a])
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][f]
+        for row, col in zip(rows, pivots):
+            v[col] = Fraction(-row[f], det)
         basis.append(tuple(v))
     return basis

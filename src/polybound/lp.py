@@ -1,8 +1,11 @@
 """Exact linear programming over the rationals.
 
-`lp_solve` maximizes (or minimizes) c.x over {x : A x <= b} with x free,
-using a two-phase tableau simplex with Bland's anti-cycling rule, so it
-terminates without any numerical tolerances.  Optimal points are
+`lp_solve` maximizes c.x over {x : A x <= b} with x free, using a
+two-phase tableau simplex with Bland's anti-cycling rule, so it terminates
+without any numerical tolerances.  The tableau holds integers over one
+positive divisor det and is pivoted by `linalg._pivot`; reduced costs are
+scaled by det and the ratio test cross-multiplies, so every pivot is the
+one the same tableau over the rationals would make.  Optimal points are
 post-processed ("purified") onto a vertex whenever the feasible region is
 pointed; the same purification doubles as the vertex finder used by the
 projective closure construction.
@@ -16,10 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError
-from .linalg import ZERO, ONE, Vector, _as_row_list, _pivot, dot, nullspace
-
-MAX = "max"
-MIN = "min"
+from .linalg import ZERO, Vector, _pivot, as_vector, common_denominator, dot, nullspace
 
 
 class LpStatus(enum.Enum):
@@ -35,39 +35,41 @@ class LpOutcome:
     objective: Optional[Fraction] = None
 
 
-def _simplex(tableau, basis, costs):
-    """Run Bland-rule simplex on the given tableau in place.
+def _simplex(tableau, basis, costs, det):
+    """Run Bland-rule simplex on the given integer tableau in place; returns
+    ("optimal" or "unbounded", det).
 
     tableau rows are already expressed in the current basis, each with its
-    right-hand side as the last entry.  Returns "optimal" or "unbounded".
+    right-hand side as the last entry, all over the common divisor det > 0,
+    so signs and ratio order are those of the tableau divided by det.
     """
     m = len(tableau)
     while True:
-        # reduced costs r_j = c_j - c_B . T[:,j]
+        # reduced costs det * r_j = det * c_j - c_B . T[:,j]
+        basic_costs = [(costs[var], row) for var, row in zip(basis, tableau) if costs[var]]
         entering = -1
-        for j, rj in enumerate(costs):
-            for i in range(m):
-                cb = costs[basis[i]]
-                if cb:
-                    rj -= cb * tableau[i][j]
-            if rj > 0:
+        for j, cj in enumerate(costs):
+            if cj * det - sum(cb * row[j] for cb, row in basic_costs) > 0:
                 entering = j
                 break
         if entering < 0:
-            return "optimal"
-        # ratio test; ties broken by smallest basic variable index (Bland)
+            return "optimal", det
+        # ratio test by cross-multiplying; ties broken by smallest basic
+        # variable index (Bland)
         leave = -1
-        best = None
         for i in range(m):
             a = tableau[i][entering]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leave][entering]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(tableau, leave, entering)
+            return "unbounded", det
+        det = _pivot(tableau, leave, entering, det)
         basis[leave] = entering
 
 
@@ -122,15 +124,15 @@ def ray_step(rows, b, x, v) -> tuple[Optional[Fraction], list[int]]:
     return best, blockers
 
 
-def lp_solve(a, b: Sequence, c: Sequence, sense: str = MAX, purify: bool = True) -> LpOutcome:
-    """Exact simplex for max/min c.x subject to A x <= b (x free).
+def lp_solve(a, b: Sequence, c: Sequence) -> LpOutcome:
+    """Exact simplex for max c.x subject to A x <= b (x free).
 
     With c = 0 this is the feasibility test.  When the region is pointed,
     an Optimal outcome carries a vertex of the region.
     """
-    rows = _as_row_list(a)
-    rhs_in = [Fraction(x) for x in b]
-    obj = [Fraction(x) for x in c]
+    rows = [as_vector(row) for row in a]
+    rhs_in = as_vector(b)
+    obj = as_vector(c)
     if len(rows) != len(rhs_in):
         raise InputError("A and b row counts differ")
     d = len(rows[0]) if rows else 0
@@ -138,15 +140,11 @@ def lp_solve(a, b: Sequence, c: Sequence, sense: str = MAX, purify: bool = True)
         raise InputError("ragged constraint matrix")
     if len(obj) != d:
         raise InputError("objective length does not match variable count")
-    if sense not in (MAX, MIN):
-        raise InputError(f"unknown sense {sense!r}")
-    if sense == MIN:
-        flipped = lp_solve(rows, rhs_in, [-x for x in obj], MAX, purify=purify)
-        if flipped.status is LpStatus.OPTIMAL:
-            return LpOutcome(LpStatus.OPTIMAL, flipped.point, -flipped.objective)
-        return flipped
 
     m = len(rows)
+    # one common denominator for the whole system: scaling rows one by one
+    # would reweight the phase I objective and change Bland's pivots
+    nums, _ = common_denominator([x for row, bi in zip(rows, rhs_in) for x in (*row, bi)])
     # columns: x = u - w split (2d), slacks (m), one artificial per row whose
     # right side is negative (it gets negated, so its slack cannot be basic),
     # then the right-hand side
@@ -156,57 +154,55 @@ def lp_solve(a, b: Sequence, c: Sequence, sense: str = MAX, purify: bool = True)
     basis = []
     art_cols = []
     for i in range(m):
-        row = [ZERO] * (ncols + 1)
-        for j in range(d):
-            row[j] = rows[i][j]
-            row[d + j] = -rows[i][j]
-        row[2 * d + i] = ONE
-        row[-1] = rhs_in[i]
-        if rhs_in[i] < 0:
+        *a_i, b_i = nums[i * (d + 1):(i + 1) * (d + 1)]
+        row = a_i + [-x for x in a_i] + [0] * (ncols - 2 * d) + [b_i]
+        row[2 * d + i] = 1
+        if b_i < 0:
             row = [-x for x in row]
             col = base_cols + len(art_cols)
             art_cols.append(col)
-            row[col] = ONE
+            row[col] = 1
             basis.append(col)
         else:
             basis.append(2 * d + i)
         tableau.append(row)
 
+    det = 1
     if art_cols:
-        costs1 = [ZERO] * ncols
+        costs1 = [0] * ncols
         for col in art_cols:
-            costs1[col] = Fraction(-1)
-        status = _simplex(tableau, basis, costs1)
+            costs1[col] = -1
+        status, det = _simplex(tableau, basis, costs1, det)
         if status != "optimal":
             raise InternalError("phase I cannot be unbounded")
         if any(row[-1] != 0 for row, var in zip(tableau, basis) if var in art_cols):
             return LpOutcome(LpStatus.INFEASIBLE)
-        _expel_artificials(tableau, basis, base_cols, set(art_cols))
+        det = _expel_artificials(tableau, basis, base_cols, set(art_cols), det)
 
-    costs2 = [ZERO] * base_cols
-    for j in range(d):
-        costs2[j] = obj[j]
-        costs2[d + j] = -obj[j]
+    obj_int, _ = common_denominator(obj)
+    costs2 = obj_int + [-x for x in obj_int] + [0] * m
     for i, row in enumerate(tableau):
         tableau[i] = row[:base_cols] + row[-1:]
-    status = _simplex(tableau, basis, costs2)
+    status, det = _simplex(tableau, basis, costs2, det)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    x = [ZERO] * d
+    x = [0] * d
     for row, var in zip(tableau, basis):
         if var < d:
             x[var] += row[-1]
         elif var < 2 * d:
             x[var - d] -= row[-1]
-    point = tuple(x)
-    if purify and d:
+    point = tuple(Fraction(xi, det) for xi in x)
+    if d:
         point, _ = purify_to_vertex(rows, rhs_in, obj, point)
     return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
 
 
-def _expel_artificials(tableau, basis, base_cols, art_cols):
-    """Pivot basic artificials out; drop rows that turn out redundant."""
+def _expel_artificials(tableau, basis, base_cols, art_cols, det):
+    """Pivot basic artificials out and drop rows that turn out redundant;
+    returns the new det.  The pivot entry may be negative, and then the
+    whole tableau and its det are negated, so det stays positive."""
     i = 0
     while i < len(tableau):
         if basis[i] in art_cols:
@@ -214,6 +210,10 @@ def _expel_artificials(tableau, basis, base_cols, art_cols):
             if col is None:
                 del tableau[i], basis[i]
                 continue
-            _pivot(tableau, i, col)
+            det = _pivot(tableau, i, col, det)
+            if det < 0:
+                tableau[:] = [[-x for x in row] for row in tableau]
+                det = -det
             basis[i] = col
         i += 1
+    return det

@@ -36,8 +36,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
-from .linalg import (ZERO, ONE, Vector, _rref, as_vector, common_denominator, dot, inverse,
-                     kernel_line, rank, solve_linear_system)
+from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
+                     integer_row, inverse, kernel_line, rank, solve_linear_system)
 from .linalg import nullspace  # noqa: F401  (perfbench's tracer wraps polyhedron.nullspace)
 from .lp import LpStatus, lp_solve, ray_step
 
@@ -70,9 +70,6 @@ class HRep:
     def rhs(self) -> list[Fraction]:
         return [b for _, b in self.rows]
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        return all(dot(a, x) <= b for a, b in self.rows)
-
 
 def normalize_ray(direction: Sequence[Fraction]) -> Vector:
     """Scale by a positive factor so the first nonzero entry has absolute value 1."""
@@ -101,13 +98,11 @@ class VRep:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertex indices; optionally with per-edge orientation
-    tags (+1 means oriented low->high) and with pivot directions that were
-    found unbounded, as (vertex index, ray index) pairs."""
+    """Simple graph on vertex indices; optionally with the pivot directions
+    that were found unbounded, as (vertex index, ray index) pairs."""
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
-    orientation: Optional[tuple[int, ...]] = None
     unbounded_edges: tuple[tuple[int, int], ...] = ()
 
 
@@ -161,17 +156,9 @@ def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> list[Fraction]:
     return [dot(r, v) for r in rows]
 
 
-def _integer_row(a: Sequence[Fraction], b: Fraction) -> list[int]:
-    """The row (a, b) with denominators cleared and divided by the gcd of
-    its entries, as integers [a..., b]; preserves the inequality."""
-    ints, _ = common_denominator([*a, b])
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
-
-
 def _canonical_row(a: Sequence[Fraction], b: Fraction) -> tuple[Vector, Fraction]:
-    """`_integer_row` as Fractions."""
-    ints = _integer_row(a, b)
+    """The row (a, b) by `integer_row`, as Fractions."""
+    ints = integer_row([*a, b])
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
 
 
@@ -213,7 +200,7 @@ def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
     active = [a for a, bi in h.rows if dot(a, start) == bi]
     # the independent rows are the pivot columns of the active rows laid
     # out as columns
-    _, pivots = _rref([list(col) for col in zip(*active)])
+    _, pivots, _ = _echelon([integer_row(col) for col in zip(*active)])
     if len(pivots) < h.dim:
         raise InputError("not pointed")
     return start, [active[j] for j in pivots]
@@ -243,7 +230,7 @@ def _bruteforce_points(h: HRep, budget: int) -> list[Vector]:
     if comb(m, d) > budget:
         raise BudgetExceededError(
             f"instance too large for brute force: C({m},{d}) subsets exceed budget {budget}")
-    rows = [_integer_row(a, b) for a, b in h.rows]
+    rows = [integer_row([*a, b]) for a, b in h.rows]
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
     seen = set()
@@ -280,7 +267,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     d = h.dim
     if start is None:
         start, _ = _start_vertex(h)
-    rows = [_integer_row(a, b) for a, b in h.rows]
+    rows = [integer_row([*a, b]) for a, b in h.rows]
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
     nums, den = common_denominator(start)
@@ -451,4 +438,4 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
     edge_list = sorted((index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
                        for u, v in edges)
     unbounded = sorted((index[x], ray_index[normalize_ray(r)]) for x, r in ray_flags)
-    return vrep, Graph(len(vrep.vertices), tuple(edge_list), None, tuple(unbounded))
+    return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))

@@ -10,9 +10,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-#: Alias used in signatures throughout the package.
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p".  Accepts non-normalized input such as "4/8"."""

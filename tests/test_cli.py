@@ -83,6 +83,8 @@ def test_exit_code_input_error(tmp_path, capsys):
 
 BAD_INCIDENCE_FILES = {
     "far face out of range": "facets 1 vertices 2\n11\nfarface 5\n",
+    # what `incidences --closure` would write for a bounded polyhedron
+    "empty far face": "facets 4 vertices 4\n1100\n0110\n0011\n1001\nfarface \n",
     "negative far face": "facets 1 vertices 2\n11\nfarface -1\n",
     "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
     "non-integer facet count": "facets x vertices 2\n11\n",
@@ -175,6 +177,20 @@ def test_incidences_refuses_lower_dimensional_closure(tmp_path, capsys):
     capsys.readouterr()
     assert run(["-o", tmp_path, "incidences", closure, vrep, "--closure"]) == 2
     assert capsys.readouterr().err == "error: not full-dimensional\n"
+
+
+def test_incidences_refuses_bounded_closure(tmp_path, capsys):
+    hrep = tmp_path / "square.hrep"
+    formats.write_hrep(unit_square(), str(hrep))
+    assert run(["-o", tmp_path, "close", hrep]) == 0
+    closure = tmp_path / "square.closure.hrep"
+    assert run(["-o", tmp_path, "vertices", closure]) == 0
+    vrep = tmp_path / "square.closure.vrep"
+    capsys.readouterr()
+    assert run(["-o", tmp_path, "incidences", closure, vrep, "--closure"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bounded polyhedron: without rays the whole face lattice is bounded\n")
+    assert not (tmp_path / "square.closure.inc").exists()
 
 
 def test_bench_refuses_bounded_input(tmp_path, capsys, monkeypatch):

@@ -85,6 +85,84 @@ def test_inverse_random():
         assert [[dot(row, col) for col in zip(*a)] for row in inv] == identity
 
 
+def reference_rref(a):
+    """Reduced row echelon form over Fractions, one row operation at a
+    time: (rows, pivot columns).  The oracle for the integer elimination."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def reference_nullspace(a, ncols):
+    """One kernel vector per free column of the rref: 1 there, 0 in the
+    other free columns."""
+    rows, pivots = reference_rref(a)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(int(c == f)) for c in range(ncols)]
+            for row, col in zip(rows, pivots):
+                v[col] = -row[f]
+            basis.append(tuple(v))
+    return basis
+
+
+def random_rational_matrix(rng, m, n):
+    """Entries p/q with small p and q, many zeros; a row is sometimes a
+    rational combination of the others (rank-deficient) and the first
+    column is sometimes zero in the first row (a leading pivot needs a
+    row swap) or in every row (no pivot in column 0)."""
+    a = [[Fraction(rng.choice((0, rng.randint(-5, 5))), rng.randint(1, 4)) for _ in range(n)]
+         for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+        a[-1] = [s * x + t * y for x, y in zip(a[0], a[m // 2])]
+    lead = rng.random()
+    if lead < 0.2:
+        a[0][0] = Fraction(0)
+    elif lead < 0.3:
+        for row in a:
+            row[0] = Fraction(0)
+    return a
+
+
+def test_rank_nullspace_inverse_match_fraction_reference():
+    rng = random.Random(19)
+    seen = {"deficient": 0, "swap": 0, "inverse": 0, "singular": 0}
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        n = m if rng.random() < 0.5 else rng.randint(1, 5)
+        a = random_rational_matrix(rng, m, n)
+        ref_rows, ref_pivots = reference_rref(a)
+        assert rank(a) == len(ref_pivots)
+        assert nullspace(a) == reference_nullspace(a, n)
+        seen["deficient"] += len(ref_pivots) < min(m, n)
+        seen["swap"] += a[0][0] == 0 and any(row[0] for row in a)
+        if m != n:
+            continue
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        aug_rows, aug_pivots = reference_rref([row + e for row, e in zip(a, identity)])
+        if aug_pivots[:n] == list(range(n)):
+            seen["inverse"] += 1
+            assert inverse(a) == [tuple(row[n:]) for row in aug_rows]
+        else:
+            seen["singular"] += 1
+            with pytest.raises(InputError, match="singular"):
+                inverse(a)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_kernel_line_spans_the_nullspace():
     rng = random.Random(13)
     full = 0
@@ -94,7 +172,7 @@ def test_kernel_line_spans_the_nullspace():
         if rng.random() < 0.2:
             a[-1] = [2 * x for x in a[0]] if k > 1 else [0, 0]  # rank below k
         v = kernel_line(a, k + 1)
-        kernel = nullspace(a)
+        kernel = reference_nullspace(a, k + 1)
         if len(kernel) != 1:
             assert v is None
             continue

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_pointed_hrep
+from polybound import lp
 from polybound.errors import InputError
 from polybound.linalg import dot
-from polybound.lp import LpStatus, lp_solve, ray_step
-from polybound.polyhedron import HRep, enumerate_vertices_bruteforce
+from polybound.lp import LpOutcome, LpStatus, lp_solve, purify_to_vertex, ray_step
+from polybound.polyhedron import HRep, bounded_generic_objective, enumerate_vertices_bruteforce
 
 
 def test_max_on_segment():
@@ -22,16 +24,6 @@ def test_unbounded():
 
 def test_infeasible():
     assert lp_solve([[1], [-1]], [0, -1], [0]).status is LpStatus.INFEASIBLE
-
-
-def test_min_is_negated_max():
-    rng = random.Random(13)
-    for _ in range(25):
-        a, b, c = _random_bounded_lp(rng, 2)
-        mx = lp_solve(a, b, c, "max")
-        mn = lp_solve(a, b, [-x for x in c], "min")
-        assert mx.status is mn.status is LpStatus.OPTIMAL
-        assert mn.objective == -mx.objective
 
 
 def test_optimal_point_is_feasible_and_attains_objective():
@@ -102,3 +94,160 @@ def _random_bounded_lp(rng, d):
         b.append(dot(row, anchor) + rng.randint(1, 5))
     c = [Fraction(rng.randint(-4, 4)) for _ in range(d)]
     return a, b, c
+
+
+def _fraction_pivot(rows, r, col):
+    """Scale row r to a 1 in `col` and clear `col` from every other row."""
+    inv = 1 / rows[r][col]
+    pivot_row = rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+
+
+def _fraction_simplex(tableau, basis, costs):
+    while True:
+        entering = next((j for j, cj in enumerate(costs)
+                         if cj - sum(costs[var] * row[j] for var, row in zip(basis, tableau)) > 0),
+                        -1)
+        if entering < 0:
+            return "optimal"
+        leave, best = -1, None
+        for i, row in enumerate(tableau):
+            if row[entering] > 0:
+                ratio = row[-1] / row[entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            return "unbounded"
+        _fraction_pivot(tableau, leave, entering)
+        basis[leave] = entering
+
+
+def reference_lp_solve(a, b, c):
+    """The two-phase Bland simplex with its tableau over Fractions, column
+    for column the tableau `lp_solve` holds in integers.  Purification is
+    shared: `purify_to_vertex` is not what this oracle checks."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    obj = [Fraction(x) for x in c]
+    m, d = len(rows), len(obj)
+    base_cols = 2 * d + m
+    art_cols = []
+    ncols = base_cols + sum(1 for bi in rhs if bi < 0)
+    tableau, basis = [], []
+    for i, (row, bi) in enumerate(zip(rows, rhs)):
+        t = row + [-x for x in row] + [Fraction(int(i == j)) for j in range(m)]
+        t += [Fraction(0)] * (ncols - base_cols) + [bi]
+        if bi < 0:
+            t = [-x for x in t]
+            art_cols.append(base_cols + len(art_cols))
+            t[art_cols[-1]] = Fraction(1)
+            basis.append(art_cols[-1])
+        else:
+            basis.append(2 * d + i)
+        tableau.append(t)
+    if art_cols:
+        _fraction_simplex(tableau, basis, [Fraction(-(j in art_cols)) for j in range(ncols)])
+        if any(row[-1] for row, var in zip(tableau, basis) if var in art_cols):
+            return LpOutcome(LpStatus.INFEASIBLE)
+        i = 0
+        while i < len(tableau):
+            if basis[i] in art_cols:
+                col = next((j for j in range(base_cols) if tableau[i][j]), None)
+                if col is None:
+                    del tableau[i], basis[i]
+                    continue
+                _fraction_pivot(tableau, i, col)
+                basis[i] = col
+            i += 1
+    tableau = [row[:base_cols] + row[-1:] for row in tableau]
+    if _fraction_simplex(tableau, basis, obj + [-x for x in obj] + [Fraction(0)] * m) == "unbounded":
+        return LpOutcome(LpStatus.UNBOUNDED)
+    x = [Fraction(0)] * d
+    for row, var in zip(tableau, basis):
+        if var < d:
+            x[var] += row[-1]
+        elif var < 2 * d:
+            x[var - d] -= row[-1]
+    point = tuple(x)
+    if d:
+        point, _ = purify_to_vertex(rows, rhs, obj, point)
+    return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
+
+
+def test_lp_matches_fraction_reference_on_pointed_polyhedra():
+    rng = random.Random(29)
+    for _ in range(30):
+        h = random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(0, 6))
+        a, b = h.coefficient_rows(), h.rhs()
+        random_c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(h.dim)]
+        for c in ([0] * h.dim, bounded_generic_objective(h), random_c):
+            assert lp_solve(a, b, c) == reference_lp_solve(a, b, c)
+
+
+def degenerate_lp(rng, d):
+    """Equality pairs a.x <= b, -a.x <= -b through a rational anchor, plus
+    a few rows slack or tight there.  One row of each pair has a negative
+    right side whenever b != 0, so phase I starts with artificials, and
+    artificials left basic at zero reach `_expel_artificials`."""
+    anchor = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)]
+    a, b = [], []
+    for _ in range(rng.randint(1, d)):
+        row = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        bi = dot(row, anchor)
+        a += [row, [-x for x in row]]
+        b += [bi, -bi]
+    for _ in range(rng.randint(0, 3)):
+        row = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        a.append(row)
+        b.append(dot(row, anchor) + rng.randint(0, 2))
+    return a, b, [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+
+
+@pytest.fixture
+def expel_pivot_signs(monkeypatch):
+    """Whether each pivot `_expel_artificials` makes is positive, in order."""
+    signs = []
+    expelling = []
+    real_expel, real_pivot = lp._expel_artificials, lp._pivot
+
+    def expel(*args):
+        expelling.append(True)
+        try:
+            return real_expel(*args)
+        finally:
+            expelling.pop()
+
+    def pivot(rows, r, col, det):
+        if expelling:
+            signs.append(rows[r][col] > 0)
+        return real_pivot(rows, r, col, det)
+
+    monkeypatch.setattr(lp, "_expel_artificials", expel)
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    return signs
+
+
+def test_lp_matches_fraction_reference_on_degenerate_equalities(expel_pivot_signs):
+    rng = random.Random(31)
+    for _ in range(60):
+        a, b, c = degenerate_lp(rng, rng.randint(2, 4))
+        for obj in ([0] * len(c), c):
+            assert lp_solve(a, b, obj) == reference_lp_solve(a, b, obj)
+    # the sample reaches the negative expel pivot, after which the tableau
+    # and its det are negated
+    assert False in expel_pivot_signs
+
+
+def test_lp_scales_the_system_by_one_denominator():
+    # x >= 4/3, y >= x + 1, y >= 3x - 5/2: two rows with negative right
+    # sides over different denominators.  Scaling the rows one by one would
+    # reweight the phase I objective, and Bland's rule would then end on
+    # the other vertex, (7/4, 11/4).
+    a = [[-1, 0], [1, -1], [3, -1]]
+    b = [Fraction(-4, 3), -1, Fraction(5, 2)]
+    out = lp_solve(a, b, [0, 0])
+    assert out == reference_lp_solve(a, b, [0, 0])
+    assert out.point == (Fraction(4, 3), Fraction(7, 3))

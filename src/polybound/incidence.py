@@ -2,14 +2,17 @@
 
 Vertex sets are stored as Python int bitmasks (bit v set <=> vertex v in
 the set), which makes the set operations used by the face enumeration
-algorithms exact and fast.
+algorithms exact and fast.  Facet sets are bitmasks over rows, and the
+meet of a facet set (the AND of its rows) is read from a byte table of
+precomputed row ANDs, the "Four Russians" trick of Arlazarov, Dinic,
+Kronrod & Faradzev (1970).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import and_, getitem, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -80,9 +83,25 @@ class IncidenceMatrix:
                 cols[v] |= 1 << i
         return tuple(cols)
 
-    def column_mask(self, v: int) -> int:
-        """Bitmask over rows: which facets contain vertex v."""
-        return self.column_masks[v]
+    @cached_property
+    def row_ands(self) -> tuple[tuple[int, ...], ...]:
+        """Per byte j of a row-set mask, the meets of rows 8j..8j+7:
+        `row_ands[j][b]` is the AND of the rows that byte value b selects,
+        all_mask for b = 0.  When 8 does not divide m, the last table has
+        only the 2**(m % 8) entries that a row-set mask can select."""
+        tables = []
+        for j in range(0, self.m, 8):
+            table = [self.all_mask]
+            for row in self.row_masks[j:j + 8]:
+                table += [t & row for t in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
+    def meet(self, key: int) -> int:
+        """AND of the rows in the row-set mask `key`, one table lookup per
+        byte of key; all_mask when key is 0."""
+        return reduce(and_, map(getitem, self.row_ands,
+                                key.to_bytes(len(self.row_ands), "little")), self.all_mask)
 
     def with_far_face(self, far: Iterable[int]) -> "IncidenceMatrix":
         return IncidenceMatrix(self.n, self.row_masks, mask_from_indices(far))
@@ -168,12 +187,15 @@ def vertex_edge_graph(inc: IncidenceMatrix, d: int) -> Graph:
 
 def polytope_edges(inc: IncidenceMatrix) -> list[tuple[int, int]]:
     """All edges of an arbitrary polytope from incidences alone: {u,v} is an
-    edge iff it is closed under the facet-intersection closure operator."""
+    edge iff it is closed under the facet-intersection closure operator,
+    that is, iff some facet holds both and the meet of those facets is
+    {u,v}."""
+    cols, meet = inc.column_masks, inc.meet
     edges = []
     for u in range(inc.n):
         for v in range(u + 1, inc.n):
-            pair = (1 << u) | (1 << v)
-            if closure_mask(pair, inc.row_masks) == pair:
+            key = cols[u] & cols[v]
+            if key and meet(key) == (1 << u) | (1 << v):
                 edges.append((u, v))
     return edges
 

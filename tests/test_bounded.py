@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,9 @@ from conftest import cube3, instance, random_pointed_hrep, square_incidence
 from polybound.bounded import (WHOLE, closure, covers, filter_bounded,
                                full_face_lattice, selective_generation)
 from polybound.errors import InputError
-from polybound.incidence import compute_incidences, indices_from_mask, mask_from_indices
+from polybound.formats import read_incidence
+from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
+                                 indices_from_mask, mask_from_indices)
 from polybound.linalg import rank
 from polybound.pipeline import closure_data
 from polybound.polyhedron import enumerate_vertices_bruteforce
@@ -32,6 +35,26 @@ def test_closure_properties_random():
         t = s | rng.getrandbits(inc.n)   # monotone
         cl_t = closure(t, inc)
         assert cl_t is WHOLE or cl & ~cl_t == 0
+
+
+def test_closure_matches_row_scan():
+    # the table meet of F(mask) against closure_mask's scan over all rows
+    rng = random.Random(3)
+    incs = [square_incidence(), IncidenceMatrix(3, ())]
+    incs += [closure_data(random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(1, 4)))[2]
+             for _ in range(10)]
+    incs += [instance(family, *params)[4] for family, params in
+             [("dwarfed-cube", (4,)), ("thrackle", (4,)), ("tropical-cyclic", (3, 3))]]
+    closed = 0
+    for inc in incs:
+        masks = [0, inc.all_mask, rng.getrandbits(inc.n)]
+        masks += [mask_from_indices(rng.sample(range(inc.n), rng.randint(1, min(3, inc.n))))
+                  for _ in range(40)]
+        for s in masks:
+            expected = closure_mask(s, inc.row_masks)
+            assert closure(s, inc) == expected
+            closed += expected is not WHOLE
+    assert closed > 200
 
 
 def test_covers_square():
@@ -66,10 +89,12 @@ def test_covers_of_vertices_match_lattice_arcs():
 
 def reference_covers(mask, inc):
     """Reference for `covers`: scan the rows for every closure
-    cl(mask + {v}), then keep the inclusion-minimal ones pairwise."""
+    cl(mask + {v}), then keep the inclusion-minimal ones pairwise.  Only
+    rows through mask can hold mask + {v}, so only those are scanned."""
+    through = [row for row in inc.row_masks if mask & ~row == 0]
     candidates = set()
     for v in indices_from_mask(inc.all_mask & ~mask):
-        cl = closure(mask | 1 << v, inc)
+        cl = closure_mask(mask | 1 << v, through)
         if cl is not WHOLE:
             candidates.add(cl)
     minimal = [c for c in candidates
@@ -82,10 +107,36 @@ def test_covers_match_reference_on_every_lattice_face():
     incs = [closure_data(random_pointed_hrep(rng, rng.randint(2, 3), rng.randint(1, 3)))[2]
             for _ in range(10)]
     incs += [instance(family, *params)[4] for family, params in
-             [("dwarfed-cube", (3,)), ("thrackle", (5,)), ("tropical-cyclic", (4, 4))]]
+             [("dwarfed-cube", (3,)), ("thrackle", (5,)), ("tropical-cyclic", (4, 4)),
+              ("tropical-permutohedron", (3,))]]  # m = 19: a partial last table byte
     for inc in incs:
         for nd in full_face_lattice(inc).nodes:
             assert covers(nd.vertex_set, inc) == reference_covers(nd.vertex_set, inc)
+
+
+def test_covers_match_reference_on_sets_that_are_not_closed():
+    # covers of a set H that is not closed: the one cover is cl(H), reached
+    # from the vertices of cl(H) - H, which share H's facet set
+    rng = random.Random(11)
+    not_closed = 0
+    for family, params in [("dwarfed-cube", (4,)), ("thrackle", (4,)), ("tropical-cyclic", (3, 3))]:
+        inc = instance(family, *params)[4]
+        for _ in range(60):
+            s = mask_from_indices(rng.sample(range(inc.n), rng.randint(1, 3)))
+            assert covers(s, inc) == reference_covers(s, inc)
+            not_closed += closure(s, inc) not in (s, WHOLE)
+    assert not_closed > 20
+
+
+def test_covers_match_reference_on_stored_permutohedron_4():
+    # the (24,4) closure incidences of the benchmark: m = 97, 13 table bytes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "tropical-permutohedron-4.inc"
+    inc = read_incidence(str(path))
+    assert (inc.m, inc.n, len(inc.row_ands)) == (97, 152, 13)
+    hd = selective_generation(inc)
+    assert hd.node_count() == 1424
+    for nd in hd.nodes:
+        assert covers(nd.vertex_set, inc) == reference_covers(nd.vertex_set, inc)
 
 
 def test_face_tree_insert_then_find():

@@ -6,9 +6,9 @@ from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segme
                       square_incidence, square_pyramid, strip, unit_square)
 from polybound.bounded import full_face_lattice
 from polybound.errors import InputError
-from polybound.incidence import (compute_incidences, far_face_vertices,
-                                 indices_from_mask, is_simple, mask_from_indices,
-                                 polytope_edges, restrict_to_near,
+from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
+                                 far_face_vertices, indices_from_mask, is_simple,
+                                 mask_from_indices, polytope_edges, restrict_to_near,
                                  vertex_edge_graph)
 from polybound.linalg import dot, rank
 from polybound.pipeline import closure_data
@@ -175,6 +175,45 @@ def test_polytope_edges_general_criterion():
     assert len(polytope_edges(incp)) == 8
 
 
+def test_polytope_edges_match_closure_scan():
+    # oracle: every pair {u,v} closed under closure_mask's scan over all rows
+    rng = random.Random(5)
+    incs = [closure_data(random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(1, 4)))[2]
+            for _ in range(10)]
+    roster = ([("dwarfed-cube", (d,)) for d in range(3, 7)]
+              + [("thrackle", (d,)) for d in range(3, 6)] + [("tropical-cyclic", (3, 3))])
+    incs += [instance(family, *params)[4] for family, params in roster]
+    incs.append(IncidenceMatrix(2, (0b01, 0b10)))  # a segment is no edge of itself
+    for inc in incs:
+        expected = [(u, v) for u in range(inc.n) for v in range(u + 1, inc.n)
+                    if closure_mask(1 << u | 1 << v, inc.row_masks) == 1 << u | 1 << v]
+        assert polytope_edges(inc) == expected
+
+
+def _and_of_rows(inc, key):
+    acc = inc.all_mask
+    for i in indices_from_mask(key):
+        acc &= inc.row_masks[i]
+    return acc
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 97])
+def test_row_ands_meet_matches_and_loop(m):
+    rng = random.Random(m)
+    n = 40
+    inc = IncidenceMatrix(n, tuple(rng.getrandbits(n) | 1 << rng.randrange(n)
+                                   for _ in range(m)))
+    assert len(inc.row_ands) == (m + 7) // 8
+    for j, table in enumerate(inc.row_ands):
+        assert len(table) == 1 << min(8, m - 8 * j)
+        for b, entry in enumerate(table):
+            assert entry == _and_of_rows(inc, b << 8 * j)
+    keys = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(50)]
+    keys += [mask_from_indices(rng.sample(range(m), min(m, 3))) for _ in range(20)]
+    for key in keys:
+        assert inc.meet(key) == _and_of_rows(inc, key)
+
+
 def test_restrict_to_near_dwarfed_counts():
     for d in (2, 3, 4):
         _, _, _, _, inc = instance("dwarfed-cube", d)
@@ -190,7 +229,7 @@ def test_column_sums_at_least_d():
                               ("tropical-cyclic", (3, 3), 5)]:
         _, _, _, _, inc = instance(family, *params)
         for v in range(inc.n):
-            assert inc.column_mask(v).bit_count() >= d
+            assert inc.column_masks[v].bit_count() >= d
 
 
 def test_incidence_round_mask_helpers():

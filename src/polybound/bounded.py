@@ -47,7 +47,8 @@ def closure(mask: int, inc: IncidenceMatrix) -> Optional[int]:
 
 def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     """Faces covering the closed set `mask`: the inclusion-minimal closures
-    cl(mask + {v}) over vertices v outside mask, sorted by vertex tuple.
+    cl(mask + {v}) over vertices v outside mask, in the order their facet
+    sets first occur over the vertices.
 
     Each v contributes the facet set F(mask) & col(v); a closure G is
     minimal exactly when all |G \\ mask| of its new vertices share its
@@ -69,7 +70,7 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
             face = reduce(and_, map(getitem, row_ands, key.to_bytes(nbytes, "little")))
             if face.bit_count() - inside == count:
                 minimal.append(face)
-    return sorted(minimal, key=indices_from_mask)
+    return minimal
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,6 @@ class HasseDiagram:
             if nd.rank >= 0:
                 hist[nd.rank] += 1
         return hist
-
-    def vertex_sets(self) -> set[int]:
-        return {nd.vertex_set for nd in self.nodes}
 
     def canonical(self):
         """Id-renaming-invariant form: sorted (rank, vertices) plus arcs as

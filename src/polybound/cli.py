@@ -21,19 +21,30 @@ from .polyhedron import (DEFAULT_BUDGET, enumerate_vertices_bruteforce,
                          reverse_search_with_retries)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low, refused with exit 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the global flags are also repeated on every subcommand (with SUPPRESS
     # defaults) so they are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--out-dir", default=argparse.SUPPRESS,
                         help="directory for output files (default: .)")
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--budget", type=_int_at_least(1), default=argparse.SUPPRESS,
                         help="combinatorial budget for enumeration guards")
     top = argparse.ArgumentParser(
         prog="polybound",
         description="Bounded subcomplexes of unbounded polyhedra, exactly.")
     top.add_argument("-o", "--out-dir", default=".", help="directory for output files")
-    top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    top.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
                      help="combinatorial budget for enumeration guards")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -60,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bounded", parents=[common], help="Hasse diagram of the bounded subcomplex")
     bnd.add_argument("inc")
     bnd.add_argument("--alg", choices=pipeline.ALGORITHMS, default="selective")
-    bnd.add_argument("--max-dim", type=int, default=None,
+    bnd.add_argument("--max-dim", type=_int_at_least(0), default=None,
                      help="emit only faces up to this rank (skeleton cutoff)")
     bnd.add_argument("--verify", action="store_true",
                      help="cross-check against a second algorithm")

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 from .linalg import common_denominator, dot, integer_row
 from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
-from .polyhedron import Graph, HRep, VRep, ClosureResult
+from .polyhedron import HRep, VRep, ClosureResult
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -130,8 +130,10 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     full-dimensional polytopes, so a nonzero row tight at every vertex is
     refused as "not full-dimensional"; rows 0.x <= b are skipped.
     Duplicate facet rows are merged, so output rows biject with facets, in
-    the order of their first row.
+    the order of their first row.  h and v must share one dimension.
     """
+    if v.dim != h.dim:
+        raise InputError(f"V-rep dimension {v.dim} does not match H-rep dimension {h.dim}")
     if v.rays:
         raise InputError("incidences need a polytope; close the polyhedron first")
     points = [common_denominator(p) for p in v.vertices]
@@ -168,21 +170,6 @@ def is_simple(inc: IncidenceMatrix, d: int) -> bool:
         for i in indices_from_mask(row):
             counts[i] += 1
     return all(c == d for c in counts)
-
-
-def vertex_edge_graph(inc: IncidenceMatrix, d: int) -> Graph:
-    """Vertex-edge graph of a simple d-polytope: u,v adjacent iff they share
-    exactly d-1 facets.  That criterion is only valid for simple polytopes,
-    so non-simple input is rejected."""
-    if not is_simple(inc, d):
-        raise InputError("not simple")
-    cols = inc.column_masks
-    edges = []
-    for u in range(inc.n):
-        for v in range(u + 1, inc.n):
-            if (cols[u] & cols[v]).bit_count() == d - 1:
-                edges.append((u, v))
-    return Graph(inc.n, tuple(edges))
 
 
 def polytope_edges(inc: IncidenceMatrix) -> list[tuple[int, int]]:

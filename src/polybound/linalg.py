@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, null spaces, unique solutions, inverses.
+"""Exact linear algebra: rank, null spaces, unique solutions, ratio tests.
 
 Everything is exact; there is deliberately no floating-point path anywhere
 in the package.  There is one elimination kernel, `_pivot`, the
@@ -7,16 +7,23 @@ representatives and linear algebra", J. Res. NBS 71B, 1967), which is the
 Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): rows hold integers over one common divisor det, and every pivot
 entry equals det.  `_echelon` drives it over the columns in order for
-`rank`, `nullspace`, `inverse`, `kernel_line` (and so
-`solve_linear_system`) and the start vertex of `polyhedron`; the simplex
-tableau in `lp` pivots with it directly.  Rational rows reach it through
-`integer_row`, a positive scaling, which leaves the rref unchanged.
+`rank`, `nullspace`, `kernel_vector` (and so `kernel_line` and
+`solve_linear_system`), the start vertex of `polyhedron` and the inverse
+in its closure transform; the simplex tableau in `lp` pivots with it
+directly.  Rational rows reach it through `integer_row`, a positive
+scaling, which leaves the rref unchanged.
+
+`ratio_step` is the one ratio test: it moves a point held as an integer
+vector over one denominator along an integer direction, comparing
+slack/(a.v) by cross-multiplying.  The pivot walk, reverse search and the
+LP's vertex purification all step with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -104,24 +111,70 @@ def _echelon(rows: list) -> tuple[list, list[int], int]:
     return rows, pivots, det
 
 
-def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> Optional[tuple[int, ...]]:
-    """The primitive integer vector spanning the kernel of an integer matrix
-    with ncols columns, or None unless the matrix has rank ncols - 1.
+def kernel_vector(rows: Sequence[Sequence[int]],
+                  ncols: int) -> tuple[Optional[tuple[int, ...]], int]:
+    """(v, nullity) for an integer matrix with ncols columns.
 
-    It is read off the Jordan form: det in the one free column, and in each
-    pivot column minus its row's entry in the free column, divided by the
-    gcd.  The sign of the result is not normalized.
+    v is the first basis vector of its null space, as `nullspace` orders
+    them (1 in the first free column of the rref, 0 in the other free
+    ones), scaled by a positive factor to a primitive integer vector: det
+    in that column, minus its row's entry in each pivot column, divided by
+    the gcd with the sign of det.  v is None when the null space is 0.
     """
     ech, pivots, det = _echelon(list(rows))
-    if len(pivots) != ncols - 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None, 0
     v = [0] * ncols
     v[free] = det
     for row, col in zip(ech, pivots):
         v[col] = -row[free]
-    g = gcd(*v)
-    return tuple(x // g for x in v)
+    g = gcd(*v) if det > 0 else -gcd(*v)
+    return tuple(x // g for x in v), ncols - len(pivots)
+
+
+def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> Optional[tuple[int, ...]]:
+    """The primitive integer vector spanning the kernel of an integer matrix
+    with ncols columns, or None unless the matrix has rank ncols - 1."""
+    v, nullity = kernel_vector(rows, ncols)
+    return v if nullity == 1 else None
+
+
+def ratio_step(rows: Sequence[Sequence[int]], slack: Sequence[int],
+               point: tuple[tuple[int, ...], int],
+               v: Sequence[int]) -> tuple[Optional[tuple[tuple[int, ...], int]], int]:
+    """The ratio test from a point along x + t*v, t >= 0, inside
+    {x : a.x <= b}, all in integers.
+
+    `point` is (num, den), the point num/den with den > 0; `slack[i]` is
+    b_i*den - a_i.num for the integer row (a_i, b_i).  The step stops at
+    the least slack/(a.v) over the rows with a.v > 0, compared by
+    cross-multiplying, and lands on (num*(a.v) + slack*v) / (den*(a.v)),
+    reduced by the gcd.  Returns (that point, the number of rows blocking
+    there); (None, 0) when no row blocks, i.e. v is a recession direction.
+    Rows with zero slack are skipped: every caller moves along a direction
+    with a.v <= 0 on them.
+    """
+    best_slack, best_av, ties = 0, 0, 0
+    for a, s in zip(rows, slack):
+        if s:
+            av = sum(map(mul, a, v))
+            if av > 0:
+                if not best_av:
+                    best_slack, best_av, ties = s, av, 1
+                    continue
+                diff = s * best_av - best_slack * av
+                if diff < 0:
+                    best_slack, best_av, ties = s, av, 1
+                elif not diff:
+                    ties += 1
+    if not best_av:
+        return None, 0
+    num, den = point
+    y = [n * best_av + best_slack * c for n, c in zip(num, v)]
+    y_den = den * best_av
+    g = gcd(y_den, *y)
+    return (tuple(n // g for n in y), y_den // g), ties
 
 
 def rank(a) -> int:
@@ -145,19 +198,6 @@ def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     if v is None or not v[n]:
         return None
     return tuple(Fraction(x, v[n]) for x in v[:n])
-
-
-def inverse(a) -> list[Vector]:
-    """Exact inverse of a square matrix: the elimination of [A | I] ends in
-    [det*I | det*A^-1] exactly when A is invertible."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise InputError("only a square matrix has an inverse")
-    aug = [integer_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(a)]
-    aug, pivots, det = _echelon(aug)
-    if pivots != list(range(n)):
-        raise InputError("singular matrix has no inverse")
-    return [tuple(Fraction(x, det) for x in row[n:]) for row in aug]
 
 
 def nullspace(a) -> list[Vector]:

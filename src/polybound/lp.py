@@ -7,8 +7,10 @@ positive divisor det and is pivoted by `linalg._pivot`; reduced costs are
 scaled by det and the ratio test cross-multiplies, so every pivot is the
 one the same tableau over the rationals would make.  Optimal points are
 post-processed ("purified") onto a vertex whenever the feasible region is
-pointed; the same purification doubles as the vertex finder used by the
-projective closure construction.
+pointed, on the same integer rows: it steps along primitive integer kernel
+vectors with `linalg.ratio_step`, so the point becomes Fractions only in
+the returned `LpOutcome`.  With a zero objective this is the vertex finder
+of the projective closure and of the vertex enumerators.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError
-from .linalg import ZERO, Vector, _pivot, as_vector, common_denominator, dot, nullspace
+from .linalg import (Vector, _pivot, as_vector, common_denominator, dot, kernel_vector,
+                     ratio_step)
+from .linalg import nullspace  # noqa: F401  (perfbench's tracer wraps lp.nullspace)
 
 
 class LpStatus(enum.Enum):
@@ -73,55 +78,32 @@ def _simplex(tableau, basis, costs, det):
         basis[leave] = entering
 
 
-def purify_to_vertex(rows, b, c, x):
+def purify_to_vertex(rows, b, c, point):
     """Slide an optimal point along the optimal face until it is a vertex.
 
-    Repeatedly moves along a null direction of the active constraints
-    (keeping c.x fixed) until a new constraint blocks; each step raises the
-    active rank, so at most d steps happen.  Returns (point, is_vertex);
-    is_vertex is False exactly when a full line inside the optimal face was
-    found, i.e. the region is not pointed.
+    rows, b and c are integers, and point is (num, den), the point num/den
+    with den > 0.  Each step moves along `kernel_vector` of the active rows
+    (and c, keeping c.x fixed), forward when a row blocks that way and
+    backward otherwise, until a new row blocks; each step raises the active
+    rank, so at most d steps happen.  Returns the last point, a vertex
+    unless a full line through it lies in the optimal face, i.e. the region
+    is not pointed.
     """
-    d = len(x)
-    x = list(x)
+    d = len(point[0])
+    objective = [c] if any(c) else []
     while True:
-        active = [list(a) for a, bi in zip(rows, b) if dot(a, x) == bi]
-        stack = active + ([list(c)] if any(ci != 0 for ci in c) else [])
-        if not stack:
-            stack = [[ZERO] * d]
-        kernel = nullspace(stack)
-        if not kernel:
-            return tuple(x), True
-        v = kernel[0]
-        t_fwd, _ = ray_step(rows, b, x, v)
-        if t_fwd is not None:
-            x = [xi + t_fwd * vi for xi, vi in zip(x, v)]
-            continue
-        t_bwd, _ = ray_step(rows, b, x, [-vi for vi in v])
-        if t_bwd is not None:
-            x = [xi - t_bwd * vi for xi, vi in zip(x, v)]
-            continue
-        return tuple(x), False  # line through x: not pointed
-
-
-def ray_step(rows, b, x, v) -> tuple[Optional[Fraction], list[int]]:
-    """Ratio test along the ray x + t v, t >= 0, inside {A x <= b}.
-
-    Returns the largest feasible step t and the indices of the rows that
-    block it, in row order; (None, []) when no row blocks, i.e. v is a
-    recession direction.
-    """
-    best = None
-    blockers: list[int] = []
-    for i, (a, bi) in enumerate(zip(rows, b)):
-        av = dot(a, v)
-        if av > 0:
-            t = (bi - dot(a, x)) / av
-            if best is None or t < best:
-                best, blockers = t, [i]
-            elif t == best:
-                blockers.append(i)
-    return best, blockers
+        num, den = point
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(rows, b)]
+        v, _ = kernel_vector([a for a, s in zip(rows, slack) if not s] + objective, d)
+        if v is None:
+            return point
+        for w in (v, [-x for x in v]):
+            nxt, _ = ratio_step(rows, slack, point, w)
+            if nxt is not None:
+                point = nxt
+                break
+        else:
+            return point  # line through the point: not pointed
 
 
 def lp_solve(a, b: Sequence, c: Sequence) -> LpOutcome:
@@ -145,6 +127,8 @@ def lp_solve(a, b: Sequence, c: Sequence) -> LpOutcome:
     # one common denominator for the whole system: scaling rows one by one
     # would reweight the phase I objective and change Bland's pivots
     nums, _ = common_denominator([x for row, bi in zip(rows, rhs_in) for x in (*row, bi)])
+    a_int = [nums[i * (d + 1):(i + 1) * (d + 1) - 1] for i in range(m)]
+    b_int = nums[d::d + 1]
     # columns: x = u - w split (2d), slacks (m), one artificial per row whose
     # right side is negative (it gets negated, so its slack cannot be basic),
     # then the right-hand side
@@ -153,8 +137,7 @@ def lp_solve(a, b: Sequence, c: Sequence) -> LpOutcome:
     tableau = []
     basis = []
     art_cols = []
-    for i in range(m):
-        *a_i, b_i = nums[i * (d + 1):(i + 1) * (d + 1)]
+    for i, (a_i, b_i) in enumerate(zip(a_int, b_int)):
         row = a_i + [-x for x in a_i] + [0] * (ncols - 2 * d) + [b_i]
         row[2 * d + i] = 1
         if b_i < 0:
@@ -193,9 +176,8 @@ def lp_solve(a, b: Sequence, c: Sequence) -> LpOutcome:
             x[var] += row[-1]
         elif var < 2 * d:
             x[var - d] -= row[-1]
+    x, det = purify_to_vertex(a_int, b_int, obj_int, (tuple(x), det))
     point = tuple(Fraction(xi, det) for xi in x)
-    if d:
-        point, _ = purify_to_vertex(rows, rhs_in, obj, point)
     return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
 
 

@@ -13,37 +13,18 @@ the sum over its down-set of bounded elements (unbounded elements
 contribute zero and need not be stored), and that down-set is walked from
 the empty face along the recorded covers: every face of a bounded face is
 bounded, so each bounded element below is reached through bounded ones.
-`vertex_poset` materializes the whole poset and serves as the independent
-oracle.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, InputError, InternalError
 from .bounded import HasseDiagram, HasseNode, covers
-from .incidence import IncidenceMatrix, indices_from_mask
+from .incidence import IncidenceMatrix
 
 DEFAULT_ELEMENT_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class VertexPoset:
-    """All vertex sets of proper faces (bitmasks, including 0 for the empty
-    face) ordered by containment, with their Moebius numbers; `mu_top` is
-    the number of the artificial top element."""
-
-    n: int
-    elements: tuple[int, ...]
-    mu: dict[int, int]
-    mu_top: int
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
 
 class BoundedRegistry:
@@ -87,44 +68,6 @@ class BoundedRegistry:
         if mask == 0:
             return 1
         return -sum(m for _, m in self.below(mask))
-
-
-def vertex_poset(inc: IncidenceMatrix,
-                 budget: int = DEFAULT_ELEMENT_BUDGET) -> VertexPoset:
-    """Poset of all nonempty intersections of incidence rows, plus the empty
-    set, with Moebius numbers computed by the plain recursion."""
-    if inc.far_face is not None:
-        raise InputError("expected incidences without far-face data")
-    rows = inc.row_masks
-    elements = set(rows)
-    frontier = set(rows)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for r in rows:
-                t = s & r
-                if t and t not in elements:
-                    elements.add(t)
-                    fresh.add(t)
-            if len(elements) > budget:
-                raise BudgetExceededError(
-                    f"vertex poset exceeds element budget {budget}")
-        frontier = fresh
-    elements.add(0)
-    ordered = sorted(elements, key=lambda s: (s.bit_count(), indices_from_mask(s)))
-    mu: dict[int, int] = {}
-    for s in ordered:
-        if s == 0:
-            mu[s] = 1
-        else:
-            mu[s] = -sum(m for t, m in mu.items() if t != s and t & ~s == 0)
-    mu_top = -sum(mu.values())
-    return VertexPoset(inc.n, tuple(ordered), mu, mu_top)
-
-
-def moebius_oracle_filter(vp: VertexPoset) -> set[int]:
-    """Vertex sets of bounded faces: the elements with nonzero Moebius number."""
-    return {s for s in vp.elements if vp.mu[s] != 0}
 
 
 def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,

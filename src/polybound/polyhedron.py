@@ -4,7 +4,8 @@ An `HRep` is a system of inequalities a.x <= b; a `VRep` lists vertices and
 (normalized) extreme ray directions.  `projective_closure` turns a pointed
 unbounded polyhedron into a projectively equivalent polytope inside the
 standard simplex, with the directions of unboundedness realized on the
-hyperplane sum(x) = 1.
+hyperplane sum(x) = 1; its transform, its rows and its point and ray maps
+are computed in integers.
 
 Three enumerators are provided:
 
@@ -12,11 +13,15 @@ Three enumerators are provided:
   independent oracle for everything else and is budget-guarded.
 * `enumerate_vertices_pivoting` walks the vertex-edge graph, enumerating
   edge directions at each vertex from (d-1)-subsets of its active rows; it
-  is exact on degenerate (non-simple) polyhedra as well, and runs in
-  integers (integer rows, points over one denominator, Bareiss kernels).
+  is exact on degenerate (non-simple) polyhedra as well.
 * `reverse_search_vertices` is the classic reverse search for simple
   polyhedra under a generic objective, with a ratio test that flags
   unbounded edges.
+
+The walk and reverse search run in integers: integer rows, points as
+integer vectors over one denominator, Bareiss kernels and the one ratio
+test `linalg.ratio_step`.  Points become Fractions only in the returned
+`VRep`.
 
 `projective_closure`, the pivot walk and `reverse_search_with_retries`
 find a first vertex (or refuse empty and non-pointed input) through
@@ -31,15 +36,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
 from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
-                     integer_row, inverse, kernel_line, rank, solve_linear_system)
+                     integer_row, kernel_line, rank, ratio_step, solve_linear_system)
 from .linalg import nullspace  # noqa: F401  (perfbench's tracer wraps polyhedron.nullspace)
-from .lp import LpStatus, lp_solve, ray_step
+from .lp import LpStatus, lp_solve
 
 DEFAULT_BUDGET = 10**7
 
@@ -110,81 +115,83 @@ class Graph:
 class ClosureResult:
     """Outcome of `projective_closure`.
 
-    `closure` is the polytope inside the standard simplex.  `translation`
-    and `rho` (with its exact inverse `rho_inv`) are the affine pieces of
-    the transform; `far_inequality` indexes the closure row realizing
-    sum(x) <= 1.
+    `closure` is the polytope inside the standard simplex.  The transform
+    is x -> y / (1 + sum(y)) with y = rho (x - translation); rho is held
+    as the integer matrix `rho` over the positive denominator `rho_den`.
+    `far_inequality` indexes the closure row realizing sum(x) <= 1.
     """
 
     closure: HRep
     translation: Vector
-    rho: tuple[Vector, ...]
-    rho_inv: tuple[Vector, ...]
+    rho: tuple[tuple[int, ...], ...]
+    rho_den: int
     far_inequality: int
 
     def map_point(self, x: Sequence[Fraction]) -> Vector:
-        """Image in the closure of an ordinary point of the polyhedron."""
-        y = _mat_vec(self.rho, [xi - vi for xi, vi in zip(x, self.translation)])
-        denom = ONE + sum(y, ZERO)
+        """Image in the closure of an ordinary point of the polyhedron.
+
+        With x = X/s and translation V/t, the image is R.(tX - sV) over
+        D*s*t + sum(R.(tX - sV)) for rho = R/D."""
+        num, s = common_denominator(x)
+        shift, t = common_denominator(self.translation)
+        xv = [t * n - s * w for n, w in zip(num, shift)]
+        y = [sum(map(mul, row, xv)) for row in self.rho]
+        denom = self.rho_den * s * t + sum(y)
         if denom <= 0:
             raise InternalError("point maps outside the affine chart")
-        return tuple(yi / denom for yi in y)
+        return tuple(Fraction(yi, denom) for yi in y)
 
     def map_ray(self, direction: Sequence[Fraction]) -> Vector:
-        """Far-face vertex of the closure corresponding to a recession direction."""
-        y = _mat_vec(self.rho, direction)
-        total = sum(y, ZERO)
+        """Far-face vertex of the closure corresponding to a recession
+        direction r: R.r / sum(R.r), with r scaled to integers."""
+        num, _ = common_denominator(direction)
+        y = [sum(map(mul, row, num)) for row in self.rho]
+        total = sum(y)
         if total <= 0:
             raise InputError("not a recession direction of the polyhedron")
-        return tuple(yi / total for yi in y)
-
-    def unmap_point(self, z: Sequence[Fraction]) -> Vector:
-        """Preimage of a closure point below the far hyperplane."""
-        s = sum(z, ZERO)
-        if s >= 1:
-            raise InputError("far-face points have no ordinary preimage")
-        y = [zi / (ONE - s) for zi in z]
-        x = _mat_vec(self.rho_inv, y)
-        return tuple(xi + vi for xi, vi in zip(x, self.translation))
+        return tuple(Fraction(yi, total) for yi in y)
 
     def unmap_far_vertex(self, z: Sequence[Fraction]) -> Vector:
-        """Recession direction of the polyhedron behind a far-face vertex."""
-        return normalize_ray(_mat_vec(self.rho_inv, z))
-
-
-def _mat_vec(rows: Sequence[Vector], v: Sequence[Fraction]) -> list[Fraction]:
-    return [dot(r, v) for r in rows]
-
-
-def _canonical_row(a: Sequence[Fraction], b: Fraction) -> tuple[Vector, Fraction]:
-    """The row (a, b) by `integer_row`, as Fractions."""
-    ints = integer_row([*a, b])
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+        """Recession direction of the polyhedron behind a far-face vertex:
+        rho^-1 z, a positive multiple of the solution of R r = z."""
+        return normalize_ray(solve_linear_system(self.rho, z))
 
 
 def projective_closure(h: HRep) -> ClosureResult:
     """Bounded polytope projectively equivalent to the pointed polyhedron h.
 
-    The construction finds one vertex, translates it to the origin, maps a
-    rank-d set of its active constraints onto the coordinate hyperplanes,
-    and then pushes the hyperplane at infinity onto sum(x) = 1.  Errors:
-    "empty polyhedron" when infeasible, "not pointed" otherwise when no
-    vertex exists.
+    The construction finds one vertex v, translates it to the origin, maps
+    a rank-d set W of its active constraints onto the coordinate
+    hyperplanes by rho = -W, and then pushes the hyperplane at infinity
+    onto sum(x) = 1.  Errors: "empty polyhedron" when infeasible, "not
+    pointed" otherwise when no vertex exists.
+
+    It runs in integers: rho = R/D over one denominator D, and the
+    elimination of [R | I] ends in [delta*I | M] with M = delta*R^-1,
+    delta > 0.  A row a.x <= b becomes (a rho^-1 + beta) . y <= beta with
+    beta = b - a.v, which for the integer row (a, b) and v = V/t is, scaled
+    by t*delta, (t*D*a.M + delta*beta') . y <= delta*beta' with
+    beta' = t*b - a.V, reduced by `integer_row`.
     """
     d = h.dim
     v, basis = _start_vertex(h)
-    rho = tuple(tuple(-x for x in a) for a in basis)  # R = -W
-    rho_inv = tuple(inverse(rho))
-
+    nums, rho_den = common_denominator([-x for a in basis for x in a])  # R = -W * D
+    rho = tuple(tuple(nums[i * d:(i + 1) * d]) for i in range(d))
+    aug, _, delta = _echelon([[*row, *(int(i == j) for j in range(d))]
+                              for i, row in enumerate(rho)])
+    if delta < 0:  # [-delta*I | -delta*R^-1] keeps every scale positive
+        aug, delta = [[-x for x in row] for row in aug], -delta
+    inv_cols = list(zip(*(row[d:] for row in aug)))  # columns of M = delta * R^-1
+    shift, t = common_denominator(v)
     new_rows = []
     for a, bi in h.rows:
-        beta = bi - dot(a, v)
-        a_prime = tuple(dot(a, tuple(rho_inv[i][j] for i in range(d))) for j in range(d))
-        mapped = tuple(x + beta for x in a_prime)
-        new_rows.append(_canonical_row(mapped, beta))
-    new_rows.append((tuple(ONE for _ in range(d)), ONE))
-    closure = HRep(d, tuple(new_rows))
-    return ClosureResult(closure, tuple(v), rho, rho_inv, len(new_rows) - 1)
+        *a_int, b_int = integer_row([*a, bi])
+        beta = delta * (t * b_int - sum(map(mul, a_int, shift)))
+        row = [t * rho_den * sum(map(mul, a_int, col)) + beta for col in inv_cols]
+        new_rows.append(integer_row([*row, beta]))
+    new_rows.append([1] * (d + 1))
+    closure = HRep.from_rows(d, [(row[:-1], row[-1]) for row in new_rows])
+    return ClosureResult(closure, tuple(v), rho, rho_den, len(new_rows) - 1)
 
 
 def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
@@ -259,10 +266,8 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     positive denominator reduced by their gcd, and an edge direction is
     the primitive integer vector `kernel_line` returns.  Each vertex gets
     one integer slack vector b*den - a.num, which gives its active rows
-    and the ratio test; the step to the row blocking first (the least
-    slack/(a.v), compared by cross-multiplying) lands on
-    (num*(a.v) + slack*v) / (den*(a.v)).  Points become Fractions only
-    for the returned VRep.
+    and the ratio test, `ratio_step`.  Points become Fractions only for
+    the returned VRep.
     """
     d = h.dim
     if start is None:
@@ -277,7 +282,8 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     stack = [point]
     rays: set[tuple[int, ...]] = set()
     while stack:
-        num, den = stack.pop()
+        point = stack.pop()
+        num, den = point
         slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
         act = [i for i, s in enumerate(slack) if not s]
         work += comb(len(act), d - 1)
@@ -294,26 +300,19 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
                 directions.add(v)
             elif all(s >= 0 for s in signs):
                 directions.add(tuple(-c for c in v))
-        # only rows with positive slack can block: a.v <= 0 on active rows
-        loose = [(a_rows[i], s) for i, s in enumerate(slack) if s]
         for v in directions:
-            best_slack, best_av = 0, 0
-            for a, s in loose:
-                av = sum(map(mul, a, v))
-                if av > 0 and (not best_av or s * best_av < best_slack * av):
-                    best_slack, best_av = s, av
-            if not best_av:
+            nxt, _ = ratio_step(a_rows, slack, point, v)
+            if nxt is None:
                 rays.add(v)
-                continue
-            y = [n * best_av + best_slack * c for n, c in zip(num, v)]
-            y_den = den * best_av
-            g = gcd(y_den, *y)
-            nxt = (tuple(n // g for n in y), y_den // g)
-            if nxt not in visited:
+            elif nxt not in visited:
                 visited.add(nxt)
                 stack.append(nxt)
-    vertices = [tuple(Fraction(n, den) for n in num) for num, den in visited]
-    return VRep.build(d, vertices, rays)
+    return VRep.build(d, map(_as_fractions, visited), rays)
+
+
+def _as_fractions(point: tuple[Sequence[int], int]) -> Vector:
+    num, den = point
+    return tuple(Fraction(n, den) for n in num)
 
 
 def bounded_generic_objective(h: HRep, attempt: int = 0, seed: int = 0) -> Vector:
@@ -354,56 +353,67 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
     flagged in `Graph.unbounded_edges`.  Raises "not simple" when a visited
     vertex lies on more than d facets, and "objective not generic" when two
     vertices share an objective value.
+
+    It runs in integers, as the pivot walk does: a point is (num, den), the
+    edge relaxing active row k is the `kernel_line` of the other d - 1
+    active rows, oriented so that a_k.v < 0, and `ratio_step` finds its
+    other end.
     """
     d = h.dim
-    a_rows = h.coefficient_rows()
-    b = h.rhs()
     c = as_vector(objective)
     if len(c) != d:
         raise InputError("objective length does not match dimension")
-    out = lp_solve(a_rows, b, list(c))
+    out = lp_solve(h.coefficient_rows(), h.rhs(), list(c))
     if out.status is LpStatus.INFEASIBLE:
         raise InputError("empty polyhedron")
     if out.status is LpStatus.UNBOUNDED:
         raise ObjectiveError("objective unbounded on polyhedron")
-    root = out.point
+    nums, den = common_denominator(out.point)
+    root = (tuple(nums), den)
+    rows = [integer_row([*a, b]) for a, b in h.rows]
+    a_rows = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    c_int, _ = common_denominator(c)
 
-    def active_basis(x: Vector) -> list[int]:
-        act = [i for i in range(len(a_rows)) if dot(a_rows[i], x) == b[i]]
+    def value(point) -> tuple[int, int]:
+        """c.x as (numerator, positive denominator)."""
+        return sum(map(mul, c_int, point[0])), point[1]
+
+    def active_basis(point) -> tuple[list[int], list[int]]:
+        """The slacks of a point and its active rows: d independent ones."""
+        num, den = point
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+        act = [i for i, s in enumerate(slack) if not s]
         if len(act) != d or rank([a_rows[i] for i in act]) != d:
             raise InputError("not simple")
-        return act
+        return slack, act
 
-    def pivot(x: Vector, act: list[int], k: int):
+    def pivot(point, slack, act, k):
         """Direction relaxing row k; returns ('ray', v) or ('vertex', y, v)."""
-        # v solves: a_i . v = 0 for i in act - {k}, a_k . v = -1
-        mat = [a_rows[i] for i in act if i != k] + [a_rows[k]]
-        rhs = [ZERO] * (d - 1) + [Fraction(-1)]
-        v = solve_linear_system(mat, rhs)
-        if v is None:
+        # the d active rows are independent, so the others leave a line
+        # on which a_k is nonzero
+        v = kernel_line([a_rows[i] for i in act if i != k], d)
+        if sum(map(mul, a_rows[k], v)) > 0:
+            v = tuple(-x for x in v)
+        y, blocking = ratio_step(a_rows, slack, point, v)
+        if y is None:
+            return ("ray", v)
+        if blocking > 1:
             raise InputError("not simple")
-        t_best, blockers = ray_step(a_rows, b, x, v)
-        if t_best is None:
-            return ("ray", normalize_ray(v))
-        if t_best == 0 or len(blockers) > 1:
-            raise InputError("not simple")
-        y = tuple(xi + t_best * vi for xi, vi in zip(x, v))
         return ("vertex", y, v)
 
-    def ascent_neighbor(x: Vector, act: list[int]) -> Optional[Vector]:
+    def ascent_neighbor(point):
         """Smallest-index improving pivot (Bland); None at the optimum."""
+        slack, act = active_basis(point)
         for k in act:
-            res = pivot(x, act, k)
-            if res[0] == "ray":
-                continue
-            _, y, v = res
-            if dot(c, v) > 0:
-                return y
+            res = pivot(point, slack, act, k)
+            if res[0] == "vertex" and sum(map(mul, c_int, res[2])) > 0:
+                return res[1]
         return None
 
-    vertices: list[Vector] = []
-    edges: set[tuple[Vector, Vector]] = set()
-    ray_flags: list[tuple[Vector, Vector]] = []
+    vertices = []
+    edges = set()
+    ray_flags = []
     seen = set()
     stack = [root]
     while stack:
@@ -412,30 +422,29 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
             continue
         seen.add(x)
         vertices.append(x)
-        act = active_basis(x)
+        slack, act = active_basis(x)
         for k in act:
-            res = pivot(x, act, k)
+            res = pivot(x, slack, act, k)
             if res[0] == "ray":
-                ray_flags.append((x, res[1]))
+                ray_flags.append((x, normalize_ray(res[1])))
                 continue
-            _, y, _ = res
-            vx, vy = dot(c, x), dot(c, y)
-            if vx == vy:
+            y = res[1]
+            (cx, dx), (cy, dy) = value(x), value(y)
+            if cx * dy == cy * dx:
                 raise ObjectiveError("objective not generic")
             edges.add((min(x, y), max(x, y)))
-            if vy < vx:
-                # y is a child iff its Bland ascent pivot leads back to x
-                y_act = active_basis(y)
-                if ascent_neighbor(y, y_act) == x:
-                    stack.append(y)
-    values = [dot(c, x) for x in vertices]
-    if len(set(values)) != len(values):
+            # y is a child iff its Bland ascent pivot leads back to x
+            if cy * dx < cx * dy and ascent_neighbor(y) == x:
+                stack.append(y)
+    if len({Fraction(*value(x)) for x in vertices}) != len(vertices):
         raise ObjectiveError("objective not generic")
 
-    vrep = VRep.build(d, vertices, [r for _, r in ray_flags])
-    index = {v: i for i, v in enumerate(vrep.vertices)}
+    fractions = {x: _as_fractions(x) for x in vertices}
+    vrep = VRep.build(d, fractions.values(), [r for _, r in ray_flags])
+    position = {v: i for i, v in enumerate(vrep.vertices)}
+    index = {x: position[v] for x, v in fractions.items()}
     ray_index = {r: i for i, r in enumerate(vrep.rays)}
     edge_list = sorted((index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
                        for u, v in edges)
-    unbounded = sorted((index[x], ray_index[normalize_ray(r)]) for x, r in ray_flags)
+    unbounded = sorted((index[x], ray_index[r]) for x, r in ray_flags)
     return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))

@@ -5,6 +5,7 @@ import pytest
 from conftest import segment, unit_square
 from polybound import formats, pipeline
 from polybound.cli import main
+from polybound.polyhedron import VRep
 
 
 def run(argv):
@@ -211,3 +212,43 @@ def test_exit_code_budget(tmp_path, capsys):
     assert run(["-o", out, "--budget", "5", "vertices",
                 out / "dwarfed-cube-5.hrep", "--alg", "brute"]) == 3
     capsys.readouterr()
+
+
+def test_incidences_refuses_a_vrep_of_another_dimension(tmp_path, capsys):
+    hrep = tmp_path / "sq.hrep"
+    formats.write_hrep(unit_square(), str(hrep))
+    for dim in (3, 1):
+        vrep = tmp_path / f"sq{dim}.vrep"
+        formats.write_vrep(VRep.build(dim, [(0,) * dim, (1,) * dim], []), str(vrep))
+        assert run(["-o", tmp_path, "incidences", hrep, vrep]) == 2
+        assert capsys.readouterr().err == (
+            f"error: V-rep dimension {dim} does not match H-rep dimension 2\n")
+    assert not (tmp_path / "sq.inc").exists()
+
+
+BAD_FLAG_VALUES = {
+    "budget -1": (["--budget", "-1", "gen", "dwarfed-cube", "3"], "--budget: must be at least 1"),
+    "budget 0 after the subcommand": (["gen", "dwarfed-cube", "3", "--budget", "0"],
+                                      "--budget: must be at least 1"),
+    "budget not an int": (["--budget", "x", "gen", "dwarfed-cube", "3"],
+                          "--budget: invalid int value: 'x'"),
+    "max-dim -3": (["bounded", "any.inc", "--max-dim", "-3"], "--max-dim: must be at least 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAG_VALUES))
+def test_bad_flag_values_exit_2_when_parsed(tmp_path, capsys, case):
+    argv, message = BAD_FLAG_VALUES[case]
+    with pytest.raises(SystemExit) as exc:
+        run(["-o", tmp_path] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_smallest_flag_values_are_accepted(tmp_path, capsys):
+    inc = tmp_path / "square.inc"
+    inc.write_text("polybound-inc 1\nfacets 4 vertices 4\n1100\n0110\n0011\n1001\n"
+                   "farface 2 3\n")
+    assert run(["-o", tmp_path, "--budget", "1", "bounded", inc, "--max-dim", "0"]) == 0
+    assert "faces=3 f_vector=[2]" in capsys.readouterr().out

@@ -3,13 +3,11 @@ import random
 import pytest
 
 from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segment,
-                      square_incidence, square_pyramid, strip, unit_square)
-from polybound.bounded import full_face_lattice
+                      square_pyramid, strip, unit_square)
 from polybound.errors import InputError
 from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
                                  far_face_vertices, indices_from_mask, is_simple,
-                                 mask_from_indices, polytope_edges, restrict_to_near,
-                                 vertex_edge_graph)
+                                 mask_from_indices, polytope_edges, restrict_to_near)
 from polybound.linalg import dot, rank
 from polybound.pipeline import closure_data
 from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
@@ -112,8 +110,8 @@ def test_far_face_dwarfed_2_leaves_original_vertices():
     _, h, clo, vbar, inc = instance("dwarfed-cube", 2)
     near = [p for i, p in enumerate(vbar.vertices) if not inc.far_face >> i & 1]
     assert len(near) == 3
-    pulled = sorted(clo.unmap_point(p) for p in near)
-    assert pulled == list(enumerate_vertices_bruteforce(h).vertices)
+    mapped = sorted(clo.map_point(p) for p in enumerate_vertices_bruteforce(h).vertices)
+    assert mapped == near
 
 
 def test_is_simple_examples():
@@ -131,44 +129,14 @@ def test_is_simple_examples():
     assert is_simple(near_cyc, 5)
 
 
-def test_vertex_edge_graph_square_cycle():
-    g = vertex_edge_graph(square_incidence(), 2)
-    assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-
-
-def test_vertex_edge_graph_cube():
-    h = cube3()
-    inc = compute_incidences(h, enumerate_vertices_bruteforce(h))
-    g = vertex_edge_graph(inc, 3)
-    assert g.n_nodes == 8 and len(g.edges) == 12
-    degree = [0] * 8
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    assert degree == [3] * 8
-
-
-def test_vertex_edge_graph_dwarfed_3_matches_lattice_edges():
-    _, _, _, _, inc = instance("dwarfed-cube", 3)
-    g = vertex_edge_graph(inc, 3)
-    assert g.n_nodes == 10
-    lattice = full_face_lattice(inc)
-    lattice_edges = {nd.vertex_set for nd in lattice.nodes if nd.rank == 1}
-    assert {mask_from_indices(e) for e in g.edges} == lattice_edges
-
-
-def test_vertex_edge_graph_rejects_non_simple():
-    h = square_pyramid()
-    inc = compute_incidences(h, enumerate_vertices_bruteforce(h))
-    with pytest.raises(InputError, match="not simple"):
-        vertex_edge_graph(inc, 3)
-
-
 def test_polytope_edges_general_criterion():
-    # agrees with the simple-polytope criterion where both apply
+    # on the simple cube: the pairs sharing exactly d - 1 = 2 facets
     h = cube3()
     inc = compute_incidences(h, enumerate_vertices_bruteforce(h))
-    assert tuple(polytope_edges(inc)) == vertex_edge_graph(inc, 3).edges
+    cols = inc.column_masks
+    assert polytope_edges(inc) == [(u, v) for u in range(8) for v in range(u + 1, 8)
+                                   if (cols[u] & cols[v]).bit_count() == 2]
+    assert len(polytope_edges(inc)) == 12
     # and still works on the non-simple pyramid: 8 edges
     hp = square_pyramid()
     incp = compute_incidences(hp, enumerate_vertices_bruteforce(hp))
@@ -287,6 +255,15 @@ def test_compute_incidences_refuses_segment():
     h = segment()
     with pytest.raises(InputError, match="not full-dimensional"):
         compute_incidences(h, VRep.build(2, [(0, 0), (0, 1)], []))
+
+
+def test_compute_incidences_refuses_other_dimensions():
+    h = unit_square()
+    for dim in (1, 3):
+        v = VRep.build(dim, [(0,) * dim, (1,) * dim], [])
+        with pytest.raises(InputError, match=f"V-rep dimension {dim} does not match "
+                                             "H-rep dimension 2"):
+            compute_incidences(h, v)
 
 
 def test_compute_incidences_refuses_rays():

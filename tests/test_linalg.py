@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+from oracles import reference_nullspace, reference_rref
 from polybound.errors import InputError
-from polybound.linalg import dot, inverse, kernel_line, nullspace, rank, solve_linear_system
+from polybound.linalg import (_echelon, dot, integer_row, kernel_line, kernel_vector, nullspace,
+                              rank, solve_linear_system)
 
 
 def test_solve_identity():
@@ -61,13 +63,23 @@ def test_rank_nullity():
             assert all(dot(row, v) == 0 for row in a)
 
 
+def echelon_inverse(a):
+    """The inverse as `projective_closure` computes it: the integer
+    elimination of [A | I] ends in [det*I | det*A^-1] exactly when A is
+    invertible; None otherwise."""
+    n = len(a)
+    aug, pivots, det = _echelon([integer_row([*row, *(int(i == j) for j in range(n))])
+                                 for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        return None
+    assert all(row[:n] == [det * (i == j) for j in range(n)] for i, row in enumerate(aug))
+    return [tuple(Fraction(x, det) for x in row[n:]) for row in aug]
+
+
 def test_inverse_swaps_rows_and_rejects_singular():
     # a zero in the leading position forces a row swap
-    assert inverse([[0, 2], [4, 0]]) == [(0, Fraction(1, 4)), (Fraction(1, 2), 0)]
-    with pytest.raises(InputError, match="singular"):
-        inverse([[1, 2], [2, 4]])
-    with pytest.raises(InputError, match="square"):
-        inverse([[1, 2]])
+    assert echelon_inverse([[0, 2], [4, 0]]) == [(0, Fraction(1, 4)), (Fraction(1, 2), 0)]
+    assert echelon_inverse([[1, 2], [2, 4]]) is None
 
 
 def test_inverse_random():
@@ -76,46 +88,12 @@ def test_inverse_random():
         n = rng.randint(1, 4)
         a = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         if rank(a) < n:
-            with pytest.raises(InputError):
-                inverse(a)
+            assert echelon_inverse(a) is None
             continue
-        inv = inverse(a)
+        inv = echelon_inverse(a)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         assert [[dot(row, col) for col in zip(*inv)] for row in a] == identity
         assert [[dot(row, col) for col in zip(*a)] for row in inv] == identity
-
-
-def reference_rref(a):
-    """Reduced row echelon form over Fractions, one row operation at a
-    time: (rows, pivot columns).  The oracle for the integer elimination."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [x - row[col] * y for x, y in zip(row, rows[r])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def reference_nullspace(a, ncols):
-    """One kernel vector per free column of the rref: 1 there, 0 in the
-    other free columns."""
-    rows, pivots = reference_rref(a)
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [Fraction(int(c == f)) for c in range(ncols)]
-            for row, col in zip(rows, pivots):
-                v[col] = -row[f]
-            basis.append(tuple(v))
-    return basis
 
 
 def random_rational_matrix(rng, m, n):
@@ -155,11 +133,10 @@ def test_rank_nullspace_inverse_match_fraction_reference():
         aug_rows, aug_pivots = reference_rref([row + e for row, e in zip(a, identity)])
         if aug_pivots[:n] == list(range(n)):
             seen["inverse"] += 1
-            assert inverse(a) == [tuple(row[n:]) for row in aug_rows]
+            assert echelon_inverse(a) == [tuple(row[n:]) for row in aug_rows]
         else:
             seen["singular"] += 1
-            with pytest.raises(InputError, match="singular"):
-                inverse(a)
+            assert echelon_inverse(a) is None
     assert min(seen.values()) >= 20, seen
 
 
@@ -196,3 +173,24 @@ def test_kernel_line_rank_deficient_and_zero_pivot():
     assert kernel_line([[0, 5, 0], [0, 0, 7]], 3) in ((1, 0, 0), (-1, 0, 0))
     # the kernel of no rows in one column is the whole line
     assert kernel_line([], 1) == (1,)
+
+
+def test_kernel_vector_is_a_positive_multiple_of_the_first_nullspace_vector():
+    rng = random.Random(47)
+    nullities = set()
+    for _ in range(300):
+        m, n = rng.randint(0, 4), rng.randint(1, 5)
+        a = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(m)]
+        v, nullity = kernel_vector(a, n)
+        kernel = reference_nullspace(a, n)
+        assert nullity == len(kernel)
+        nullities.add(nullity)
+        if not kernel:
+            assert v is None
+            continue
+        assert gcd(*v) == 1
+        w = kernel[0]
+        ratios = {Fraction(x) / y for x, y in zip(v, w) if y}
+        assert len(ratios) == 1 and ratios.pop() > 0
+        assert all(x == 0 for x, y in zip(v, w) if not y)
+    assert nullities >= {0, 1, 2, 3}

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from conftest import random_pointed_hrep
+from oracles import purify_to_vertex, ray_step
 from polybound import lp
 from polybound.errors import InputError
-from polybound.linalg import dot
-from polybound.lp import LpOutcome, LpStatus, lp_solve, purify_to_vertex, ray_step
+from polybound.linalg import dot, ratio_step
+from polybound.lp import LpOutcome, LpStatus, lp_solve
 from polybound.polyhedron import HRep, bounded_generic_objective, enumerate_vertices_bruteforce
 
 
@@ -55,16 +57,53 @@ def test_dimension_mismatch_rejected():
         lp_solve([[1]], [1, 2], [1])
 
 
-def test_ray_step_ties_and_recession():
+def test_ratio_step_ties_and_recession():
     rows = [[1, 0], [0, 1], [1, 1], [-1, 0]]
     b = [1, 1, 2, 0]
+
+    def step(num, den, v):
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(rows, b)]
+        return ratio_step(rows, slack, (num, den), v)
+
     # from the origin along (1, 1) rows 0, 1 and 2 all block at t = 1
-    assert ray_step(rows, b, [0, 0], [1, 1]) == (1, [0, 1, 2])
-    assert ray_step(rows, b, [0, 0], [1, 0]) == (1, [0])
-    # row 3 is tight at the origin: a zero step
-    assert ray_step(rows, b, [0, 0], [-1, 0]) == (0, [3])
+    assert step((0, 0), 1, (1, 1)) == (((1, 1), 1), 3)
+    assert step((0, 0), 1, (1, 0)) == (((1, 0), 1), 1)
+    # from (0, 0) over 2 the step lands on (2, 2) / 2, reduced to (1, 1)
+    assert step((0, 0), 2, (1, 1)) == (((1, 1), 1), 3)
+    # from (1/2, 0) along (1, 1) row 0 blocks first, at (1, 1/2)
+    assert step((1, 0), 2, (1, 1)) == (((2, 1), 2), 1)
+    # row 3 is tight at the origin and skipped: no row blocks
+    assert step((0, 0), 1, (-1, 0)) == (None, 0)
     # nothing blocks a recession direction
-    assert ray_step(rows, b, [0, 0], [0, -1]) == (None, [])
+    assert step((0, 0), 1, (0, -1)) == (None, 0)
+
+
+def test_ratio_step_matches_fraction_ray_step():
+    # directions with a.v <= 0 on the tight rows, as every caller's are
+    rng = random.Random(43)
+    blocked = tied = 0
+    for _ in range(300):
+        d, m = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+        num, den = tuple(rng.randint(-4, 4) for _ in range(d)), rng.randint(1, 3)
+        slack = [0 if rng.random() < 0.2 else rng.randint(1, 6) for _ in range(m)]
+        b = [Fraction(dot(a, num) + s, den) for a, s in zip(rows, slack)]
+        v = tuple(rng.randint(-2, 2) for _ in range(d))
+        if any(s == 0 and dot(a, v) > 0 for a, s in zip(rows, slack)):
+            continue
+        x = tuple(Fraction(n, den) for n in num)
+        t, blockers = ray_step(rows, b, x, v)
+        nxt, ties = ratio_step(rows, slack, (num, den), v)
+        if t is None:
+            assert (nxt, ties) == (None, 0)
+            continue
+        blocked += 1
+        tied += ties > 1
+        y_num, y_den = nxt
+        assert tuple(Fraction(n, y_den) for n in y_num) == tuple(
+            xi + t * vi for xi, vi in zip(x, v))
+        assert ties == len(blockers) and y_den > 0
+    assert blocked > 100 and tied > 3
 
 
 def test_optimum_matches_bruteforce_vertices():
@@ -127,8 +166,8 @@ def _fraction_simplex(tableau, basis, costs):
 
 def reference_lp_solve(a, b, c):
     """The two-phase Bland simplex with its tableau over Fractions, column
-    for column the tableau `lp_solve` holds in integers.  Purification is
-    shared: `purify_to_vertex` is not what this oracle checks."""
+    for column the tableau `lp_solve` holds in integers, and the Fraction
+    purification with its `ray_step` ratio test."""
     rows = [[Fraction(x) for x in row] for row in a]
     rhs = [Fraction(x) for x in b]
     obj = [Fraction(x) for x in c]
@@ -173,7 +212,7 @@ def reference_lp_solve(a, b, c):
             x[var - d] -= row[-1]
     point = tuple(x)
     if d:
-        point, _ = purify_to_vertex(rows, rhs, obj, point)
+        point = purify_to_vertex(rows, rhs, obj, point)
     return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
 
 

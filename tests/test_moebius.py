@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import instance, strip
+from oracles import moebius_oracle_filter, vertex_poset, vertex_sets
 from polybound.bounded import (covers, filter_bounded, full_face_lattice,
                                relabel_vertices, selective_generation)
 from polybound.errors import BudgetExceededError, InputError
 from polybound.incidence import IncidenceMatrix, restrict_to_near
-from polybound.moebius import (BoundedRegistry, moebius_generation,
-                               moebius_oracle_filter, vertex_poset)
+from polybound.moebius import BoundedRegistry, moebius_generation
 from polybound.pipeline import closure_data
 
 
@@ -102,7 +102,7 @@ def test_moebius_matches_selective_and_oracle():
         _, _, _, _, inc = instance(family, *params)
         near_inc, near = restrict_to_near(inc)
         hd = moebius_generation(near_inc)
-        assert hd.vertex_sets() == moebius_oracle_filter(vertex_poset(near_inc))
+        assert vertex_sets(hd) == moebius_oracle_filter(vertex_poset(near_inc))
         relabeled = relabel_vertices(hd, dict(enumerate(near)), inc.n, inc.far_face)
         assert relabeled.canonical() == selective_generation(inc).canonical()
 

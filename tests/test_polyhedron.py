@@ -10,11 +10,12 @@ from polybound.errors import BudgetExceededError, InputError, ObjectiveError
 from polybound.generators import (cyclic_matrix, dwarfed_cube, thrackle_metric, tight_span_hrep,
                                   tropical_hrep)
 from polybound import pipeline, polyhedron
+from oracles import ray_step, reference_closure, reference_reverse_search
+from polybound.errors import PolyboundError
 from polybound.linalg import ZERO, dot, nullspace, rank
-from polybound.lp import ray_step
-from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, enumerate_vertices_bruteforce,
-                                  enumerate_vertices_pivoting, normalize_ray,
-                                  projective_closure, reverse_search_vertices,
+from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, bounded_generic_objective,
+                                  enumerate_vertices_bruteforce, enumerate_vertices_pivoting,
+                                  normalize_ray, projective_closure, reverse_search_vertices,
                                   reverse_search_with_retries)
 
 HALF = Fraction(1, 2)
@@ -59,7 +60,8 @@ def test_closure_vertex_bijection():
         near = [p for p in vbar.vertices if sum(p) < 1]
         originals = enumerate_vertices_bruteforce(h)
         assert len(near) == len(originals.vertices)
-        assert sorted(clo.unmap_point(p) for p in near) == list(originals.vertices)
+        assert sorted(clo.map_point(p) for p in originals.vertices) == near
+        assert sorted(clo.map_ray(r) for r in originals.rays) == far
 
 
 def greedy_basis_rows(h, v):
@@ -80,8 +82,57 @@ def test_closure_basis_is_greedy_rank_scan():
     cases += [square_pyramid(), dwarfed_cube(3)[1], tropical_hrep(cyclic_matrix(3, 3))]
     for h in cases:
         clo = projective_closure(h)
-        basis = [tuple(-x for x in row) for row in clo.rho]
+        basis = [tuple(Fraction(-x, clo.rho_den) for x in row) for row in clo.rho]
         assert basis == greedy_basis_rows(h, clo.translation)
+
+
+def benchmark_instances():
+    """(H-rep, V-rep) of the instances the benchmark closes: dwarfed
+    d = 5, 10, 15, thrackle d = 3..8, random metrics d = 6 and the
+    tropical cyclic polyhedra, with their enumerated vertices and rays."""
+    roster = ([("dwarfed-cube", (d,)) for d in (5, 10, 15)]
+              + [("thrackle", (d,)) for d in range(3, 9)]
+              + [("random-metric", (6, s)) for s in range(3)]
+              + [("tropical-cyclic", st) for st in ((3, 3), (4, 4), (5, 5))])
+    for family, params in roster:
+        _, h, pre = pipeline.make_instance(family, params)
+        yield h, pre or enumerate_vertices_pivoting(h)
+
+
+def test_closure_matches_fraction_reference():
+    rng = random.Random(37)
+    cases = [(h, enumerate_vertices_pivoting(h))
+             for h in (random_pointed_hrep(rng, rng.randint(2, 5), rng.randint(0, 7))
+                       for _ in range(60))]
+    cases += [(h, enumerate_vertices_pivoting(h))
+              for h in (quadrant(), strip(), fractional_rows(), fractional_cone())]
+    cases += list(benchmark_instances())
+    for h, v in cases:
+        clo, ref = projective_closure(h), reference_closure(h)
+        assert clo.closure == ref.closure
+        assert clo.translation == ref.translation
+        assert [tuple(Fraction(x, clo.rho_den) for x in row) for row in clo.rho] == list(ref.rho)
+        assert [clo.map_point(x) for x in v.vertices] == [ref.map_point(x) for x in v.vertices]
+        assert [clo.map_ray(r) for r in v.rays] == [ref.map_ray(r) for r in v.rays]
+    # a start vertex, a rho and mapped points with denominators other than 1
+    clo = projective_closure(fractional_cone())
+    assert clo.rho_den > 1 and all(x.denominator > 1 for x in clo.translation)
+    clo = projective_closure(fractional_rows())
+    mapped = [clo.map_point(x) for x in enumerate_vertices_pivoting(fractional_rows()).vertices]
+    assert any(x.denominator > 1 for p in mapped for x in p)
+
+
+def fractional_cone():
+    # a pointed cone whose apex and both rows are fractional
+    return HRep.from_rows(2, [((Fraction(-1, 2), Fraction(-1, 3)), Fraction(1, 5)),
+                              ((Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 4))])
+
+
+def test_closure_maps_refuse_points_outside_the_chart():
+    clo = projective_closure(quadrant())
+    with pytest.raises(InputError, match="not a recession direction"):
+        clo.map_ray((-1, 0))
+    assert clo.map_ray((2, 2)) == clo.map_ray((1, 1))
 
 
 def test_closure_error_empty():
@@ -297,6 +348,39 @@ def test_reverse_search_rejects_non_generic():
 def test_reverse_search_rejects_unbounded_objective():
     with pytest.raises(ObjectiveError, match="unbounded"):
         reverse_search_vertices(quadrant(), [1, 2])
+
+
+def reverse_search_outcome(search, h, c):
+    try:
+        return search(h, c)
+    except PolyboundError as exc:
+        return type(exc), str(exc)
+
+
+def test_reverse_search_matches_fraction_reference():
+    cases = [dwarfed_cube(d)[1] for d in range(2, 9)]
+    cases += [tropical_hrep(cyclic_matrix(s, t)) for s, t in ((3, 3), (3, 4), (4, 4))]
+    objectives = {id(h): [bounded_generic_objective(h, attempt) for attempt in range(2)]
+                  for h in cases}
+    rng = random.Random(41)
+    for _ in range(60):
+        h = random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(0, 6))
+        cases.append(h)
+        # generic, tie-prone (no perturbation) and axis objectives
+        objectives[id(h)] = [bounded_generic_objective(h),
+                             [sum(a[j] for a, _ in h.rows) for j in range(h.dim)],
+                             [1] + [0] * (h.dim - 1)]
+    cases += [square_pyramid(), unit_square()]
+    objectives[id(cases[-2])] = [[1, 2, 4]]
+    objectives[id(cases[-1])] = [[1, 2], [1, 0]]
+    seen = set()
+    for h in cases:
+        for c in objectives[id(h)]:
+            got = reverse_search_outcome(reverse_search_vertices, h, c)
+            assert got == reverse_search_outcome(reference_reverse_search, h, c)
+            seen.add(got[1] if got[0] in (InputError, ObjectiveError) else "ok")
+    assert seen == {"ok", "not simple", "objective not generic",
+                    "objective unbounded on polyhedron"}
 
 
 def test_normalize_ray():

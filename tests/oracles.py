@@ -4,8 +4,9 @@ against.
 The `Fraction` oracles are the rational forms of what the library computes
 in integers: a reduced row echelon form, the projective closure with its
 point and ray maps, the LP's vertex purification with its ratio test, and
-reverse search.  They share nothing with the integer code but the start
-vertex and the LP that finds a first point.  The vertex poset is the whole
+reverse search.  They share with the library only the start vertex, the
+LP that finds a first point and the normalization of their output
+(`integer_row`, `normalize_ray`, `VRep.build`).  The vertex poset is the whole
 poset of vertex sets of faces with its Moebius numbers, the plain recursion
 that `moebius_generation` interleaves with its search.
 """

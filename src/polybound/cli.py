@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", parents=[common], help="run a benchmark suite")
     bench.add_argument("--suite", choices=pipeline.SUITES, required=True)
-    bench.add_argument("--max-size", type=int, default=None)
-    bench.add_argument("--seeds", type=int, default=20,
+    bench.add_argument("--max-size", type=_int_at_least(1), default=None)
+    bench.add_argument("--seeds", type=_int_at_least(1), default=20,
                        help="sample count per dimension (random suite)")
     bench.add_argument("--format", choices=("csv", "table"), default="table")
     bench.add_argument("--alg", choices=pipeline.ALGORITHMS, default="selective")

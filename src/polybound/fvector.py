@@ -80,6 +80,8 @@ def f_vector_simple(inc: IncidenceMatrix, coords: VRep, d: int,
     incidences (far face attached) and vertex coordinates."""
     if inc.far_face is None:
         raise InputError("far-face data required")
+    if d != coords.dim:
+        raise InputError(f"dimension {d} does not match V-rep dimension {coords.dim}")
     if inc.n != len(coords.vertices):
         raise InputError("incidences and coordinates disagree on vertex count")
     far = set(indices_from_mask(inc.far_face))

@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, ZERO, Vector, common_denominator
 from .polyhedron import DEFAULT_BUDGET, HRep, VRep
 
 HALF = Fraction(1, 2)
@@ -213,46 +213,66 @@ def _prufer_trees(t: int) -> Iterator[list[tuple[int, int]]]:
         yield edges
 
 
+def _tropical_candidates(v: Sequence[Sequence]) -> set[tuple]:
+    """Every w (with w_{t-1} = 0) pinned by a labeled spanning tree on the t
+    column nodes of the s x t matrix v, one row i per tree edge {k, l}:
+    u_i + w_k = v_ik and u_i + w_l = v_il, so w_l = w_k + v_il - v_ik.
+
+    The row enters only through that difference, so each tree edge takes
+    the product over its distinct differences rather than over all s rows.
+    Entries may be ints or Fractions; w has the same type.
+    """
+    s, t = len(v), len(v[0])
+    candidates: set[tuple] = set()
+    for tree in _prufer_trees(t):
+        # orient the tree away from the pinned node t-1
+        adj: dict[int, list[int]] = {}
+        for k, l in tree:
+            adj.setdefault(k, []).append(l)
+            adj.setdefault(l, []).append(k)
+        steps = []
+        seen = {t - 1}
+        stack = [t - 1]
+        while stack:
+            k = stack.pop()
+            for l in adj[k]:
+                if l not in seen:
+                    seen.add(l)
+                    steps.append((k, l))
+                    stack.append(l)
+        differences = [{v[i][l] - v[i][k] for i in range(s)} for k, l in steps]
+        for choice in itertools.product(*differences):
+            w: list = [None] * t
+            w[t - 1] = 0
+            for (k, l), delta in zip(steps, choice):
+                w[l] = w[k] + delta
+            candidates.add(tuple(w))
+    return candidates
+
+
 def tropical_vertices(matrix: TropicalMatrix, budget: int = DEFAULT_BUDGET) -> VRep:
     """Vertices and rays of the tropical polyhedron, from its combinatorics.
 
     At a vertex the active rows form a connected bipartite graph spanning
     all s+t row/column nodes, so the w-part is pinned by a spanning tree of
-    column differences; enumerating labeled trees with one defining row per
-    edge produces every candidate w, which is then kept when its active
-    graph is spanning and connected.  The recession cone does not depend on
-    the matrix and its extreme rays are written down in closed form.
+    column differences; `_tropical_candidates` produces every candidate w,
+    which is then kept when its active graph is spanning and connected.
+    The budget bounds the labeled trees with one defining row per edge,
+    t^(t-2) * s^(t-1).  The recession cone does not depend on the matrix
+    and its extreme rays are written down in closed form.
     """
     s, t = matrix.s, matrix.t
     d = s + t - 1
-    v = matrix.values
+    # the matrix over one denominator: the search runs in integers
+    nums, den = common_denominator([x for row in matrix.values for x in row])
+    v = [nums[i * t:(i + 1) * t] for i in range(s)]
     n_candidates = t ** max(t - 2, 0) * s ** (t - 1)
     if n_candidates > budget:
         raise BudgetExceededError(
             f"tropical candidate count {n_candidates} exceeds budget {budget}")
 
-    candidates: set[tuple] = set()
-    for tree in _prufer_trees(t):
-        for labels in itertools.product(range(s), repeat=t - 1):
-            # propagate w from the pinned node t-1 through the tree
-            w: list = [None] * t
-            w[t - 1] = ZERO
-            adj = {}
-            for (k, l), i in zip(tree, labels):
-                adj.setdefault(k, []).append((l, i))
-                adj.setdefault(l, []).append((k, i))
-            stack = [t - 1]
-            while stack:
-                k = stack.pop()
-                for l, i in adj.get(k, ()):
-                    if w[l] is None:
-                        # u_i + w_k = v_ik and u_i + w_l = v_il
-                        w[l] = w[k] + v[i][l] - v[i][k]
-                        stack.append(l)
-            candidates.add(tuple(w))
-
     vertices = []
-    for w in candidates:
+    for w in _tropical_candidates(v):
         u = [min(v[i][k] - w[k] for k in range(t)) for i in range(s)]
         comp = list(range(s + t))
 
@@ -275,7 +295,7 @@ def tropical_vertices(matrix: TropicalMatrix, budget: int = DEFAULT_BUDGET) -> V
         root = find(0)
         if any(find(x) != root for x in range(s + t)):
             continue
-        vertices.append(tuple(u) + tuple(w[:t - 1]))
+        vertices.append(tuple(Fraction(x, den) for x in (*u, *w[:t - 1])))
 
     rays = []
     for i in range(s):

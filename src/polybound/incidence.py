@@ -16,7 +16,7 @@ from operator import and_, getitem, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .linalg import common_denominator, dot, integer_row
+from .linalg import common_denominator, integer_row
 from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
 from .polyhedron import HRep, VRep, ClosureResult
 
@@ -158,9 +158,16 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
 
 
 def far_face_vertices(closure: ClosureResult, v: VRep) -> set[int]:
-    """Indices of closure vertices on the far hyperplane sum(x) = 1."""
+    """Indices of closure vertices on the far hyperplane sum(x) = 1, read
+    from the far row's integer slacks as in `compute_incidences`."""
     a, b = closure.closure.rows[closure.far_inequality]
-    return {i for i, p in enumerate(v.vertices) if dot(a, p) == b}
+    *a_int, b_int = integer_row([*a, b])
+    far = set()
+    for i, p in enumerate(v.vertices):
+        num, den = common_denominator(p)
+        if b_int * den == sum(map(mul, a_int, num)):
+            far.add(i)
+    return far
 
 
 def is_simple(inc: IncidenceMatrix, d: int) -> bool:

@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, null spaces, unique solutions, ratio tests.
+"""Exact linear algebra: rank, null spaces, inverses, unique solutions, ratio tests.
 
 Everything is exact; there is deliberately no floating-point path anywhere
 in the package.  There is one elimination kernel, `_pivot`, the
@@ -8,10 +8,16 @@ Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): rows hold integers over one common divisor det, and every pivot
 entry equals det.  `_echelon` drives it over the columns in order for
 `rank`, `nullspace`, `kernel_vector` (and so `kernel_line` and
-`solve_linear_system`), the start vertex of `polyhedron` and the inverse
-in its closure transform; the simplex tableau in `lp` pivots with it
-directly.  Rational rows reach it through `integer_row`, a positive
-scaling, which leaves the rref unchanged.
+`solve_linear_system`), `scaled_inverse` and the start vertex of
+`polyhedron`; the simplex tableau in `lp` pivots with it directly.
+Rational rows reach it through `integer_row`, a positive scaling, which
+leaves the rref unchanged.
+
+`scaled_inverse` reads delta*B^-1 off one elimination of [B | I].  It is
+the closure transform's inverse, and it gives the edges of a simple
+vertex in the pivot walk and reverse search, one column per active row;
+a degenerate vertex of the walk takes one `kernel_line` per (d-1)-subset
+of its active rows instead.
 
 `ratio_step` is the one ratio test: it moves a point held as an integer
 vector over one denominator along an integer direction, comparing
@@ -138,6 +144,25 @@ def kernel_line(rows: Sequence[Sequence[int]], ncols: int) -> Optional[tuple[int
     with ncols columns, or None unless the matrix has rank ncols - 1."""
     v, nullity = kernel_vector(rows, ncols)
     return v if nullity == 1 else None
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(M, delta) with M = delta * B^-1 and delta > 0 for an invertible
+    integer d x d matrix B, or None when B is singular.
+
+    The elimination of [B | I] ends in [det*I | det*B^-1] exactly when its
+    first d pivot columns are those of B; both blocks are negated when
+    det < 0, so that column j of M is a positive multiple of the vector
+    that row j of B maps to 1 and the other rows to 0.
+    """
+    d = len(rows)
+    aug, pivots, delta = _echelon([[*row, *(int(i == j) for j in range(d))]
+                                   for i, row in enumerate(rows)])
+    if pivots and pivots[-1] >= d:
+        return None
+    if delta < 0:
+        return [[-x for x in row[d:]] for row in aug], -delta
+    return [row[d:] for row in aug], delta
 
 
 def ratio_step(rows: Sequence[Sequence[int]], slack: Sequence[int],

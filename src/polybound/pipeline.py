@@ -166,24 +166,23 @@ def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
 
 
 def suite_instances(suite: str, max_size: Optional[int], seeds: int):
+    """(family, params) per instance of a suite; max_size None selects the
+    default roster, and 0 selects nothing."""
+    def top(default: int) -> int:
+        return default if max_size is None else max_size
+
     if suite == "dwarfed":
-        top = max_size or 15
-        return [("dwarfed-cube", (d,)) for d in range(5, top + 1, 5)]
+        return [("dwarfed-cube", (d,)) for d in range(5, top(15) + 1, 5)]
     if suite == "thrackle":
-        top = max_size or 8
-        return [("thrackle", (d,)) for d in range(3, top + 1)]
+        return [("thrackle", (d,)) for d in range(3, top(8) + 1)]
     if suite == "random":
-        top = max_size or 6
-        return [("random-metric", (d, s)) for d in range(5, top + 1)
+        return [("random-metric", (d, s)) for d in range(5, top(6) + 1)
                 for s in range(seeds)]
     if suite == "tropical-cyclic":
         pairs = [(3, 3), (4, 4), (5, 5), (3, 10)]
-        if max_size:
-            pairs = [(s, t) for s, t in pairs if max(s, t) <= max_size]
-        return [("tropical-cyclic", p) for p in pairs]
+        return [("tropical-cyclic", (s, t)) for s, t in pairs if max(s, t) <= top(10)]
     if suite == "tropical-perm":
-        top = max_size or 3
-        return [("tropical-permutohedron", (t,)) for t in range(3, top + 1)]
+        return [("tropical-permutohedron", (t,)) for t in range(3, top(3) + 1)]
     raise InputError(f"unknown suite {suite!r}; choose from {SUITES}")
 
 

@@ -11,17 +11,19 @@ Three enumerators are provided:
 
 * `enumerate_vertices_bruteforce` solves every d-subset of rows; it is the
   independent oracle for everything else and is budget-guarded.
-* `enumerate_vertices_pivoting` walks the vertex-edge graph, enumerating
-  edge directions at each vertex from (d-1)-subsets of its active rows; it
-  is exact on degenerate (non-simple) polyhedra as well.
+* `enumerate_vertices_pivoting` walks the vertex-edge graph.  A simple
+  vertex reads its d edge directions off one inverse of its active rows; a
+  degenerate one enumerates them from (d-1)-subsets of its active rows, so
+  the walk is exact on degenerate (non-simple) polyhedra as well.
 * `reverse_search_vertices` is the classic reverse search for simple
   polyhedra under a generic objective, with a ratio test that flags
   unbounded edges.
 
 The walk and reverse search run in integers: integer rows, points as
-integer vectors over one denominator, Bareiss kernels and the one ratio
-test `linalg.ratio_step`.  Points become Fractions only in the returned
-`VRep`.
+integer vectors over one denominator, edges read off Bareiss eliminations
+(`linalg.scaled_inverse` at a simple vertex, `linalg.kernel_line` per
+subset at a degenerate one) and the one ratio test `linalg.ratio_step`.
+Points become Fractions only in the returned `VRep`.
 
 `projective_closure`, the pivot walk and `reverse_search_with_retries`
 find a first vertex (or refuse empty and non-pointed input) through
@@ -36,14 +38,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
 from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
-                     integer_row, kernel_line, rank, ratio_step, solve_linear_system)
-from .linalg import nullspace  # noqa: F401  (perfbench's tracer wraps polyhedron.nullspace)
+                     integer_row, kernel_line, ratio_step, scaled_inverse, solve_linear_system)
+# perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
+from .linalg import nullspace, rank  # noqa: F401
 from .lp import LpStatus, lp_solve
 
 DEFAULT_BUDGET = 10**7
@@ -166,22 +169,19 @@ def projective_closure(h: HRep) -> ClosureResult:
     onto sum(x) = 1.  Errors: "empty polyhedron" when infeasible, "not
     pointed" otherwise when no vertex exists.
 
-    It runs in integers: rho = R/D over one denominator D, and the
-    elimination of [R | I] ends in [delta*I | M] with M = delta*R^-1,
-    delta > 0.  A row a.x <= b becomes (a rho^-1 + beta) . y <= beta with
-    beta = b - a.v, which for the integer row (a, b) and v = V/t is, scaled
-    by t*delta, (t*D*a.M + delta*beta') . y <= delta*beta' with
-    beta' = t*b - a.V, reduced by `integer_row`.
+    It runs in integers: rho = R/D over one denominator D, and
+    `scaled_inverse` gives M = delta*R^-1 with delta > 0.  A row a.x <= b
+    becomes (a rho^-1 + beta) . y <= beta with beta = b - a.v, which for
+    the integer row (a, b) and v = V/t is, scaled by t*delta,
+    (t*D*a.M + delta*beta') . y <= delta*beta' with beta' = t*b - a.V,
+    reduced by `integer_row`.
     """
     d = h.dim
     v, basis = _start_vertex(h)
     nums, rho_den = common_denominator([-x for a in basis for x in a])  # R = -W * D
     rho = tuple(tuple(nums[i * d:(i + 1) * d]) for i in range(d))
-    aug, _, delta = _echelon([[*row, *(int(i == j) for j in range(d))]
-                              for i, row in enumerate(rho)])
-    if delta < 0:  # [-delta*I | -delta*R^-1] keeps every scale positive
-        aug, delta = [[-x for x in row] for row in aug], -delta
-    inv_cols = list(zip(*(row[d:] for row in aug)))  # columns of M = delta * R^-1
+    inv, delta = scaled_inverse(rho)  # R is invertible: W is a basis
+    inv_cols = list(zip(*inv))
     shift, t = common_denominator(v)
     new_rows = []
     for a, bi in h.rows:
@@ -258,16 +258,19 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     At each vertex the incident edge directions are the one-dimensional
     kernels of (d-1)-subsets of its active rows that point into the
     polyhedron, so degenerate vertices are handled without perturbation.
-    The budget bounds the total number of subsets inspected.  `start` is a
-    vertex of h to walk from; without it one is found by LP.
+    A simple vertex (exactly d active rows) reads all d of them off one
+    inverse of its active rows, `_simple_edges`, as lrs does; a degenerate
+    one takes the `kernel_line` of each subset and keeps those of one
+    sign on every active row.  The budget bounds the total number of
+    subsets, C(active rows, d-1) per vertex, whichever way it is read.
+    `start` is a vertex of h to walk from; without it one is found by LP.
 
     The walk runs in integers, as lrs does (Avis, 2000): rows are scaled
     to integers once, a point is an integer numerator vector over a
-    positive denominator reduced by their gcd, and an edge direction is
-    the primitive integer vector `kernel_line` returns.  Each vertex gets
-    one integer slack vector b*den - a.num, which gives its active rows
-    and the ratio test, `ratio_step`.  Points become Fractions only for
-    the returned VRep.
+    positive denominator reduced by their gcd, and an edge direction is a
+    primitive integer vector.  Each vertex gets one integer slack vector
+    b*den - a.num, which gives its active rows and the ratio test,
+    `ratio_step`.  Points become Fractions only for the returned VRep.
     """
     d = h.dim
     if start is None:
@@ -290,16 +293,18 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
         if work > budget:
             raise BudgetExceededError(
                 f"instance too large for pivot enumeration (budget {budget})")
-        directions: set[tuple[int, ...]] = set()
-        for subset in itertools.combinations(act, d - 1):
-            v = kernel_line([a_rows[i] for i in subset], d)
-            if v is None:
-                continue
-            signs = [sum(map(mul, a_rows[i], v)) for i in act]
-            if all(s <= 0 for s in signs):
-                directions.add(v)
-            elif all(s >= 0 for s in signs):
-                directions.add(tuple(-c for c in v))
+        directions = _simple_edges(a_rows, act) if len(act) == d else None
+        if directions is None:
+            directions = set()
+            for subset in itertools.combinations(act, d - 1):
+                v = kernel_line([a_rows[i] for i in subset], d)
+                if v is None:
+                    continue
+                signs = [sum(map(mul, a_rows[i], v)) for i in act]
+                if all(s <= 0 for s in signs):
+                    directions.add(v)
+                elif all(s >= 0 for s in signs):
+                    directions.add(tuple(-c for c in v))
         for v in directions:
             nxt, _ = ratio_step(a_rows, slack, point, v)
             if nxt is None:
@@ -308,6 +313,26 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
                 visited.add(nxt)
                 stack.append(nxt)
     return VRep.build(d, map(_as_fractions, visited), rays)
+
+
+def _simple_edges(a_rows: Sequence[Sequence[int]],
+                  act: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
+    """The edge directions at a vertex whose d active rows `act` are
+    independent, or None when they are not.
+
+    With B the active rows and M = delta*B^-1 (delta > 0), direction j is
+    -column j of M made primitive: a_{act[i]}.v is -delta/g for i = j and
+    0 otherwise, so it is the edge that relaxes row act[j] and keeps the
+    others tight, and it points into the polyhedron without a sign test.
+    """
+    inv = scaled_inverse([a_rows[i] for i in act])
+    if inv is None:
+        return None
+    edges = []
+    for col in zip(*inv[0]):
+        g = gcd(*col)
+        edges.append(tuple(-x // g for x in col))
+    return edges
 
 
 def _as_fractions(point: tuple[Sequence[int], int]) -> Vector:
@@ -355,9 +380,8 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
     vertices share an objective value.
 
     It runs in integers, as the pivot walk does: a point is (num, den), the
-    edge relaxing active row k is the `kernel_line` of the other d - 1
-    active rows, oriented so that a_k.v < 0, and `ratio_step` finds its
-    other end.
+    edges relaxing its d active rows are read off one inverse of them,
+    `_simple_edges`, and `ratio_step` finds each edge's other end.
     """
     d = h.dim
     c = as_vector(objective)
@@ -379,22 +403,19 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
         """c.x as (numerator, positive denominator)."""
         return sum(map(mul, c_int, point[0])), point[1]
 
-    def active_basis(point) -> tuple[list[int], list[int]]:
-        """The slacks of a point and its active rows: d independent ones."""
+    def active_basis(point) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The slacks of a point and the edges relaxing each of its active
+        rows, in row order: there must be d independent ones."""
         num, den = point
         slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
         act = [i for i, s in enumerate(slack) if not s]
-        if len(act) != d or rank([a_rows[i] for i in act]) != d:
+        edges = _simple_edges(a_rows, act) if len(act) == d else None
+        if edges is None:
             raise InputError("not simple")
-        return slack, act
+        return slack, edges
 
-    def pivot(point, slack, act, k):
-        """Direction relaxing row k; returns ('ray', v) or ('vertex', y, v)."""
-        # the d active rows are independent, so the others leave a line
-        # on which a_k is nonzero
-        v = kernel_line([a_rows[i] for i in act if i != k], d)
-        if sum(map(mul, a_rows[k], v)) > 0:
-            v = tuple(-x for x in v)
+    def pivot(point, slack, v):
+        """Step along edge v; returns ('ray', v) or ('vertex', y, v)."""
         y, blocking = ratio_step(a_rows, slack, point, v)
         if y is None:
             return ("ray", v)
@@ -404,9 +425,9 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
 
     def ascent_neighbor(point):
         """Smallest-index improving pivot (Bland); None at the optimum."""
-        slack, act = active_basis(point)
-        for k in act:
-            res = pivot(point, slack, act, k)
+        slack, directions = active_basis(point)
+        for v in directions:
+            res = pivot(point, slack, v)
             if res[0] == "vertex" and sum(map(mul, c_int, res[2])) > 0:
                 return res[1]
         return None
@@ -422,9 +443,9 @@ def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRe
             continue
         seen.add(x)
         vertices.append(x)
-        slack, act = active_basis(x)
-        for k in act:
-            res = pivot(x, slack, act, k)
+        slack, directions = active_basis(x)
+        for v in directions:
+            res = pivot(x, slack, v)
             if res[0] == "ray":
                 ray_flags.append((x, normalize_ray(res[1])))
                 continue

@@ -6,15 +6,20 @@ in integers: a reduced row echelon form, the projective closure with its
 point and ray maps, the LP's vertex purification with its ratio test, and
 reverse search.  They share with the library only the start vertex, the
 LP that finds a first point and the normalization of their output
-(`integer_row`, `normalize_ray`, `VRep.build`).  The vertex poset is the whole
+(`integer_row`, `normalize_ray`, `VRep.build`).  The tropical vertices are
+found by propagating w through every labeled spanning tree with every
+choice of one row per edge, the enumeration that the library's candidates
+(one choice per distinct difference) replaced.  The vertex poset is the whole
 poset of vertex sets of faces with its Moebius numbers, the plain recursion
 that `moebius_generation` interleaves with its search.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from polybound.errors import BudgetExceededError, InputError, InternalError, ObjectiveError
+from polybound.generators import _prufer_trees
 from polybound.incidence import IncidenceMatrix, indices_from_mask
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
@@ -243,6 +248,63 @@ def reference_reverse_search(h, objective):
     edge_list = sorted(tuple(sorted((index[u], index[v]))) for u, v in edges)
     unbounded = sorted((index[x], ray_index[r]) for x, r in ray_flags)
     return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))
+
+
+# -- tropical vertices ---------------------------------------------------------
+def reference_tropical_candidates(matrix):
+    """Every w pinned by a labeled spanning tree with one row per edge:
+    t^(t-2) * s^(t-1) propagations from the pinned node t-1."""
+    s, t = matrix.s, matrix.t
+    v = matrix.values
+    candidates = set()
+    for tree in _prufer_trees(t):
+        for labels in itertools.product(range(s), repeat=t - 1):
+            w = [None] * t
+            w[t - 1] = ZERO
+            adj = {}
+            for (k, l), i in zip(tree, labels):
+                adj.setdefault(k, []).append((l, i))
+                adj.setdefault(l, []).append((k, i))
+            stack = [t - 1]
+            while stack:
+                k = stack.pop()
+                for l, i in adj.get(k, ()):
+                    if w[l] is None:
+                        # u_i + w_k = v_ik and u_i + w_l = v_il
+                        w[l] = w[k] + v[i][l] - v[i][k]
+                        stack.append(l)
+            candidates.add(tuple(w))
+    return candidates
+
+
+def reference_tropical_vertices(matrix, candidates):
+    """The `reference_tropical_candidates` whose active graph
+    (u_i + w_k = v_ik) spans and connects all s + t nodes, over Fractions,
+    with the closed-form rays."""
+    s, t = matrix.s, matrix.t
+    v = matrix.values
+    vertices = []
+    for w in candidates:
+        u = [min(v[i][k] - w[k] for k in range(t)) for i in range(s)]
+        comp = list(range(s + t))
+
+        def find(x):
+            while comp[x] != x:
+                x = comp[x]
+            return x
+
+        covered = [False] * t
+        for i in range(s):
+            for k in range(t):
+                if u[i] + w[k] == v[i][k]:
+                    covered[k] = True
+                    comp[find(i)] = find(s + k)
+        if all(covered) and len({find(x) for x in range(s + t)}) == 1:
+            vertices.append(tuple(u) + tuple(w[:t - 1]))
+    d = s + t - 1
+    rays = [tuple(-ONE if j == i else ZERO for j in range(d)) for i in range(d)]
+    rays.append(tuple([-ONE] * s + [ONE] * (t - 1)))
+    return VRep.build(d, vertices, rays)
 
 
 # -- the vertex poset ---------------------------------------------------------

@@ -233,6 +233,13 @@ BAD_FLAG_VALUES = {
     "budget not an int": (["--budget", "x", "gen", "dwarfed-cube", "3"],
                           "--budget: invalid int value: 'x'"),
     "max-dim -3": (["bounded", "any.inc", "--max-dim", "-3"], "--max-dim: must be at least 0"),
+    # a bench roster that selects nothing, or max-size 0 read as unset
+    "max-size -5": (["bench", "--suite", "dwarfed", "--max-size", "-5"],
+                    "--max-size: must be at least 1"),
+    "max-size 0": (["bench", "--suite", "thrackle", "--max-size", "0"],
+                   "--max-size: must be at least 1"),
+    "seeds -2": (["bench", "--suite", "random", "--seeds", "-2", "--max-size", "5"],
+                 "--seeds: must be at least 1"),
 }
 
 
@@ -252,3 +259,14 @@ def test_smallest_flag_values_are_accepted(tmp_path, capsys):
                    "farface 2 3\n")
     assert run(["-o", tmp_path, "--budget", "1", "bounded", inc, "--max-dim", "0"]) == 0
     assert "faces=3 f_vector=[2]" in capsys.readouterr().out
+
+
+def test_fvector_refuses_a_dimension_other_than_the_vreps(tmp_path, capsys):
+    pipeline.run_pipeline("dwarfed-cube", (3,), out_dir=str(tmp_path))
+    inc, vrep = tmp_path / "dwarfed-cube-3.inc", tmp_path / "dwarfed-cube-3.closure.vrep"
+    capsys.readouterr()
+    assert run(["-o", tmp_path, "fvector", inc, vrep, "--simple", "--dim", "2"]) == 2
+    assert capsys.readouterr().err == "error: dimension 2 does not match V-rep dimension 3\n"
+    assert not (tmp_path / "dwarfed-cube-3.fvector.json").exists()
+    assert run(["-o", tmp_path, "fvector", inc, vrep, "--simple", "--dim", "3"]) == 0
+    assert "f = (4, 3, 0, 0)" in capsys.readouterr().out

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_tropical_candidates, reference_tropical_vertices
 from polybound.bounded import selective_generation
 from polybound.errors import BudgetExceededError, InputError
-from polybound.generators import (RANDOM_METRIC_DENOMINATOR, cyclic_matrix,
-                                  dwarfed_cube, permutohedron_matrix,
+from polybound.generators import (RANDOM_METRIC_DENOMINATOR, _tropical_candidates,
+                                  cyclic_matrix, dwarfed_cube, permutohedron_matrix,
                                   random_metric, splitmix64, thrackle_metric,
                                   tight_span_hrep, tropical_hrep,
                                   tropical_vertices)
@@ -125,6 +126,15 @@ def test_tropical_vertices_match_bruteforce():
     got = tropical_vertices(matrix)
     want = enumerate_vertices_bruteforce(tropical_hrep(matrix))
     assert got.vertices == want.vertices and got.rays == want.rays
+
+
+def test_tropical_candidates_match_prufer_reference():
+    # (6,3), (4,4) and (24,4): one choice per distinct difference along each
+    # tree edge finds exactly the w that every choice of row finds
+    for matrix in (permutohedron_matrix(3), cyclic_matrix(4, 4), permutohedron_matrix(4)):
+        candidates = reference_tropical_candidates(matrix)
+        assert _tropical_candidates(matrix.values) == candidates
+        assert tropical_vertices(matrix) == reference_tropical_vertices(matrix, candidates)
 
 
 def test_tropical_vertices_budget():

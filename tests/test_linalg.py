@@ -4,10 +4,10 @@ from math import gcd
 
 import pytest
 
-from oracles import reference_nullspace, reference_rref
+from oracles import reference_inverse, reference_nullspace, reference_rref
 from polybound.errors import InputError
 from polybound.linalg import (_echelon, dot, integer_row, kernel_line, kernel_vector, nullspace,
-                              rank, solve_linear_system)
+                              rank, scaled_inverse, solve_linear_system)
 
 
 def test_solve_identity():
@@ -64,7 +64,7 @@ def test_rank_nullity():
 
 
 def echelon_inverse(a):
-    """The inverse as `projective_closure` computes it: the integer
+    """The inverse as `scaled_inverse` reads it, for rational A: the integer
     elimination of [A | I] ends in [det*I | det*A^-1] exactly when A is
     invertible; None otherwise."""
     n = len(a)
@@ -138,6 +138,33 @@ def test_rank_nullspace_inverse_match_fraction_reference():
             seen["singular"] += 1
             assert echelon_inverse(a) is None
     assert min(seen.values()) >= 20, seen
+
+
+def test_scaled_inverse_matches_fraction_reference():
+    assert scaled_inverse([[-3]]) == ([[-1]], 3)
+    # a zero in the leading position forces a row swap
+    assert scaled_inverse([[0, 2], [4, 0]]) == ([[0, 2], [4, 0]], 8)
+    assert scaled_inverse([[1, 2], [2, 4]]) is None
+    rng = random.Random(29)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[rng.choice((0, rng.randint(-7, 7), rng.randint(-7, 7))) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.15:
+            # the last row a combination of two others
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            a[-1] = [s * x + t * y for x, y in zip(a[0], a[(n - 1) // 2])]
+        result = scaled_inverse(a)
+        _, pivots = reference_rref(a)
+        if len(pivots) < n:
+            singular += 1
+            assert result is None
+            continue
+        m, delta = result
+        assert delta > 0
+        assert [tuple(Fraction(x, delta) for x in row) for row in m] == reference_inverse(a)
+    assert 20 <= singular <= 280, singular
 
 
 def test_kernel_line_spans_the_nullspace():

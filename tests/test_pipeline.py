@@ -38,3 +38,11 @@ def test_closure_data_refuses_bounded_input(monkeypatch):
                         lambda family, params, budget: ("square", unit_square(), None))
     with pytest.raises(InputError, match="^close/enumerate: bounded polyhedron: without rays"):
         pipeline.run_pipeline("dwarfed-cube", (2,))
+
+
+def test_suite_instances_read_max_size_0_as_no_instances():
+    assert pipeline.suite_instances("thrackle", None, 1) == [
+        ("thrackle", (d,)) for d in range(3, 9)]
+    assert len(pipeline.suite_instances("tropical-cyclic", None, 1)) == 4
+    for suite in pipeline.SUITES:
+        assert pipeline.suite_instances(suite, 0, 2) == []

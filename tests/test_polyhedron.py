@@ -9,10 +9,10 @@ from conftest import cube3, instance, quadrant, random_pointed_hrep, square_pyra
 from polybound.errors import BudgetExceededError, InputError, ObjectiveError
 from polybound.generators import (cyclic_matrix, dwarfed_cube, thrackle_metric, tight_span_hrep,
                                   tropical_hrep)
-from polybound import pipeline, polyhedron
-from oracles import ray_step, reference_closure, reference_reverse_search
+from polybound import linalg, pipeline, polyhedron
+from oracles import ray_step, reference_closure, reference_nullspace, reference_reverse_search
 from polybound.errors import PolyboundError
-from polybound.linalg import ZERO, dot, nullspace, rank
+from polybound.linalg import ZERO, dot, rank
 from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, bounded_generic_objective,
                                   enumerate_vertices_bruteforce, enumerate_vertices_pivoting,
                                   normalize_ray, projective_closure, reverse_search_vertices,
@@ -184,7 +184,8 @@ def test_pivoting_agrees_with_bruteforce():
 
 def reference_pivoting(h, budget=DEFAULT_BUDGET):
     """The Fraction pivot walk that the integer walk replaced: Fraction
-    points, `nullspace` edge directions and the `ray_step` ratio test."""
+    points, `reference_nullspace` edge directions (in one dimension the
+    kernel of no rows is the whole line) and the `ray_step` ratio test."""
     d = h.dim
     a_rows = h.coefficient_rows()
     b = h.rhs()
@@ -202,7 +203,7 @@ def reference_pivoting(h, budget=DEFAULT_BUDGET):
                 f"instance too large for pivot enumeration (budget {budget})")
         directions = set()
         for subset in itertools.combinations(act, d - 1):
-            kernel = nullspace([a_rows[i] for i in subset])
+            kernel = reference_nullspace([a_rows[i] for i in subset], d)
             if len(kernel) != 1:
                 continue
             v = kernel[0]
@@ -268,12 +269,54 @@ def test_integer_walk_budget_matches_reference():
 
 def test_pivoting_in_one_dimension():
     # the edge directions of a 1-dimensional polyhedron are the kernel of
-    # no rows at all: the whole line
+    # no rows at all: the whole line; a vertex lies on one row a.x <= b, and
+    # its one edge is read off the inverse 1/a
     half_line = HRep.from_rows(1, [((-1,), 0)])
     interval = HRep.from_rows(1, [((-1,), 0), ((1,), 1)])
-    for h in (half_line, interval):
+    scaled = HRep.from_rows(1, [((-2,), 0), ((3,), 1)])
+    for h in (half_line, interval, scaled):
         assert enumerate_vertices_pivoting(h) == enumerate_vertices_bruteforce(h)
+        assert enumerate_vertices_pivoting(h) == reference_pivoting(h)
     assert enumerate_vertices_pivoting(half_line).rays == ((1,),)
+    assert enumerate_vertices_pivoting(scaled).vertices == ((0,), (Fraction(1, 3),))
+
+
+def active_counts(h, vertices):
+    return [sum(dot(a, x) == b for a, b in h.rows) for x in vertices]
+
+
+def test_walk_reads_simple_vertices_off_one_inverse():
+    # the square pyramid's apex lies on 4 rows in d = 3, its base vertices
+    # on 3; tropical-cyclic (4,4) and (5,5) are simple
+    pyramid = square_pyramid()
+    expected = reference_pivoting(pyramid)
+    assert sorted(set(active_counts(pyramid, expected.vertices))) == [3, 4]
+    assert enumerate_vertices_pivoting(pyramid) == expected
+    for s, t in ((4, 4), (5, 5)):
+        h = tropical_hrep(cyclic_matrix(s, t))
+        expected = reference_pivoting(h)
+        assert set(active_counts(h, expected.vertices)) == {h.dim}
+        assert enumerate_vertices_pivoting(h) == expected
+
+
+def test_simple_vertex_takes_one_elimination_and_no_kernel_line(monkeypatch):
+    h = tight_span_hrep(thrackle_metric(5))
+    start, _ = polyhedron._start_vertex(h)
+    eliminations = []
+    real_echelon = linalg._echelon
+
+    def echelon(rows):
+        eliminations.append(len(rows))
+        return real_echelon(rows)
+
+    def kernel_line(rows, ncols):
+        raise AssertionError("kernel_line called at a simple vertex")
+
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    monkeypatch.setattr(polyhedron, "kernel_line", kernel_line)
+    v = enumerate_vertices_pivoting(h, start=start)
+    assert set(active_counts(h, v.vertices)) == {h.dim}
+    assert eliminations == [h.dim] * len(v.vertices)
 
 
 def counting_lp(monkeypatch):

@@ -12,7 +12,9 @@ precomputed row ANDs (`IncidenceMatrix.row_ands`): one lookup per 8 rows.
 A face of the closure polytope is bounded exactly when its vertex set
 avoids the far face, so the main algorithm simply refuses to step onto
 far-meeting faces and thereby runs in time proportional to the bounded
-part alone.  Faces are looked up by their vertex bitmask in a dict, whose
+part alone.  One breadth-first search, `_cover_search`, serves both the
+main algorithm (given the far face) and the full face lattice (given
+far = 0).  Faces are looked up by their vertex bitmask in a dict, whose
 ids follow discovery order.
 """
 
@@ -82,14 +84,13 @@ class HasseNode:
 
 @dataclass
 class HasseDiagram:
-    """Ranked DAG of faces; the root is the empty face at rank -1."""
+    """Ranked DAG of faces.  A node's id is its position in `nodes`, and
+    node 0 is the empty face at rank -1."""
 
     n: int
     nodes: list[HasseNode]
     arcs: list[tuple[int, int]]
-    root_id: int = 0
     far_face: Optional[int] = None
-    top_id: Optional[int] = None
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -107,35 +108,28 @@ class HasseDiagram:
         """Id-renaming-invariant form: sorted (rank, vertices) plus arcs as
         vertex-tuple pairs.  Two diagrams are isomorphic as ranked DAGs iff
         their canonical forms are equal (vertex sets are unique per face)."""
-        by_id = {nd.id: nd for nd in self.nodes}
-        faces = sorted((nd.rank, indices_from_mask(nd.vertex_set)) for nd in self.nodes)
-        arcs = sorted((indices_from_mask(by_id[lo].vertex_set),
-                       indices_from_mask(by_id[hi].vertex_set)) for lo, hi in self.arcs)
+        nodes = self.nodes
+        faces = sorted((nd.rank, indices_from_mask(nd.vertex_set)) for nd in nodes)
+        arcs = sorted((indices_from_mask(nodes[lo].vertex_set),
+                       indices_from_mask(nodes[hi].vertex_set)) for lo, hi in self.arcs)
         return tuple(faces), tuple(arcs)
 
 
-def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) -> HasseDiagram:
-    """Hasse diagram of the bounded faces, generated without ever visiting
-    an unbounded one.
-
-    Needs far-face data on `inc`; a cover is expanded only when its vertex
-    set misses the far face.  With `max_dim` set, only faces of rank up to
-    max_dim are emitted (the skeleton cutoff).
-    """
-    far = inc.far_face
-    if far is None:
-        raise InputError("far face required; use moebius_generation")
+def _cover_search(inc: IncidenceMatrix, far: int,
+                  max_dim: Optional[int] = None) -> HasseDiagram:
+    """Breadth-first search of the faces from the empty one along covers,
+    never stepping onto a face that meets `far` and expanding no face of
+    rank max_dim or more.  Arcs are listed in discovery order."""
     ids = {0: 0}
     nodes = [HasseNode(0, 0, -1)]
     arcs: list[tuple[int, int]] = []
-    if far == inc.all_mask:
-        return HasseDiagram(inc.n, nodes, arcs, 0, far)
     queue = deque([(0, 0)])
     while queue:
         nid, face = queue.popleft()
         rank = nodes[nid].rank
         if max_dim is not None and rank >= max_dim:
             continue
+        # `covers` is read through the module, so perfbench's tracer counts each call
         for cover in covers(face, inc):
             if cover & far:
                 continue
@@ -147,58 +141,53 @@ def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) ->
             elif nodes[gid].rank != rank + 1:
                 raise InternalError("cover arcs must raise rank by one")
             arcs.append((nid, gid))
-    return HasseDiagram(inc.n, nodes, arcs, 0, far)
+    return HasseDiagram(inc.n, nodes, arcs, inc.far_face)
+
+
+def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) -> HasseDiagram:
+    """Hasse diagram of the bounded faces, generated without ever visiting
+    an unbounded one.
+
+    Needs far-face data on `inc`; a cover is expanded only when its vertex
+    set misses the far face.  With `max_dim` set, only faces of rank up to
+    max_dim are emitted (the skeleton cutoff).
+    """
+    if inc.far_face is None:
+        raise InputError("far face required; use moebius_generation")
+    return _cover_search(inc, inc.far_face, max_dim)
 
 
 def full_face_lattice(inc: IncidenceMatrix) -> HasseDiagram:
     """Complete face lattice of a polytope, including the improper top face
-    (whose node carries the full vertex set).  Ignores far-face data."""
-    ids = {0: 0}
-    nodes = [HasseNode(0, 0, -1)]
-    arcs: list[tuple[int, int]] = []
-    coatoms: list[int] = []
-    queue = deque([(0, 0)])
-    while queue:
-        nid, face = queue.popleft()
-        rank = nodes[nid].rank
-        ups = covers(face, inc)
-        if not ups:
-            coatoms.append(nid)
-            continue
-        for cover in ups:
-            gid = ids.get(cover)
-            if gid is None:
-                gid = ids[cover] = len(nodes)
-                nodes.append(HasseNode(gid, cover, rank + 1))
-                queue.append((gid, cover))
-            elif nodes[gid].rank != rank + 1:
-                raise InternalError("cover arcs must raise rank by one")
-            arcs.append((nid, gid))
-    ranks = {nodes[c].rank for c in coatoms}
+    (whose node carries the full vertex set) above the faces with no
+    cover, the facets.  Ignores far-face data."""
+    hd = _cover_search(inc, 0)
+    expanded = {lo for lo, _ in hd.arcs}
+    coatoms = [nd for nd in hd.nodes if nd.id not in expanded]
+    ranks = {nd.rank for nd in coatoms}
     if len(ranks) != 1:
         raise InternalError("facets of a polytope must share one rank")
-    top_id = len(nodes)
-    nodes.append(HasseNode(top_id, inc.all_mask, ranks.pop() + 1))
-    for c in coatoms:
-        arcs.append((c, top_id))
-    return HasseDiagram(inc.n, nodes, arcs, 0, inc.far_face, top_id)
+    top = len(hd.nodes)
+    hd.nodes.append(HasseNode(top, inc.all_mask, ranks.pop() + 1))
+    hd.arcs += [(nd.id, top) for nd in coatoms]
+    return hd
 
 
-def filter_bounded(hd: HasseDiagram, far: int) -> HasseDiagram:
+def filter_bounded(hd: HasseDiagram, far: int, max_dim: Optional[int] = None) -> HasseDiagram:
     """Bounded subdiagram of a full face lattice: drops the improper top
-    node and every face meeting `far`, with incident arcs."""
+    node (the one holding all n vertices), every face meeting `far` and,
+    with `max_dim` set, every face of rank above it, with incident arcs."""
+    top = (1 << hd.n) - 1
     keep = {}
     nodes = []
     for nd in hd.nodes:
-        if nd.id == hd.top_id:
-            continue
-        if nd.vertex_set & far:
-            continue
-        keep[nd.id] = len(nodes)
-        nodes.append(HasseNode(len(nodes), nd.vertex_set, nd.rank))
+        if (nd.vertex_set != top and not nd.vertex_set & far
+                and (max_dim is None or nd.rank <= max_dim)):
+            keep[nd.id] = len(nodes)
+            nodes.append(HasseNode(len(nodes), nd.vertex_set, nd.rank))
     arcs = sorted((keep[lo], keep[hi]) for lo, hi in hd.arcs
                   if lo in keep and hi in keep)
-    return HasseDiagram(hd.n, nodes, arcs, keep[hd.root_id], far)
+    return HasseDiagram(hd.n, nodes, arcs, far)
 
 
 def relabel_vertices(hd: HasseDiagram, index_map: dict[int, int], n: int,
@@ -210,4 +199,4 @@ def relabel_vertices(hd: HasseDiagram, index_map: dict[int, int], n: int,
         for i in indices_from_mask(nd.vertex_set):
             mask |= 1 << index_map[i]
         nodes.append(HasseNode(nd.id, mask, nd.rank))
-    return HasseDiagram(n, nodes, list(hd.arcs), hd.root_id, far_face, hd.top_id)
+    return HasseDiagram(n, nodes, list(hd.arcs), far_face)

@@ -86,11 +86,7 @@ def f_vector_simple(inc: IncidenceMatrix, coords: VRep, d: int,
         raise InputError("incidences and coordinates disagree on vertex count")
     far = set(indices_from_mask(inc.far_face))
     near = [i for i in range(inc.n) if i not in far]
-    counts = [0] * inc.n
-    for row in inc.row_masks:
-        for i in indices_from_mask(row):
-            counts[i] += 1
-    if any(counts[i] != d for i in near):
+    if any(inc.column_masks[i].bit_count() != d for i in near):
         raise InputError("not simple")
 
     c = generic_ray_objective(coords, far, seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError
@@ -213,17 +213,20 @@ def _prufer_trees(t: int) -> Iterator[list[tuple[int, int]]]:
         yield edges
 
 
-def _tropical_candidates(v: Sequence[Sequence]) -> set[tuple]:
+def _tropical_candidates(v: Sequence[Sequence], budget: int = DEFAULT_BUDGET) -> set[tuple]:
     """Every w (with w_{t-1} = 0) pinned by a labeled spanning tree on the t
     column nodes of the s x t matrix v, one row i per tree edge {k, l}:
     u_i + w_k = v_ik and u_i + w_l = v_il, so w_l = w_k + v_il - v_ik.
 
     The row enters only through that difference, so each tree edge takes
     the product over its distinct differences rather than over all s rows.
+    Each tree charges the size of that product to `budget` before it
+    propagates those candidates, and the running sum may not pass it.
     Entries may be ints or Fractions; w has the same type.
     """
     s, t = len(v), len(v[0])
     candidates: set[tuple] = set()
+    charged = 0
     for tree in _prufer_trees(t):
         # orient the tree away from the pinned node t-1
         adj: dict[int, list[int]] = {}
@@ -241,6 +244,10 @@ def _tropical_candidates(v: Sequence[Sequence]) -> set[tuple]:
                     steps.append((k, l))
                     stack.append(l)
         differences = [{v[i][l] - v[i][k] for i in range(s)} for k, l in steps]
+        charged += prod(map(len, differences))
+        if charged > budget:
+            raise BudgetExceededError(
+                f"tropical candidate count {charged} exceeds budget {budget}")
         for choice in itertools.product(*differences):
             w: list = [None] * t
             w[t - 1] = 0
@@ -257,7 +264,7 @@ def tropical_vertices(matrix: TropicalMatrix, budget: int = DEFAULT_BUDGET) -> V
     all s+t row/column nodes, so the w-part is pinned by a spanning tree of
     column differences; `_tropical_candidates` produces every candidate w,
     which is then kept when its active graph is spanning and connected.
-    The budget bounds the labeled trees with one defining row per edge,
+    The budget bounds the candidates that search propagates, at most
     t^(t-2) * s^(t-1).  The recession cone does not depend on the matrix
     and its extreme rays are written down in closed form.
     """
@@ -266,13 +273,8 @@ def tropical_vertices(matrix: TropicalMatrix, budget: int = DEFAULT_BUDGET) -> V
     # the matrix over one denominator: the search runs in integers
     nums, den = common_denominator([x for row in matrix.values for x in row])
     v = [nums[i * t:(i + 1) * t] for i in range(s)]
-    n_candidates = t ** max(t - 2, 0) * s ** (t - 1)
-    if n_candidates > budget:
-        raise BudgetExceededError(
-            f"tropical candidate count {n_candidates} exceeds budget {budget}")
-
     vertices = []
-    for w in _tropical_candidates(v):
+    for w in _tropical_candidates(v, budget):
         u = [min(v[i][k] - w[k] for k in range(t)) for i in range(s)]
         comp = list(range(s + t))
 

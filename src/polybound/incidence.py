@@ -172,11 +172,7 @@ def far_face_vertices(closure: ClosureResult, v: VRep) -> set[int]:
 
 def is_simple(inc: IncidenceMatrix, d: int) -> bool:
     """True iff every vertex lies on exactly d facets."""
-    counts = [0] * inc.n
-    for row in inc.row_masks:
-        for i in indices_from_mask(row):
-            counts[i] += 1
-    return all(c == d for c in counts)
+    return all(col.bit_count() == d for col in inc.column_masks)
 
 
 def polytope_edges(inc: IncidenceMatrix) -> list[tuple[int, int]]:

@@ -106,11 +106,10 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
             pending_arcs.append((face, cover))
 
     arcs = []
-    by_mask = {nd.vertex_set: nd for nd in nodes}
     for parent, child in pending_arcs:
         if child in emitted:
-            if by_mask[child].rank != by_mask[parent].rank + 1:
+            if node_rank[child] != node_rank[parent] + 1:
                 raise InternalError("cover arcs must raise rank by one")
             arcs.append((emitted[parent], emitted[child]))
     arcs.sort()
-    return HasseDiagram(inc.n, nodes, arcs, 0, None)
+    return HasseDiagram(inc.n, nodes, arcs)

@@ -11,8 +11,8 @@ from statistics import mean, pstdev
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, PolyboundError
-from .bounded import (HasseDiagram, HasseNode, filter_bounded,
-                      full_face_lattice, relabel_vertices, selective_generation)
+from .bounded import (HasseDiagram, filter_bounded, full_face_lattice,
+                      relabel_vertices, selective_generation)
 from .moebius import moebius_generation
 from .generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
                          random_metric, thrackle_metric, tight_span_hrep,
@@ -27,6 +27,9 @@ FAMILIES = ("dwarfed-cube", "thrackle", "random-metric",
             "tropical-cyclic", "tropical-permutohedron")
 ALGORITHMS = ("selective", "moebius", "filter")
 SUITES = ("dwarfed", "thrackle", "random", "tropical-cyclic", "tropical-perm")
+#: per suite, the smallest max_size that selects an instance
+SMALLEST_SIZE = {"dwarfed": 5, "thrackle": 3, "random": 5, "tropical-cyclic": 3,
+                 "tropical-perm": 3}
 
 
 @dataclass(frozen=True)
@@ -107,16 +110,7 @@ def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
     if alg == "filter":
         if inc.far_face is None:
             raise InputError("far-face data required for the filter algorithm")
-        hd = filter_bounded(full_face_lattice(inc), inc.far_face)
-        if max_dim is not None:
-            keep = {nd.id for nd in hd.nodes if nd.rank <= max_dim}
-            nodes = [nd for nd in hd.nodes if nd.id in keep]
-            remap = {nd.id: i for i, nd in enumerate(nodes)}
-            arcs = sorted((remap[lo], remap[hi]) for lo, hi in hd.arcs
-                          if lo in keep and hi in keep)
-            nodes = [HasseNode(remap[nd.id], nd.vertex_set, nd.rank) for nd in nodes]
-            return HasseDiagram(hd.n, nodes, arcs, remap[hd.root_id], hd.far_face)
-        return hd
+        return filter_bounded(full_face_lattice(inc), inc.far_face, max_dim)
     if alg == "moebius":
         if inc.far_face is None:
             return moebius_generation(inc, max_dim)
@@ -171,28 +165,33 @@ def suite_instances(suite: str, max_size: Optional[int], seeds: int):
     def top(default: int) -> int:
         return default if max_size is None else max_size
 
+    if suite not in SMALLEST_SIZE:
+        raise InputError(f"unknown suite {suite!r}; choose from {SUITES}")
+    low = SMALLEST_SIZE[suite]
     if suite == "dwarfed":
-        return [("dwarfed-cube", (d,)) for d in range(5, top(15) + 1, 5)]
+        return [("dwarfed-cube", (d,)) for d in range(low, top(15) + 1, 5)]
     if suite == "thrackle":
-        return [("thrackle", (d,)) for d in range(3, top(8) + 1)]
+        return [("thrackle", (d,)) for d in range(low, top(8) + 1)]
     if suite == "random":
-        return [("random-metric", (d, s)) for d in range(5, top(6) + 1)
+        return [("random-metric", (d, s)) for d in range(low, top(6) + 1)
                 for s in range(seeds)]
     if suite == "tropical-cyclic":
         pairs = [(3, 3), (4, 4), (5, 5), (3, 10)]
         return [("tropical-cyclic", (s, t)) for s, t in pairs if max(s, t) <= top(10)]
-    if suite == "tropical-perm":
-        return [("tropical-permutohedron", (t,)) for t in range(3, top(3) + 1)]
-    raise InputError(f"unknown suite {suite!r}; choose from {SUITES}")
+    return [("tropical-permutohedron", (t,)) for t in range(low, top(3) + 1)]
 
 
 def run_suite(suite: str, max_size: Optional[int] = None, seeds: int = 20,
               out_dir: Optional[str] = None, alg: str = "selective",
               budget: int = DEFAULT_BUDGET, verify: bool = False) -> list[BenchRow]:
     """One BenchRow per instance; per-row failures are recorded and the
-    suite continues."""
+    suite continues.  A max_size that selects no instance is refused."""
+    instances = suite_instances(suite, max_size, seeds)
+    if not instances:
+        raise InputError(f"max size {max_size} selects no {suite} instance; "
+                         f"the smallest size is {SMALLEST_SIZE[suite]}")
     rows = []
-    for family, params in suite_instances(suite, max_size, seeds):
+    for family, params in instances:
         try:
             rows.append(run_pipeline(family, params, alg, None, out_dir, budget, verify))
         except Exception as exc:

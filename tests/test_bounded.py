@@ -12,7 +12,7 @@ from polybound.formats import read_incidence
 from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
                                  indices_from_mask, mask_from_indices)
 from polybound.linalg import rank
-from polybound.pipeline import closure_data
+from polybound.pipeline import ALGORITHMS, bounded_diagram, closure_data
 from polybound.polyhedron import enumerate_vertices_bruteforce
 
 
@@ -253,6 +253,17 @@ def test_filter_matches_selective_random():
         assert direct.canonical() == filtered.canonical()
 
 
+@pytest.mark.parametrize("family, params", [("thrackle", (5,)), ("dwarfed-cube", (4,)),
+                                            ("tropical-cyclic", (3, 3))])
+def test_skeleton_cutoff_agrees_across_algorithms(family, params):
+    _, _, _, _, inc = instance(family, *params)
+    top = max(nd.rank for nd in selective_generation(inc).nodes)
+    for max_dim in range(top + 2):
+        want = bounded_diagram(inc, "selective", max_dim).canonical()
+        for alg in ALGORITHMS:
+            assert bounded_diagram(inc, alg, max_dim).canonical() == want, (alg, max_dim)
+
+
 def test_downward_closure_and_rank_gradedness():
     _, _, _, vbar, inc = instance("dwarfed-cube", 3)
     hd = selective_generation(inc)
@@ -262,7 +273,7 @@ def test_downward_closure_and_rank_gradedness():
         assert by_id[hi].rank == by_id[lo].rank + 1
         in_deg[hi] += 1
     for nd in hd.nodes:
-        if nd.id != hd.root_id:
+        if nd.rank >= 0:
             assert in_deg[nd.id] >= 1
         # rank equals the affine dimension of the face's vertex coordinates
         pts = [vbar.vertices[i] for i in indices_from_mask(nd.vertex_set)]

@@ -65,6 +65,19 @@ def test_max_dim_flag(tmp_path):
     assert all(f["rank"] <= 0 for f in hasse["faces"])
 
 
+def test_filter_max_dim_flag_with_verify(tmp_path, capsys):
+    pipeline.run_pipeline("thrackle", (5,), out_dir=str(tmp_path))
+    inc = tmp_path / "thrackle-5.inc"
+    full = json.loads((tmp_path / "thrackle-5.hasse.json").read_text())
+    assert max(f["rank"] for f in full["faces"]) > 1
+    assert run(["-o", tmp_path, "bounded", inc, "--alg", "filter", "--max-dim", "1",
+                "--verify"]) == 0
+    hasse = json.loads((tmp_path / "thrackle-5.hasse.json").read_text())
+    assert all(f["rank"] <= 1 for f in hasse["faces"])
+    assert any(f["rank"] == 1 for f in hasse["faces"])
+    capsys.readouterr()
+
+
 def test_bench_table_and_csv(tmp_path, capsys):
     assert run(["-o", tmp_path, "bench", "--suite", "dwarfed", "--max-size", "5"]) == 0
     table = capsys.readouterr().out
@@ -204,6 +217,24 @@ def test_bench_refuses_bounded_input(tmp_path, capsys, monkeypatch):
     assert row.startswith("dwarfed-cube-5,") and row.endswith(
         ",close/enumerate: bounded polyhedron: without rays the whole face lattice "
         "is bounded")
+
+
+@pytest.mark.parametrize("suite, max_size, smallest", [("dwarfed", 3, 5),
+                                                       ("tropical-perm", 2, 3)])
+def test_bench_refuses_a_roster_that_selects_nothing(tmp_path, capsys, suite, max_size,
+                                                     smallest):
+    assert run(["-o", tmp_path, "bench", "--suite", suite, "--max-size", max_size]) == 2
+    assert capsys.readouterr().err == (f"error: max size {max_size} selects no {suite} "
+                                       f"instance; the smallest size is {smallest}\n")
+
+
+def test_tropical_budget_counts_the_candidates_propagated(tmp_path, capsys):
+    # 16 trees of 6 * 6 * 6 propagations: 3,456, far below 4^2 * 24^3 = 221,184
+    assert run(["-o", tmp_path, "--budget", "200000", "gen", "tropical-permutohedron",
+                "4"]) == 0
+    assert run(["-o", tmp_path, "--budget", "3455", "gen", "tropical-permutohedron",
+                "4"]) == 3
+    assert "exceeds budget 3455" in capsys.readouterr().err
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -15,19 +15,19 @@ far-meeting faces and thereby runs in time proportional to the bounded
 part alone.  One breadth-first search, `_cover_search`, serves both the
 main algorithm (given the far face) and the full face lattice (given
 far = 0).  Faces are looked up by their vertex bitmask in a dict, whose
-ids follow discovery order.
+values are list positions in discovery order.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem
 from typing import Optional
 
 from .errors import InputError, InternalError
-from .incidence import IncidenceMatrix, indices_from_mask
+from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
 from .incidence import closure_mask  # noqa: F401  (perfbench's tracer wraps bounded.closure_mask)
 
 #: Distinguished "improper face" result of the closure operator.
@@ -75,73 +75,69 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     return minimal
 
 
-@dataclass(frozen=True)
-class HasseNode:
-    id: int
-    vertex_set: int
-    rank: int
-
-
 @dataclass
 class HasseDiagram:
-    """Ranked DAG of faces.  A node's id is its position in `nodes`, and
-    node 0 is the empty face at rank -1."""
+    """Ranked DAG of faces, held as parallel lists: node i is the face with
+    vertex set masks[i] at rank ranks[i], and node 0 is the empty face at
+    rank -1.  Arcs are (lower, upper) node index pairs."""
 
     n: int
-    nodes: list[HasseNode]
+    masks: list[int]
+    ranks: list[int]
     arcs: list[tuple[int, int]]
     far_face: Optional[int] = None
 
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.masks)
 
     def f_vector(self) -> list[int]:
         """Face counts by rank, rank 0 upward (the empty face is excluded)."""
-        top = max((nd.rank for nd in self.nodes), default=-1)
-        hist = [0] * (top + 1)
-        for nd in self.nodes:
-            if nd.rank >= 0:
-                hist[nd.rank] += 1
+        hist = [0] * (max(self.ranks, default=-1) + 1)
+        for rank in self.ranks:
+            if rank >= 0:
+                hist[rank] += 1
         return hist
 
     def canonical(self):
-        """Id-renaming-invariant form: sorted (rank, vertices) plus arcs as
-        vertex-tuple pairs.  Two diagrams are isomorphic as ranked DAGs iff
-        their canonical forms are equal (vertex sets are unique per face)."""
-        nodes = self.nodes
-        faces = sorted((nd.rank, indices_from_mask(nd.vertex_set)) for nd in nodes)
-        arcs = sorted((indices_from_mask(nodes[lo].vertex_set),
-                       indices_from_mask(nodes[hi].vertex_set)) for lo, hi in self.arcs)
-        return tuple(faces), tuple(arcs)
+        """The one canonical order of the diagram: faces as sorted (rank,
+        vertex tuple) pairs, arcs as sorted index pairs into that order.
+        Two diagrams are isomorphic as ranked DAGs iff their canonical forms
+        are equal (vertex sets are unique per face)."""
+        keys = [(rank, indices_from_mask(mask)) for rank, mask in zip(self.ranks, self.masks)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        position = [0] * len(order)
+        for new, old in enumerate(order):
+            position[old] = new
+        arcs = sorted((position[lo], position[hi]) for lo, hi in self.arcs)
+        return tuple(keys[i] for i in order), tuple(arcs)
 
 
 def _cover_search(inc: IncidenceMatrix, far: int,
                   max_dim: Optional[int] = None) -> HasseDiagram:
     """Breadth-first search of the faces from the empty one along covers,
     never stepping onto a face that meets `far` and expanding no face of
-    rank max_dim or more.  Arcs are listed in discovery order."""
-    ids = {0: 0}
-    nodes = [HasseNode(0, 0, -1)]
+    rank max_dim or more.  Nodes and arcs are listed in discovery order."""
+    index = {0: 0}
+    masks, ranks = [0], [-1]
     arcs: list[tuple[int, int]] = []
-    queue = deque([(0, 0)])
-    while queue:
-        nid, face = queue.popleft()
-        rank = nodes[nid].rank
+    # masks grows as faces are found, so this loop is the breadth-first queue
+    for nid, face in enumerate(masks):
+        rank = ranks[nid]
         if max_dim is not None and rank >= max_dim:
             continue
         # `covers` is read through the module, so perfbench's tracer counts each call
         for cover in covers(face, inc):
             if cover & far:
                 continue
-            gid = ids.get(cover)
+            gid = index.get(cover)
             if gid is None:
-                gid = ids[cover] = len(nodes)
-                nodes.append(HasseNode(gid, cover, rank + 1))
-                queue.append((gid, cover))
-            elif nodes[gid].rank != rank + 1:
+                gid = index[cover] = len(masks)
+                masks.append(cover)
+                ranks.append(rank + 1)
+            elif ranks[gid] != rank + 1:
                 raise InternalError("cover arcs must raise rank by one")
             arcs.append((nid, gid))
-    return HasseDiagram(inc.n, nodes, arcs, inc.far_face)
+    return HasseDiagram(inc.n, masks, ranks, arcs, inc.far_face)
 
 
 def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) -> HasseDiagram:
@@ -163,13 +159,14 @@ def full_face_lattice(inc: IncidenceMatrix) -> HasseDiagram:
     cover, the facets.  Ignores far-face data."""
     hd = _cover_search(inc, 0)
     expanded = {lo for lo, _ in hd.arcs}
-    coatoms = [nd for nd in hd.nodes if nd.id not in expanded]
-    ranks = {nd.rank for nd in coatoms}
+    coatoms = [i for i in range(hd.node_count()) if i not in expanded]
+    ranks = {hd.ranks[i] for i in coatoms}
     if len(ranks) != 1:
         raise InternalError("facets of a polytope must share one rank")
-    top = len(hd.nodes)
-    hd.nodes.append(HasseNode(top, inc.all_mask, ranks.pop() + 1))
-    hd.arcs += [(nd.id, top) for nd in coatoms]
+    top = hd.node_count()
+    hd.masks.append(inc.all_mask)
+    hd.ranks.append(ranks.pop() + 1)
+    hd.arcs += [(i, top) for i in coatoms]
     return hd
 
 
@@ -178,25 +175,20 @@ def filter_bounded(hd: HasseDiagram, far: int, max_dim: Optional[int] = None) ->
     node (the one holding all n vertices), every face meeting `far` and,
     with `max_dim` set, every face of rank above it, with incident arcs."""
     top = (1 << hd.n) - 1
-    keep = {}
-    nodes = []
-    for nd in hd.nodes:
-        if (nd.vertex_set != top and not nd.vertex_set & far
-                and (max_dim is None or nd.rank <= max_dim)):
-            keep[nd.id] = len(nodes)
-            nodes.append(HasseNode(len(nodes), nd.vertex_set, nd.rank))
-    arcs = sorted((keep[lo], keep[hi]) for lo, hi in hd.arcs
-                  if lo in keep and hi in keep)
-    return HasseDiagram(hd.n, nodes, arcs, far)
+    kept = [i for i, (mask, rank) in enumerate(zip(hd.masks, hd.ranks))
+            if mask != top and not mask & far and (max_dim is None or rank <= max_dim)]
+    position = [None] * hd.node_count()
+    for new, old in enumerate(kept):
+        position[old] = new
+    arcs = sorted((position[lo], position[hi]) for lo, hi in hd.arcs
+                  if position[lo] is not None and position[hi] is not None)
+    return HasseDiagram(hd.n, [hd.masks[i] for i in kept], [hd.ranks[i] for i in kept],
+                        arcs, far)
 
 
 def relabel_vertices(hd: HasseDiagram, index_map: dict[int, int], n: int,
                      far_face: Optional[int] = None) -> HasseDiagram:
     """Re-express all vertex sets through index_map (old index -> new index)."""
-    nodes = []
-    for nd in hd.nodes:
-        mask = 0
-        for i in indices_from_mask(nd.vertex_set):
-            mask |= 1 << index_map[i]
-        nodes.append(HasseNode(nd.id, mask, nd.rank))
-    return HasseDiagram(n, nodes, list(hd.arcs), far_face)
+    masks = [mask_from_indices(index_map[i] for i in indices_from_mask(mask))
+             for mask in hd.masks]
+    return HasseDiagram(n, masks, list(hd.ranks), list(hd.arcs), far_face)

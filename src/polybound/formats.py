@@ -1,8 +1,8 @@
 """File formats: H-rep, V-rep, incidence matrices, Hasse diagram JSON.
 
-All writers are byte-stable: rationals in lowest terms, faces sorted by
-(rank, vertex tuple), arcs sorted, and a trailing newline everywhere, so
-re-running a command reproduces files bit for bit.
+All writers are byte-stable: rationals in lowest terms, Hasse diagrams in
+their canonical order (`HasseDiagram.canonical`), and a trailing newline
+everywhere, so re-running a command reproduces files bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ def _lines(path: str) -> list[str]:
             return [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not ASCII text: {exc}") from None
 
 
 def _expect(condition: bool, message: str):
@@ -35,10 +37,11 @@ def _expect(condition: bool, message: str):
 
 
 def _count(token: str, what: str) -> int:
-    """A non-negative integer token, or InputError naming `what`."""
+    """A non-negative integer token of digits only, or InputError naming
+    `what`."""
     try:
-        value = int(token)
-    except ValueError:
+        value = int(token) if token.isdigit() else -1
+    except ValueError:  # more digits than int() converts
         value = -1
     _expect(value >= 0, f"{what} must be a non-negative integer, got {token!r}")
     return value
@@ -139,6 +142,8 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
     _expect(len(head) == 4 and head[0] == "facets" and head[2] == "vertices",
             "malformed incidence header")
     m, n = _count(head[1], "facet count"), _count(head[3], "vertex count")
+    # every closure and near-vertex restriction has a facet row
+    _expect(m > 0, "incidence file has no facet rows")
     masks = []
     for ln in text_lines[2:2 + m]:
         _expect(len(ln) == n and set(ln) <= {"0", "1"}, "bad incidence row")
@@ -150,7 +155,10 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
         tokens = rest[0].split()
         _expect(len(rest) == 1 and tokens[0] == "farface",
                 "unexpected trailing content in incidence file")
-        far = mask_from_indices(_count(tok, "far-face vertex") for tok in tokens[1:])
+        indices = [_count(tok, "far-face vertex") for tok in tokens[1:]]
+        # checked before the mask is built: 1 << i for a huge i exhausts memory
+        _expect(all(i < n for i in indices), "far face references a vertex out of range")
+        far = mask_from_indices(indices)
     return IncidenceMatrix(n, tuple(masks), far)
 
 
@@ -164,19 +172,16 @@ def read_incidence(path: str) -> IncidenceMatrix:
 
 
 def hasse_to_json_dict(hd: HasseDiagram) -> dict:
-    """Canonical JSON form: faces sorted by (rank, vertices) and renumbered,
-    arcs sorted; the empty face has rank -1 and vertices []."""
-    order = sorted(hd.nodes, key=lambda nd: (nd.rank, indices_from_mask(nd.vertex_set)))
-    new_id = {nd.id: i for i, nd in enumerate(order)}
-    faces = [{"id": i, "rank": nd.rank, "vertices": list(indices_from_mask(nd.vertex_set))}
-             for i, nd in enumerate(order)]
-    arcs = sorted([new_id[lo], new_id[hi]] for lo, hi in hd.arcs)
+    """JSON form of the canonical diagram: faces numbered in canonical
+    order; the empty face has rank -1 and vertices []."""
+    faces, arcs = hd.canonical()
     far = list(indices_from_mask(hd.far_face)) if hd.far_face is not None else []
     return {
         "n_vertices": hd.n,
         "far_face": far,
-        "faces": faces,
-        "arcs": arcs,
+        "faces": [{"id": i, "rank": rank, "vertices": list(vertices)}
+                  for i, (rank, vertices) in enumerate(faces)],
+        "arcs": [list(arc) for arc in arcs],
         "f_vector": hd.f_vector(),
     }
 

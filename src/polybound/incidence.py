@@ -44,6 +44,8 @@ class IncidenceMatrix:
     `far_face` is an optional bitmask of the vertices on the far face; it
     is None when no unbounded-direction data is attached.  An empty far
     face is refused: the polyhedron behind it has no rays, so it is bounded.
+    So is a far face that is not a face, one that no facet holds or that
+    is smaller than the meet of the facets holding it.
     """
 
     n: int
@@ -57,10 +59,17 @@ class IncidenceMatrix:
                 raise InputError("row mask references a vertex out of range")
             if row == 0:
                 raise InputError("every facet must contain at least one vertex")
-        if self.far_face is not None and self.far_face & ~full:
+        far = self.far_face
+        if far is None:
+            return
+        if far & ~full:
             raise InputError("far face references a vertex out of range")
-        if self.far_face == 0:
+        if far == 0:
             raise InputError("bounded polyhedron: without rays the whole face lattice is bounded")
+        holding = [row for row in self.row_masks if far & ~row == 0]
+        if not holding or reduce(and_, holding) != far:
+            raise InputError("far face is not a face: it is not the meet of the facets "
+                             "holding it")
 
     @property
     def m(self) -> int:

@@ -21,7 +21,7 @@ import heapq
 from typing import Optional
 
 from .errors import BudgetExceededError, InputError, InternalError
-from .bounded import HasseDiagram, HasseNode, covers
+from .bounded import HasseDiagram, covers
 from .incidence import IncidenceMatrix
 
 DEFAULT_ELEMENT_BUDGET = 10**6
@@ -51,7 +51,7 @@ class BoundedRegistry:
         self._covers[mask] = ups
 
     def below(self, mask: int) -> list[tuple[int, int]]:
-        """The (vertex_set, mu) pairs strictly below `mask`, reached from the
+        """The (mask, mu) pairs strictly below `mask`, reached from the
         empty face through stored elements inside `mask`."""
         if mask == 0:
             return []
@@ -84,7 +84,7 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
     registry = BoundedRegistry()
     node_rank: dict[int, int] = {0: -1}     # mask -> rank, set at creation
     emitted: dict[int, int] = {}            # mask -> final node index
-    nodes: list[HasseNode] = []
+    masks, ranks = [], []                   # the emitted nodes, in pop order
     pending_arcs: list[tuple[int, int]] = []  # (parent mask, child mask)
     heap = [(0, 0, 0)]  # (cardinality, push sequence, mask)
     while heap:
@@ -93,9 +93,10 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
         if mu == 0:
             continue  # unbounded face: not emitted, not expanded
         rank = node_rank[face]
-        emitted[face] = len(nodes)
-        nodes.append(HasseNode(len(nodes), face, rank))
-        if len(nodes) > budget:
+        emitted[face] = len(masks)
+        masks.append(face)
+        ranks.append(rank)
+        if len(masks) > budget:
             raise BudgetExceededError(f"bounded complex exceeds element budget {budget}")
         ups = [] if max_dim is not None and rank >= max_dim else covers(face, inc)
         registry.add(face, mu, ups)
@@ -112,4 +113,4 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
                 raise InternalError("cover arcs must raise rank by one")
             arcs.append((emitted[parent], emitted[child]))
     arcs.sort()
-    return HasseDiagram(inc.n, nodes, arcs)
+    return HasseDiagram(inc.n, masks, ranks, arcs)

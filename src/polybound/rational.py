@@ -6,13 +6,21 @@ in lowest terms with a positive denominator.  This module only adds the
 text form used by the file formats: "p/q", or just "p" when q == 1.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
 
 
+#: the only literals read: an optional sign, ASCII digits, an optional /digits
+LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p".  Accepts non-normalized input such as "4/8"."""
+    """Parse "p/q" or "p".  Accepts non-normalized input such as "4/8";
+    refuses decimals and exponents, which `Fraction` alone would read."""
+    if not LITERAL.fullmatch(text):
+        raise InputError(f"bad rational literal {text!r}: want p/q or p")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

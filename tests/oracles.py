@@ -357,5 +357,10 @@ def moebius_oracle_filter(vp: VertexPoset) -> set:
 
 
 def vertex_sets(hd) -> set:
-    return {nd.vertex_set for nd in hd.nodes}
+    return set(hd.masks)
+
+
+def faces(hd) -> set:
+    """The (rank, vertex mask) pairs of a Hasse diagram's nodes."""
+    return set(zip(hd.ranks, hd.masks))
 

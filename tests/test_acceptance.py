@@ -12,7 +12,7 @@ from statistics import mean
 import pytest
 
 from conftest import instance, random_pointed_hrep
-from oracles import vertex_poset
+from oracles import faces, vertex_poset
 from polybound.bounded import (filter_bounded, full_face_lattice,
                                relabel_vertices, selective_generation)
 from polybound.fvector import f_vector_simple
@@ -64,7 +64,7 @@ def test_criterion_2_dwarfed_closed_forms():
             near_inc, _ = restrict_to_near(inc)
             ok &= vertex_poset(near_inc).size == 2**d + d
             lattice = full_face_lattice(inc)
-            phi = sum(1 for nd in lattice.nodes if nd.vertex_set & ~inc.far_face) + 1
+            phi = sum(1 for mask in lattice.masks if mask & ~inc.far_face) + 1
             ok &= phi == 2**d + d * 2 ** (d - 1) + 1
         _, f_all, _ = f_vector_simple(inc, vbar, d)
         ok &= f_all.total == 2**d + d * 2 ** (d - 1) + 1
@@ -185,7 +185,7 @@ def test_criterion_9_closure_size_bound():
         _, _, _, _, inc = instance(family, *params)
         lattice = full_face_lattice(inc)
         phi_bar = lattice.node_count()
-        phi = sum(1 for nd in lattice.nodes if nd.vertex_set & ~inc.far_face) + 1
+        phi = sum(1 for mask in lattice.masks if mask & ~inc.far_face) + 1
         ok &= phi_bar <= 2 * (phi - 1)
     _report("9 closure size bound", ok, f"{len(roster)} instances")
 
@@ -193,18 +193,14 @@ def test_criterion_9_closure_size_bound():
 def test_criterion_10_skeleton_cutoff():
     _, _, _, _, inc = instance("thrackle", 7)
     full = selective_generation(inc)
-    want_faces = {(nd.rank, nd.vertex_set) for nd in full.nodes if nd.rank <= 1}
-    by_id = {nd.id: nd for nd in full.nodes}
-    want_arcs = {(by_id[lo].vertex_set, by_id[hi].vertex_set)
-                 for lo, hi in full.arcs if by_id[hi].rank <= 1}
+    want_faces = {(rank, mask) for rank, mask in faces(full) if rank <= 1}
+    want_arcs = {(full.masks[lo], full.masks[hi])
+                 for lo, hi in full.arcs if full.ranks[hi] <= 1}
     ok = True
     for diagram in (selective_generation(inc, max_dim=1),
                     _moebius_skeleton(inc, max_dim=1)):
-        got_faces = {(nd.rank, nd.vertex_set) for nd in diagram.nodes}
-        d_by_id = {nd.id: nd for nd in diagram.nodes}
-        got_arcs = {(d_by_id[lo].vertex_set, d_by_id[hi].vertex_set)
-                    for lo, hi in diagram.arcs}
-        ok &= got_faces == want_faces and got_arcs == want_arcs
+        got_arcs = {(diagram.masks[lo], diagram.masks[hi]) for lo, hi in diagram.arcs}
+        ok &= faces(diagram) == want_faces and got_arcs == want_arcs
     _report("10 skeleton cutoff", ok, f"{len(want_faces)} faces at rank <= 1")
 
 

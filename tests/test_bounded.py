@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cube3, instance, random_pointed_hrep, square_incidence
-from oracles import vertex_sets
+from oracles import faces, vertex_sets
 from polybound.bounded import (WHOLE, closure, covers, filter_bounded,
                                full_face_lattice, selective_generation)
 from polybound.errors import InputError
@@ -80,12 +80,11 @@ def test_covers_of_vertices_match_lattice_arcs():
     # every singleton's covers coincide with the full-lattice up-arcs
     _, _, _, _, inc = instance("dwarfed-cube", 2)
     lattice = full_face_lattice(inc)
-    by_id = {nd.id: nd for nd in lattice.nodes}
-    for nd in lattice.nodes:
-        if nd.rank != 0 or nd.vertex_set & inc.far_face:
+    for i, (mask, rank) in enumerate(zip(lattice.masks, lattice.ranks)):
+        if rank != 0 or mask & inc.far_face:
             continue
-        ups = {by_id[hi].vertex_set for lo, hi in lattice.arcs if lo == nd.id}
-        assert set(covers(nd.vertex_set, inc)) == ups
+        ups = {lattice.masks[hi] for lo, hi in lattice.arcs if lo == i}
+        assert set(covers(mask, inc)) == ups
 
 
 def reference_covers(mask, inc):
@@ -111,8 +110,8 @@ def test_covers_match_reference_on_every_lattice_face():
              [("dwarfed-cube", (3,)), ("thrackle", (5,)), ("tropical-cyclic", (4, 4)),
               ("tropical-permutohedron", (3,))]]  # m = 19: a partial last table byte
     for inc in incs:
-        for nd in full_face_lattice(inc).nodes:
-            assert sorted(covers(nd.vertex_set, inc)) == reference_covers(nd.vertex_set, inc)
+        for mask in full_face_lattice(inc).masks:
+            assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
 
 
 def test_covers_match_reference_on_sets_that_are_not_closed():
@@ -136,43 +135,40 @@ def test_covers_match_reference_on_stored_permutohedron_4():
     assert (inc.m, inc.n, len(inc.row_ands)) == (97, 152, 13)
     hd = selective_generation(inc)
     assert hd.node_count() == 1424
-    for nd in hd.nodes:
-        assert sorted(covers(nd.vertex_set, inc)) == reference_covers(nd.vertex_set, inc)
+    for mask in hd.masks:
+        assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
 
 
 def test_face_tree_insert_then_find():
     # Edge {0,1} of the square is a cover of vertex 0 and of vertex 1; the
-    # face index must hand the second discovery the id of the first.
+    # face index must hand the second discovery the index of the first.
     hd = full_face_lattice(square_incidence())
-    ids = {nd.vertex_set: nd.id for nd in hd.nodes}
+    ids = {mask: i for i, mask in enumerate(hd.masks)}
     edge = ids[0b0011]
     assert sorted(lo for lo, hi in hd.arcs if hi == edge) == [ids[0b0001], ids[0b0010]]
     _, _, _, _, inc = instance("dwarfed-cube", 5)
     hd = selective_generation(inc)
     for lo, hi in hd.arcs:
-        assert hd.nodes[hi].vertex_set in covers(hd.nodes[lo].vertex_set, inc)
+        assert hd.masks[hi] in covers(hd.masks[lo], inc)
 
 
 def test_face_tree_distinct_faces_distinct_ids():
     hd = full_face_lattice(square_incidence())
-    ids = {nd.vertex_set: nd.id for nd in hd.nodes}
+    ids = {mask: i for i, mask in enumerate(hd.masks)}
     assert ids[0b0011] != ids[0b1001]
     _, _, _, _, inc = instance("dwarfed-cube", 5)
     for hd in (full_face_lattice(square_incidence()), selective_generation(inc)):
-        masks = [nd.vertex_set for nd in hd.nodes]
-        assert len(set(masks)) == len(masks)
-        assert len({nd.id for nd in hd.nodes}) == len(masks)
+        assert len(set(hd.masks)) == len(hd.masks) == len(hd.ranks)
 
 
 def test_diagram_ids_follow_discovery_order():
     hd = full_face_lattice(square_incidence())
-    assert [nd.vertex_set for nd in hd.nodes] == [
+    assert hd.masks == [
         0, 0b0001, 0b0010, 0b0100, 0b1000,   # covers of the empty face
         0b0011, 0b1001, 0b0110, 0b1100,      # first reached from vertices 0, 0, 1, 2
         0b1111]
     _, _, _, _, inc = instance("thrackle", 5)
     for hd in (selective_generation(inc), full_face_lattice(inc)):
-        assert [nd.id for nd in hd.nodes] == list(range(hd.node_count()))
         first_seen = list(dict.fromkeys(hi for _, hi in hd.arcs))
         assert first_seen == list(range(1, hd.node_count()))
 
@@ -190,10 +186,9 @@ def test_selective_thrackle_6():
 
 
 def test_selective_far_face_everything():
-    inc = square_incidence().with_far_face([0, 1, 2, 3])
-    hd = selective_generation(inc)
-    assert hd.node_count() == 1
-    assert hd.nodes[0].rank == -1
+    # no facet of the square holds all four vertices, so they are no face
+    with pytest.raises(InputError, match="far face is not a face"):
+        square_incidence().with_far_face([0, 1, 2, 3])
 
 
 def test_selective_requires_far_face():
@@ -205,8 +200,7 @@ def test_selective_max_dim_restricts():
     _, _, _, _, inc = instance("thrackle", 5)
     full = selective_generation(inc)
     skel = selective_generation(inc, max_dim=1)
-    want_nodes = {(nd.rank, nd.vertex_set) for nd in full.nodes if nd.rank <= 1}
-    assert {(nd.rank, nd.vertex_set) for nd in skel.nodes} == want_nodes
+    assert faces(skel) == {(rank, mask) for rank, mask in faces(full) if rank <= 1}
 
 
 def test_full_lattice_square():
@@ -257,7 +251,7 @@ def test_filter_matches_selective_random():
                                             ("tropical-cyclic", (3, 3))])
 def test_skeleton_cutoff_agrees_across_algorithms(family, params):
     _, _, _, _, inc = instance(family, *params)
-    top = max(nd.rank for nd in selective_generation(inc).nodes)
+    top = max(selective_generation(inc).ranks)
     for max_dim in range(top + 2):
         want = bounded_diagram(inc, "selective", max_dim).canonical()
         for alg in ALGORITHMS:
@@ -267,17 +261,16 @@ def test_skeleton_cutoff_agrees_across_algorithms(family, params):
 def test_downward_closure_and_rank_gradedness():
     _, _, _, vbar, inc = instance("dwarfed-cube", 3)
     hd = selective_generation(inc)
-    in_deg = {nd.id: 0 for nd in hd.nodes}
-    by_id = {nd.id: nd for nd in hd.nodes}
+    in_deg = [0] * hd.node_count()
     for lo, hi in hd.arcs:
-        assert by_id[hi].rank == by_id[lo].rank + 1
+        assert hd.ranks[hi] == hd.ranks[lo] + 1
         in_deg[hi] += 1
-    for nd in hd.nodes:
-        if nd.rank >= 0:
-            assert in_deg[nd.id] >= 1
+    for i, (mask, face_rank) in enumerate(zip(hd.masks, hd.ranks)):
+        if face_rank >= 0:
+            assert in_deg[i] >= 1
         # rank equals the affine dimension of the face's vertex coordinates
-        pts = [vbar.vertices[i] for i in indices_from_mask(nd.vertex_set)]
+        pts = [vbar.vertices[v] for v in indices_from_mask(mask)]
         if pts:
             base = pts[0]
             diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-            assert nd.rank == (rank(diffs) if diffs else 0)
+            assert face_rank == (rank(diffs) if diffs else 0)

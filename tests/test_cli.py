@@ -97,6 +97,11 @@ def test_exit_code_input_error(tmp_path, capsys):
 
 BAD_INCIDENCE_FILES = {
     "far face out of range": "facets 1 vertices 2\n11\nfarface 5\n",
+    # refused before 1 << i or (1 << n) - 1 is built, either of which exhausts memory
+    "huge far-face index": "facets 1 vertices 2\n11\nfarface 999999999992\n",
+    "huge vertex count and no facet rows": "facets 0 vertices 99999999999\n",
+    # no facet of the square holds the diagonal {0, 2}
+    "far face that is not a face": "facets 4 vertices 4\n1100\n0110\n0011\n1001\nfarface 0 2\n",
     # what `incidences --closure` would write for a bounded polyhedron
     "empty far face": "facets 4 vertices 4\n1100\n0110\n0011\n1001\nfarface \n",
     "negative far face": "facets 1 vertices 2\n11\nfarface -1\n",
@@ -121,6 +126,9 @@ BAD_REP_FILES = {
     "close: non-integer dimension": ("close", "polybound-hrep 1\ndim x rows 2\n"),
     "close: negative row count": ("close", "polybound-hrep 1\ndim 2 rows -1\n"),
     "close: missing header": ("close", "polybound-hrep 1\n"),
+    # x >= 0 to Fraction alone, which reads the first as -150, the second for minutes
+    "close: decimal literal": ("close", "polybound-hrep 1\ndim 1 rows 1\n-1.5e2 0\n"),
+    "close: exponent literal": ("close", "polybound-hrep 1\ndim 1 rows 1\n-1e99999999 0\n"),
     "fvector: non-integer vertex count": ("fvector", "polybound-vrep 1\ndim 1\nvertices x\n"),
     "fvector: non-integer dimension": ("fvector", "polybound-vrep 1\ndim 1.5\n"),
     "fvector: missing rays line": ("fvector", "polybound-vrep 1\ndim 1\nvertices 0\n"),
@@ -142,6 +150,30 @@ def test_close_and_fvector_reject_bad_rep_file(tmp_path, capsys, case):
     assert run(["-o", tmp_path] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_reader_refuses_a_non_ascii_byte(tmp_path, capsys):
+    inc = tmp_path / "one.inc"
+    inc.write_text("polybound-inc 1\nfacets 1 vertices 1\n1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"polybound-hrep 1\ndim 1 rows 1\n1 \xc3\xa9\n")
+    for argv in (["close", bad], ["bounded", bad], ["fvector", inc, bad, "--simple"]):
+        assert run(["-o", tmp_path] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not ASCII text: ") and err.count("\n") == 1
+
+
+def test_incidences_refuses_a_far_face_that_is_no_face(tmp_path, capsys):
+    # --closure on the unit square itself marks (1,0) and (0,1) as far: no
+    # face, and the diagram read from it would have Euler characteristic 2
+    hrep = tmp_path / "square.hrep"
+    formats.write_hrep(unit_square(), str(hrep))
+    assert run(["-o", tmp_path, "vertices", hrep]) == 0
+    capsys.readouterr()
+    assert run(["-o", tmp_path, "incidences", hrep, tmp_path / "square.vrep", "--closure"]) == 2
+    assert capsys.readouterr().err == (
+        "error: far face is not a face: it is not the meet of the facets holding it\n")
+    assert not (tmp_path / "square.inc").exists()
 
 
 def test_bench_exit_code_when_one_row_fails(tmp_path, capsys):

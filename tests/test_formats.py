@@ -93,6 +93,11 @@ def test_parse_vrep_errors():
 @pytest.mark.parametrize("lines", [
     ["polybound-inc 1", "facets 1 vertices 2", "12"],
     ["polybound-inc 1", "facets 1 vertices 2", "11", "extra junk"],
+    ["polybound-inc 1", "facets 0 vertices 99999999999"],
+    ["polybound-inc 1", "facets 1 vertices 2", "11", "farface 999999999992"],
+    ["polybound-inc 1", "facets +1 vertices 2", "11"],
+    # facets {0,1,2} and {1,2,3} meet in {1,2}, so {1} is no face
+    ["polybound-inc 1", "facets 2 vertices 4", "1110", "0111", "farface 1"],
 ])
 def test_parse_incidence_errors(lines):
     with pytest.raises(InputError):

@@ -83,7 +83,7 @@ def test_f_all_matches_lattice_count():
         _, h, _, vbar, inc = instance(family, *params)
         _, fa, _ = f_vector_simple(inc, vbar, h.dim)
         lattice = full_face_lattice(inc)
-        phi = sum(1 for nd in lattice.nodes if nd.vertex_set & ~inc.far_face) + 1
+        phi = sum(1 for mask in lattice.masks if mask & ~inc.far_face) + 1
         assert fa.total == phi
 
 

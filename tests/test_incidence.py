@@ -106,6 +106,17 @@ def test_far_face_triangle():
     assert {v.vertices[i] for i in far} == {(1, 0), (0, 1)}
 
 
+def test_far_face_must_be_a_face():
+    # facets {0,1,2} and {1,2,3}: {1,2} is their meet; {1} lies in a larger
+    # meet, no facet holds {0,3}, and the whole vertex set is no proper face
+    inc = IncidenceMatrix(4, (0b0111, 0b1110))
+    assert inc.with_far_face([1, 2]).far_face == 0b0110
+    assert inc.with_far_face([0, 1, 2]).far_face == 0b0111
+    for far in ([1], [0, 3], [0, 1, 2, 3]):
+        with pytest.raises(InputError, match="far face is not a face"):
+            inc.with_far_face(far)
+
+
 def test_far_face_dwarfed_2_leaves_original_vertices():
     _, h, clo, vbar, inc = instance("dwarfed-cube", 2)
     near = [p for i, p in enumerate(vbar.vertices) if not inc.far_face >> i & 1]

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import instance, strip
-from oracles import moebius_oracle_filter, vertex_poset, vertex_sets
+from oracles import faces, moebius_oracle_filter, vertex_poset, vertex_sets
 from polybound.bounded import (covers, filter_bounded, full_face_lattice,
                                relabel_vertices, selective_generation)
 from polybound.errors import BudgetExceededError, InputError
@@ -48,7 +48,7 @@ def test_vertex_poset_budget():
 def test_moebius_generation_halfline():
     hd = moebius_generation(halfline_incidence())
     assert hd.node_count() == 2
-    assert [(nd.rank, nd.vertex_set) for nd in hd.nodes] == [(-1, 0), (0, 1)]
+    assert (hd.ranks, hd.masks) == ([-1, 0], [0, 1])
     assert hd.arcs == [(0, 1)]
 
 
@@ -92,8 +92,7 @@ def test_moebius_max_dim():
     near_inc, _ = restrict_to_near(inc)
     full = moebius_generation(near_inc)
     skel = moebius_generation(near_inc, max_dim=0)
-    want = {(nd.rank, nd.vertex_set) for nd in full.nodes if nd.rank <= 0}
-    assert {(nd.rank, nd.vertex_set) for nd in skel.nodes} == want
+    assert faces(skel) == {(rank, mask) for rank, mask in faces(full) if rank <= 0}
 
 
 def test_moebius_matches_selective_and_oracle():

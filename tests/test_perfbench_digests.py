@@ -1,0 +1,32 @@
+"""Outputs stay byte-identical: every benchmark item with recorded digests
+is run once, on the benchmark's own code, and its files are hashed against
+perfbench/data/digests.json."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up by name
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("workload", ["tight-spans", "dwarfed", "face-lattice"])
+def test_outputs_match_recorded_digests(tmp_path, workload):
+    wl = load_workloads()
+    inputs = wl.Inputs(workload)
+    items = [item for item in wl.roster(inputs, 11) if item.digest_key is not None]
+    assert items
+    for item in items:
+        paths = item.run(str(tmp_path))
+        digests = {os.path.basename(p): wl.sha256_file(p) for p in paths}
+        assert digests == inputs.digests[item.digest_key], item.label

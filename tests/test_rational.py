@@ -26,7 +26,10 @@ def test_round_trip_random():
         assert parse_rational(format_rational(q)) == q
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5.2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5.2",
+                                 # Fraction reads these; the file formats do not
+                                 "1.5e2", "1e99999999", "1.5", "-.5", "1/2e3", "1_000",
+                                 " 1", "\u0661", "9" * 5000])
 def test_parse_errors(bad):
     with pytest.raises(InputError):
         parse_rational(bad)

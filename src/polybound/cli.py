@@ -14,8 +14,7 @@ import sys
 from .errors import BudgetExceededError, InputError, InternalError, PolyboundError
 from . import formats, pipeline
 from .fvector import f_vector_simple
-from .incidence import compute_incidences
-from .linalg import ZERO
+from .incidence import compute_incidences, far_face_vertices
 from .polyhedron import (DEFAULT_BUDGET, enumerate_vertices_bruteforce,
                          enumerate_vertices_pivoting, projective_closure,
                          reverse_search_with_retries)
@@ -142,8 +141,7 @@ def _cmd_incidences(args) -> int:
     v = formats.read_vrep(args.vrep)
     inc = compute_incidences(h, v)
     if args.closure:
-        far = {i for i, p in enumerate(v.vertices) if sum(p, ZERO) == 1}
-        inc = inc.with_far_face(far)
+        inc = inc.with_far_face(far_face_vertices(v))
     os.makedirs(args.out_dir, exist_ok=True)
     path = _stem(args.hrep, args.out_dir) + ".inc"
     formats.write_incidence(inc, path)

@@ -54,6 +54,13 @@ def _section_count(text_lines: list[str], idx: int, key: str) -> int:
     return _count(parts[1], f"{key} count")
 
 
+def _expect_end(text_lines: list[str], idx: int, what: str) -> None:
+    """A file holds exactly the rows it declares: only blank lines may
+    follow line idx - 1."""
+    _expect(not any(ln.strip() for ln in text_lines[idx:]),
+            f"unexpected trailing content in {what} file")
+
+
 def hrep_to_text(h: HRep) -> str:
     out = [HREP_MAGIC, f"dim {h.dim} rows {len(h.rows)}"]
     for a, b in h.rows:
@@ -74,6 +81,7 @@ def parse_hrep(text_lines: list[str]) -> HRep:
         _expect(len(parts) == d + 1, "H-rep row has wrong width")
         rows.append((tuple(parts[:d]), parts[d]))
     _expect(len(rows) == m, "H-rep row count mismatch")
+    _expect_end(text_lines, 2 + m, "H-rep")
     return HRep(d, tuple(rows))
 
 
@@ -114,6 +122,8 @@ def parse_vrep(text_lines: list[str]) -> VRep:
         parts = [parse_rational(tok) for tok in ln.split()]
         _expect(len(parts) == d, "ray has wrong width")
         rays.append(tuple(parts))
+    _expect(len(rays) == r, "V-rep ray count mismatch")
+    _expect_end(text_lines, idx + r, "V-rep")
     return VRep.build(d, vertices, rays)
 
 
@@ -153,8 +163,8 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
     rest = [ln for ln in text_lines[2 + m:] if ln.strip()]
     if rest:
         tokens = rest[0].split()
-        _expect(len(rest) == 1 and tokens[0] == "farface",
-                "unexpected trailing content in incidence file")
+        _expect(tokens[0] == "farface", "unexpected trailing content in incidence file")
+        _expect_end(rest, 1, "incidence")
         indices = [_count(tok, "far-face vertex") for tok in tokens[1:]]
         # checked before the mask is built: 1 << i for a huge i exhausts memory
         _expect(all(i < n for i in indices), "far face references a vertex out of range")

@@ -4,7 +4,9 @@ Five families: dwarfed cubes (polytope plus its unbounded reversal),
 tight spans of thrackle and of random metrics, tropical cyclic polytopes
 and tropical permutohedra.  All data is rational and reproducible; random
 metrics use a splitmix64 stream with a fixed denominator of 2^20, so the
-same seed yields bit-identical instances everywhere.
+same seed yields bit-identical instances everywhere.  Their vertices come
+from the one pivot walk; `tropical_vertices` is that walk on a tropical
+H-rep.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
-from typing import Iterator, Sequence
+from math import factorial
+from typing import Iterator
 
 from .errors import BudgetExceededError, InputError, InternalError
-from .linalg import ONE, ZERO, Vector, common_denominator
-from .polyhedron import DEFAULT_BUDGET, HRep, VRep
+from .linalg import ONE, ZERO, Vector
+from .polyhedron import DEFAULT_BUDGET, HRep, VRep, enumerate_vertices_pivoting
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -189,124 +191,8 @@ def permutohedron_matrix(t: int, budget: int = DEFAULT_BUDGET) -> TropicalMatrix
     return TropicalMatrix(factorial(t), t, values)
 
 
-def _prufer_trees(t: int) -> Iterator[list[tuple[int, int]]]:
-    """All labeled spanning trees on t nodes via Prufer sequences."""
-    import heapq
-
-    if t == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(t), repeat=t - 2):
-        degree = [1] * t
-        for x in seq:
-            degree[x] += 1
-        leaves = [i for i in range(t) if degree[i] == 1]
-        heapq.heapify(leaves)
-        edges = []
-        for x in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, x))
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-        yield edges
-
-
-def _tropical_candidates(v: Sequence[Sequence], budget: int = DEFAULT_BUDGET) -> set[tuple]:
-    """Every w (with w_{t-1} = 0) pinned by a labeled spanning tree on the t
-    column nodes of the s x t matrix v, one row i per tree edge {k, l}:
-    u_i + w_k = v_ik and u_i + w_l = v_il, so w_l = w_k + v_il - v_ik.
-
-    The row enters only through that difference, so each tree edge takes
-    the product over its distinct differences rather than over all s rows.
-    Each tree charges the size of that product to `budget` before it
-    propagates those candidates, and the running sum may not pass it.
-    Entries may be ints or Fractions; w has the same type.
-    """
-    s, t = len(v), len(v[0])
-    candidates: set[tuple] = set()
-    charged = 0
-    for tree in _prufer_trees(t):
-        # orient the tree away from the pinned node t-1
-        adj: dict[int, list[int]] = {}
-        for k, l in tree:
-            adj.setdefault(k, []).append(l)
-            adj.setdefault(l, []).append(k)
-        steps = []
-        seen = {t - 1}
-        stack = [t - 1]
-        while stack:
-            k = stack.pop()
-            for l in adj[k]:
-                if l not in seen:
-                    seen.add(l)
-                    steps.append((k, l))
-                    stack.append(l)
-        differences = [{v[i][l] - v[i][k] for i in range(s)} for k, l in steps]
-        charged += prod(map(len, differences))
-        if charged > budget:
-            raise BudgetExceededError(
-                f"tropical candidate count {charged} exceeds budget {budget}")
-        for choice in itertools.product(*differences):
-            w: list = [None] * t
-            w[t - 1] = 0
-            for (k, l), delta in zip(steps, choice):
-                w[l] = w[k] + delta
-            candidates.add(tuple(w))
-    return candidates
-
-
 def tropical_vertices(matrix: TropicalMatrix, budget: int = DEFAULT_BUDGET) -> VRep:
-    """Vertices and rays of the tropical polyhedron, from its combinatorics.
-
-    At a vertex the active rows form a connected bipartite graph spanning
-    all s+t row/column nodes, so the w-part is pinned by a spanning tree of
-    column differences; `_tropical_candidates` produces every candidate w,
-    which is then kept when its active graph is spanning and connected.
-    The budget bounds the candidates that search propagates, at most
-    t^(t-2) * s^(t-1).  The recession cone does not depend on the matrix
-    and its extreme rays are written down in closed form.
-    """
-    s, t = matrix.s, matrix.t
-    d = s + t - 1
-    # the matrix over one denominator: the search runs in integers
-    nums, den = common_denominator([x for row in matrix.values for x in row])
-    v = [nums[i * t:(i + 1) * t] for i in range(s)]
-    vertices = []
-    for w in _tropical_candidates(v, budget):
-        u = [min(v[i][k] - w[k] for k in range(t)) for i in range(s)]
-        comp = list(range(s + t))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        covered = [False] * t
-        for i in range(s):
-            for k in range(t):
-                if u[i] + w[k] == v[i][k]:
-                    covered[k] = True
-                    ri, rk = find(i), find(s + k)
-                    if ri != rk:
-                        comp[ri] = rk
-        if not all(covered):
-            continue
-        root = find(0)
-        if any(find(x) != root for x in range(s + t)):
-            continue
-        vertices.append(tuple(Fraction(x, den) for x in (*u, *w[:t - 1])))
-
-    rays = []
-    for i in range(s):
-        r = [ZERO] * d
-        r[i] = -ONE
-        rays.append(tuple(r))
-    for k in range(t - 1):
-        r = [ZERO] * d
-        r[s + k] = -ONE
-        rays.append(tuple(r))
-    rays.append(tuple([-ONE] * s + [ONE] * (t - 1)))
-    return VRep.build(d, vertices, rays)
+    """Vertices and rays of the tropical polyhedron of `matrix`: the pivot
+    walk on `tropical_hrep(matrix)`, whose degenerate vertices take their
+    edges by double description."""
+    return enumerate_vertices_pivoting(tropical_hrep(matrix), budget)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 from .linalg import common_denominator, integer_row
 from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
-from .polyhedron import HRep, VRep, ClosureResult
+from .polyhedron import HRep, VRep
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -44,8 +44,9 @@ class IncidenceMatrix:
     `far_face` is an optional bitmask of the vertices on the far face; it
     is None when no unbounded-direction data is attached.  An empty far
     face is refused: the polyhedron behind it has no rays, so it is bounded.
-    So is a far face that is not a face, one that no facet holds or that
-    is smaller than the meet of the facets holding it.
+    So are a far face holding every vertex, which is not a proper face, and
+    a far face that is not a face, one that no facet holds or that is
+    smaller than the meet of the facets holding it.
     """
 
     n: int
@@ -70,6 +71,8 @@ class IncidenceMatrix:
         if not holding or reduce(and_, holding) != far:
             raise InputError("far face is not a face: it is not the meet of the facets "
                              "holding it")
+        if far == full:
+            raise InputError("far face holds every vertex: it is not a proper face")
 
     @property
     def m(self) -> int:
@@ -166,17 +169,12 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     return IncidenceMatrix(len(points), tuple(facets))
 
 
-def far_face_vertices(closure: ClosureResult, v: VRep) -> set[int]:
-    """Indices of closure vertices on the far hyperplane sum(x) = 1, read
-    from the far row's integer slacks as in `compute_incidences`."""
-    a, b = closure.closure.rows[closure.far_inequality]
-    *a_int, b_int = integer_row([*a, b])
-    far = set()
-    for i, p in enumerate(v.vertices):
-        num, den = common_denominator(p)
-        if b_int * den == sum(map(mul, a_int, num)):
-            far.add(i)
-    return far
+def far_face_vertices(v: VRep) -> set[int]:
+    """Indices of the closure vertices on the far hyperplane sum(x) = 1,
+    the one far-face rule: each vertex's numerators over one denominator
+    sum to that denominator."""
+    return {i for i, (num, den) in enumerate(map(common_denominator, v.vertices))
+            if sum(num) == den}
 
 
 def is_simple(inc: IncidenceMatrix, d: int) -> bool:

@@ -16,8 +16,9 @@ leaves the rref unchanged.
 `scaled_inverse` reads delta*B^-1 off one elimination of [B | I].  It is
 the closure transform's inverse, and it gives the edges of a simple
 vertex in the pivot walk and reverse search, one column per active row;
-a degenerate vertex of the walk takes one `kernel_line` per (d-1)-subset
-of its active rows instead.
+at a degenerate vertex of the walk it gives the rays of the simplicial
+cone that double description starts from.  `kernel_line` is behind
+`solve_linear_system` and so brute force; the walk does not use it.
 
 `ratio_step` is the one ratio test: it moves a point held as an integer
 vector over one denominator along an integer direction, comparing

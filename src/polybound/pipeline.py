@@ -16,7 +16,9 @@ from .bounded import (HasseDiagram, filter_bounded, full_face_lattice,
 from .moebius import moebius_generation
 from .generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
                          random_metric, thrackle_metric, tight_span_hrep,
-                         tropical_hrep, tropical_vertices)
+                         tropical_hrep)
+# perfbench's tracer wraps pipeline.tropical_vertices
+from .generators import tropical_vertices  # noqa: F401
 from .incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
                         restrict_to_near)
 from .polyhedron import (DEFAULT_BUDGET, ClosureResult, HRep, VRep,
@@ -46,10 +48,8 @@ class BenchRow:
 
 def make_instance(family: str, params: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> tuple[str, HRep, Optional[VRep]]:
-    """(label, unbounded H-rep, optional precomputed V-rep) for a family.
-
-    The tropical permutohedra come with their vertices already enumerated
-    combinatorially; their closures are too degenerate for pivoting."""
+    """(label, unbounded H-rep, precomputed V-rep) for a family.  The V-rep
+    is always None: `closure_data` enumerates every family by one walk."""
     arity = {"dwarfed-cube": 1, "thrackle": 1, "random-metric": 2,
              "tropical-cyclic": 2, "tropical-permutohedron": 1}
     if family not in arity:
@@ -71,9 +71,8 @@ def make_instance(family: str, params: Sequence[int],
         s, t = params
         return f"tropical-cyclic-{s}-{t}", tropical_hrep(cyclic_matrix(s, t)), None
     (t,) = params
-    matrix = permutohedron_matrix(t, budget)
-    return (f"tropical-permutohedron-{t}", tropical_hrep(matrix),
-            tropical_vertices(matrix, budget))
+    return (f"tropical-permutohedron-{t}", tropical_hrep(permutohedron_matrix(t, budget)),
+            None)
 
 
 def closure_data(h: HRep, vrep: Optional[VRep] = None,
@@ -97,27 +96,44 @@ def closure_data(h: HRep, vrep: Optional[VRep] = None,
     points += [clo.map_ray(r) for r in vrep.rays]
     vbar = VRep.build(h.dim, points, [])
     inc = compute_incidences(clo.closure, vbar)
-    inc = inc.with_far_face(far_face_vertices(clo, vbar))
+    inc = inc.with_far_face(far_face_vertices(vbar))
     return clo, vbar, inc
 
 
 def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
                     max_dim: Optional[int] = None) -> HasseDiagram:
     """Bounded-subcomplex Hasse diagram by the chosen algorithm, always
-    expressed in the closure's vertex indexing."""
+    expressed in the closure's vertex indexing.
+
+    Two cheap invariants are checked on every diagram, and a failure
+    raises InternalError naming the algorithm: every arc raises the rank
+    by one, and with a far face attached and no `max_dim` the Euler
+    characteristic sum((-1)^k f_k) is 1, because the faces of a polytope
+    that avoid a proper face form a contractible complex (Hirai 2006)."""
     if alg == "selective":
-        return selective_generation(inc, max_dim)
-    if alg == "filter":
+        hd = selective_generation(inc, max_dim)
+    elif alg == "filter":
         if inc.far_face is None:
             raise InputError("far-face data required for the filter algorithm")
-        return filter_bounded(full_face_lattice(inc), inc.far_face, max_dim)
-    if alg == "moebius":
+        hd = filter_bounded(full_face_lattice(inc), inc.far_face, max_dim)
+    elif alg == "moebius":
         if inc.far_face is None:
-            return moebius_generation(inc, max_dim)
-        near_inc, near = restrict_to_near(inc)
-        hd = moebius_generation(near_inc, max_dim)
-        return relabel_vertices(hd, dict(enumerate(near)), inc.n, inc.far_face)
-    raise InputError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+            hd = moebius_generation(inc, max_dim)
+        else:
+            near_inc, near = restrict_to_near(inc)
+            hd = relabel_vertices(moebius_generation(near_inc, max_dim),
+                                  dict(enumerate(near)), inc.n, inc.far_face)
+    else:
+        raise InputError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+    ranks = hd.ranks
+    if any(ranks[hi] != ranks[lo] + 1 for lo, hi in hd.arcs):
+        raise InternalError(f"{alg}: an arc does not raise the rank by one")
+    if inc.far_face is not None and max_dim is None:
+        euler = sum(f if k % 2 == 0 else -f for k, f in enumerate(hd.f_vector()))
+        if euler != 1:
+            raise InternalError(f"{alg}: the bounded complex has Euler characteristic {euler}, "
+                                "not 1")
+    return hd
 
 
 def verify_diagram(inc: IncidenceMatrix, hd: HasseDiagram, alg: str,

@@ -11,19 +11,21 @@ Three enumerators are provided:
 
 * `enumerate_vertices_bruteforce` solves every d-subset of rows; it is the
   independent oracle for everything else and is budget-guarded.
-* `enumerate_vertices_pivoting` walks the vertex-edge graph.  A simple
-  vertex reads its d edge directions off one inverse of its active rows; a
-  degenerate one enumerates them from (d-1)-subsets of its active rows, so
-  the walk is exact on degenerate (non-simple) polyhedra as well.
+* `enumerate_vertices_pivoting` walks the vertex-edge graph with one edge
+  rule: a vertex's edges are the extreme rays of its tangent cone.  A
+  simple vertex reads its d of them off one inverse of its active rows; a
+  degenerate one starts from that simplicial cone on d independent active
+  rows and adds the others by double description, so the walk is exact on
+  degenerate (non-simple) polyhedra such as tropical ones as well.
 * `reverse_search_vertices` is the classic reverse search for simple
   polyhedra under a generic objective, with a ratio test that flags
   unbounded edges.
 
 The walk and reverse search run in integers: integer rows, points as
-integer vectors over one denominator, edges read off Bareiss eliminations
-(`linalg.scaled_inverse` at a simple vertex, `linalg.kernel_line` per
-subset at a degenerate one) and the one ratio test `linalg.ratio_step`.
-Points become Fractions only in the returned `VRep`.
+integer vectors over one denominator, edges read off one Bareiss
+elimination (`linalg.scaled_inverse`) and combined in integers at a
+degenerate vertex, and the one ratio test `linalg.ratio_step`.  Points
+become Fractions only in the returned `VRep`.
 
 `projective_closure`, the pivot walk and `reverse_search_with_retries`
 find a first vertex (or refuse empty and non-pointed input) through
@@ -40,11 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
 from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
-                     integer_row, kernel_line, ratio_step, scaled_inverse, solve_linear_system)
+                     integer_row, ratio_step, scaled_inverse, solve_linear_system)
 # perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
 from .linalg import nullspace, rank  # noqa: F401
 from .lp import LpStatus, lp_solve
@@ -121,14 +123,13 @@ class ClosureResult:
     `closure` is the polytope inside the standard simplex.  The transform
     is x -> y / (1 + sum(y)) with y = rho (x - translation); rho is held
     as the integer matrix `rho` over the positive denominator `rho_den`.
-    `far_inequality` indexes the closure row realizing sum(x) <= 1.
+    The closure's last row is the far one, sum(x) <= 1.
     """
 
     closure: HRep
     translation: Vector
     rho: tuple[tuple[int, ...], ...]
     rho_den: int
-    far_inequality: int
 
     def map_point(self, x: Sequence[Fraction]) -> Vector:
         """Image in the closure of an ordinary point of the polyhedron.
@@ -191,7 +192,7 @@ def projective_closure(h: HRep) -> ClosureResult:
         new_rows.append(integer_row([*row, beta]))
     new_rows.append([1] * (d + 1))
     closure = HRep.from_rows(d, [(row[:-1], row[-1]) for row in new_rows])
-    return ClosureResult(closure, tuple(v), rho, rho_den, len(new_rows) - 1)
+    return ClosureResult(closure, tuple(v), rho, rho_den)
 
 
 def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
@@ -255,15 +256,16 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
                                 start: Optional[Sequence[Fraction]] = None) -> VRep:
     """Exact vertex/ray enumeration by walking the bounded vertex-edge graph.
 
-    At each vertex the incident edge directions are the one-dimensional
-    kernels of (d-1)-subsets of its active rows that point into the
-    polyhedron, so degenerate vertices are handled without perturbation.
-    A simple vertex (exactly d active rows) reads all d of them off one
-    inverse of its active rows, `_simple_edges`, as lrs does; a degenerate
-    one takes the `kernel_line` of each subset and keeps those of one
-    sign on every active row.  The budget bounds the total number of
-    subsets, C(active rows, d-1) per vertex, whichever way it is read.
-    `start` is a vertex of h to walk from; without it one is found by LP.
+    At each vertex the incident edge directions are the extreme rays of its
+    tangent cone {v : a_i.v <= 0 for every active row i}.  A simple vertex
+    (exactly d active rows) reads all d of them off one inverse of its
+    active rows, `_simple_edges`, as lrs does; a degenerate one starts from
+    that simplicial cone on d independent active rows and adds the others
+    by double description, `_cone_edges`, so degenerate vertices are
+    handled without perturbation.  The budget is charged d per vertex plus
+    one per ray pair tested for adjacency.  `start` is a vertex of h to
+    walk from, and a point that is none is refused; without it one is
+    found by LP.
 
     The walk runs in integers, as lrs does (Avis, 2000): rows are scaled
     to integers once, a point is an integer numerator vector over a
@@ -281,6 +283,14 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     nums, den = common_denominator(start)
     point = (tuple(nums), den)
     work = 0
+
+    def charge(units: int) -> None:
+        nonlocal work
+        work += units
+        if work > budget:
+            raise BudgetExceededError(
+                f"instance too large for pivot enumeration (budget {budget})")
+
     visited = {point}
     stack = [point]
     rays: set[tuple[int, ...]] = set()
@@ -289,22 +299,10 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
         num, den = point
         slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
         act = [i for i, s in enumerate(slack) if not s]
-        work += comb(len(act), d - 1)
-        if work > budget:
-            raise BudgetExceededError(
-                f"instance too large for pivot enumeration (budget {budget})")
+        charge(d)
         directions = _simple_edges(a_rows, act) if len(act) == d else None
         if directions is None:
-            directions = set()
-            for subset in itertools.combinations(act, d - 1):
-                v = kernel_line([a_rows[i] for i in subset], d)
-                if v is None:
-                    continue
-                signs = [sum(map(mul, a_rows[i], v)) for i in act]
-                if all(s <= 0 for s in signs):
-                    directions.add(v)
-                elif all(s >= 0 for s in signs):
-                    directions.add(tuple(-c for c in v))
+            directions = _cone_edges(a_rows, act, charge)
         for v in directions:
             nxt, _ = ratio_step(a_rows, slack, point, v)
             if nxt is None:
@@ -333,6 +331,52 @@ def _simple_edges(a_rows: Sequence[Sequence[int]],
         g = gcd(*col)
         edges.append(tuple(-x // g for x in col))
     return edges
+
+
+def _cone_edges(a_rows: Sequence[Sequence[int]], act: Sequence[int],
+                charge: Callable[[int], None]) -> list[tuple[int, ...]]:
+    """The extreme rays of {v : a_i.v <= 0 for i in act}, by double
+    description (Motzkin et al. 1953; Fukuda & Prodon 1996).
+
+    The first d independent rows of `act` make a simplicial cone whose rays
+    are their `_simple_edges`.  Each other row a is then added: the rays
+    with a.r > 0 go, and each pair (p, n) with a.p > 0 > a.n that is
+    adjacent gives the primitive ray (a.p)*n - (a.n)*p, on which a is
+    tight.  p and n are adjacent when no third ray is tight on every row
+    tight at both, tested on bitmasks over positions in `act`, after the
+    necessary count of at least d-2 such rows.  `charge` is called with
+    the number of pairs before they are tested.  Active rows of rank below
+    d mean the point is no vertex: InputError.
+    """
+    d = len(a_rows[0])
+    _, pivots, _ = _echelon([list(col) for col in zip(*(a_rows[i] for i in act))])
+    if len(pivots) < d:
+        raise InputError("start point is not a vertex")
+    basis = sum(1 << j for j in pivots)
+    cone = [(v, basis ^ 1 << j)
+            for v, j in zip(_simple_edges(a_rows, [act[j] for j in pivots]), pivots)]
+    for k in range(len(act)):
+        if basis >> k & 1:
+            continue
+        a = a_rows[act[k]]
+        signs = [sum(map(mul, a, v)) for v, _ in cone]
+        plus = [(ray, s) for ray, s in zip(cone, signs) if s > 0]
+        minus = [(ray, s) for ray, s in zip(cone, signs) if s < 0]
+        charge(len(plus) * len(minus))
+        masks = [mask for _, mask in cone]
+        bit = 1 << k
+        new = [(v, mask | bit if not s else mask)
+               for (v, mask), s in zip(cone, signs) if s <= 0]
+        for (p, p_mask), sp in plus:
+            for (n, n_mask), sn in minus:
+                common = p_mask & n_mask
+                if (common.bit_count() >= d - 2
+                        and sum(common & mask == common for mask in masks) == 2):
+                    v = [sp * x - sn * y for x, y in zip(n, p)]
+                    g = gcd(*v)
+                    new.append((tuple(x // g for x in v), common | bit))
+        cone = new
+    return [v for v, _ in cone]
 
 
 def _as_fractions(point: tuple[Sequence[int], int]) -> Vector:

@@ -7,19 +7,19 @@ point and ray maps, the LP's vertex purification with its ratio test, and
 reverse search.  They share with the library only the start vertex, the
 LP that finds a first point and the normalization of their output
 (`integer_row`, `normalize_ray`, `VRep.build`).  The tropical vertices are
-found by propagating w through every labeled spanning tree with every
-choice of one row per edge, the enumeration that the library's candidates
-(one choice per distinct difference) replaced.  The vertex poset is the whole
+found combinatorially, by propagating w through every labeled spanning
+tree (Prufer sequences) with every choice of one row per edge; the library
+walks the tropical H-rep instead.  The vertex poset is the whole
 poset of vertex sets of faces with its Moebius numbers, the plain recursion
 that `moebius_generation` interleaves with its search.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from polybound.errors import BudgetExceededError, InputError, InternalError, ObjectiveError
-from polybound.generators import _prufer_trees
 from polybound.incidence import IncidenceMatrix, indices_from_mask
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
@@ -91,7 +91,6 @@ class ReferenceClosure:
     translation: tuple
     rho: tuple
     rho_inv: tuple
-    far_inequality: int
 
     def map_point(self, x):
         y = _mat_vec(self.rho, [xi - vi for xi, vi in zip(x, self.translation)])
@@ -130,8 +129,7 @@ def reference_closure(h):
         ints = integer_row([*(x + beta for x in a_prime), beta])
         new_rows.append((as_vector(ints[:-1]), Fraction(ints[-1])))
     new_rows.append((tuple(ONE for _ in range(d)), ONE))
-    return ReferenceClosure(HRep(d, tuple(new_rows)), tuple(v), rho, rho_inv,
-                            len(new_rows) - 1)
+    return ReferenceClosure(HRep(d, tuple(new_rows)), tuple(v), rho, rho_inv)
 
 
 # -- ratio test and purification ----------------------------------------------
@@ -251,13 +249,36 @@ def reference_reverse_search(h, objective):
 
 
 # -- tropical vertices ---------------------------------------------------------
+def prufer_trees(t):
+    """All labeled spanning trees on t nodes, as edge lists, one per Prufer
+    sequence."""
+    if t == 2:
+        yield [(0, 1)]
+        return
+    for seq in itertools.product(range(t), repeat=t - 2):
+        degree = [1] * t
+        for x in seq:
+            degree[x] += 1
+        leaves = [i for i in range(t) if degree[i] == 1]
+        heapq.heapify(leaves)
+        edges = []
+        for x in seq:
+            leaf = heapq.heappop(leaves)
+            edges.append((leaf, x))
+            degree[x] -= 1
+            if degree[x] == 1:
+                heapq.heappush(leaves, x)
+        edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        yield edges
+
+
 def reference_tropical_candidates(matrix):
     """Every w pinned by a labeled spanning tree with one row per edge:
     t^(t-2) * s^(t-1) propagations from the pinned node t-1."""
     s, t = matrix.s, matrix.t
     v = matrix.values
     candidates = set()
-    for tree in _prufer_trees(t):
+    for tree in prufer_trees(t):
         for labels in itertools.product(range(s), repeat=t - 1):
             w = [None] * t
             w[t - 1] = ZERO

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import segment, unit_square
 from polybound import formats, pipeline
+from polybound.bounded import HasseDiagram
 from polybound.cli import main
 from polybound.polyhedron import VRep
 
@@ -104,6 +105,8 @@ BAD_INCIDENCE_FILES = {
     "far face that is not a face": "facets 4 vertices 4\n1100\n0110\n0011\n1001\nfarface 0 2\n",
     # what `incidences --closure` would write for a bounded polyhedron
     "empty far face": "facets 4 vertices 4\n1100\n0110\n0011\n1001\nfarface \n",
+    # a face, but not a proper one: no bounded face is left, Euler characteristic 0
+    "far face holding every vertex": "facets 1 vertices 2\n11\nfarface 0 1\n",
     "negative far face": "facets 1 vertices 2\n11\nfarface -1\n",
     "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
     "non-integer facet count": "facets x vertices 2\n11\n",
@@ -152,6 +155,27 @@ def test_close_and_fvector_reject_bad_rep_file(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_files_with_undeclared_rows_exit_2(tmp_path, capsys):
+    # dim 2 rows 2 and three rows: vertices used to drop 1 1 1 and write
+    # the quadrant's V-rep
+    hrep = tmp_path / "three.hrep"
+    hrep.write_text("polybound-hrep 1\ndim 2 rows 2\n-1 0 0\n0 -1 0\n1 1 1\n")
+    square = tmp_path / "square.hrep"
+    formats.write_hrep(unit_square(), str(square))
+    vertices = "polybound-vrep 1\ndim 2\nvertices 4\n0 0\n0 1\n1 0\n1 1\n"
+    short = tmp_path / "short.vrep"
+    short.write_text(vertices + "rays 2\n1 0\n")
+    long = tmp_path / "long.vrep"
+    long.write_text(vertices + "rays 0\n1 0\n")
+    cases = [(["vertices", hrep], "unexpected trailing content in H-rep file"),
+             (["incidences", square, short], "V-rep ray count mismatch"),
+             (["incidences", square, long], "unexpected trailing content in V-rep file")]
+    for argv, message in cases:
+        assert run(["-o", tmp_path] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.inc")) and not (tmp_path / "three.vrep").exists()
+
+
 def test_every_reader_refuses_a_non_ascii_byte(tmp_path, capsys):
     inc = tmp_path / "one.inc"
     inc.write_text("polybound-inc 1\nfacets 1 vertices 1\n1\n")
@@ -188,9 +212,10 @@ def test_bounded_verify_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     inc = tmp_path / "square.inc"
     inc.write_text("polybound-inc 1\nfacets 4 vertices 4\n1100\n0110\n0011\n1001\n"
                    "farface 2 3\n")
-    real = pipeline.moebius_generation
-    # a moebius run that stops at the vertices misses the bounded edge
-    monkeypatch.setattr(pipeline, "moebius_generation", lambda inc, max_dim=None: real(inc, 0))
+    # a moebius run that finds vertex 0 alone: graded and contractible, so
+    # the invariants pass, but it misses vertex 1 and the bounded edge
+    monkeypatch.setattr(pipeline, "moebius_generation",
+                        lambda inc, max_dim=None: HasseDiagram(inc.n, [0, 1], [-1, 0], [(0, 1)]))
     assert run(["-o", tmp_path, "bounded", inc, "--verify"]) == 4
     err = capsys.readouterr().err
     assert err == ("internal error: algorithms selective and moebius disagree "
@@ -260,13 +285,17 @@ def test_bench_refuses_a_roster_that_selects_nothing(tmp_path, capsys, suite, ma
                                        f"instance; the smallest size is {smallest}\n")
 
 
-def test_tropical_budget_counts_the_candidates_propagated(tmp_path, capsys):
-    # 16 trees of 6 * 6 * 6 propagations: 3,456, far below 4^2 * 24^3 = 221,184
-    assert run(["-o", tmp_path, "--budget", "200000", "gen", "tropical-permutohedron",
-                "4"]) == 0
-    assert run(["-o", tmp_path, "--budget", "3455", "gen", "tropical-permutohedron",
-                "4"]) == 3
-    assert "exceeds budget 3455" in capsys.readouterr().err
+def test_tropical_permutohedron_walk_obeys_the_budget(tmp_path, capsys):
+    # gen writes the H-rep only; the (24,4) vertices come from the walk,
+    # which charges 27 per vertex and more at its degenerate ones
+    assert run(["-o", tmp_path, "gen", "tropical-permutohedron", "4"]) == 0
+    hrep = tmp_path / "tropical-permutohedron-4.hrep"
+    capsys.readouterr()
+    assert run(["-o", tmp_path, "--budget", "1000", "vertices", hrep]) == 3
+    assert capsys.readouterr().err == (
+        "error: instance too large for pivot enumeration (budget 1000)\n")
+    assert run(["-o", tmp_path, "vertices", hrep]) == 0
+    assert capsys.readouterr().out.endswith("vertices=124 rays=28\n")
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -90,6 +90,32 @@ def test_parse_vrep_errors():
         parse_vrep(["polybound-vrep 1", "dim 1", "vertices 1", "1 2", "rays 0"])
 
 
+VREP_HEAD = ["polybound-vrep 1", "dim 2", "vertices 1", "0 0"]
+HREP_QUADRANT = ["polybound-hrep 1", "dim 2 rows 2", "-1 0 0", "0 -1 0"]
+
+
+@pytest.mark.parametrize("parse, lines, message", [
+    # rays 2 with one ray line
+    (parse_vrep, VREP_HEAD + ["rays 2", "1 0"], "V-rep ray count mismatch"),
+    (parse_vrep, VREP_HEAD + ["rays 1", "1 0", "0 1"],
+     "unexpected trailing content in V-rep file"),
+    (parse_vrep, VREP_HEAD + ["rays 0", "", "junk"], "unexpected trailing content in V-rep file"),
+    # rows 2 followed by three rows: the third, 1 1 1, used to be dropped
+    (parse_hrep, HREP_QUADRANT + ["1 1 1"], "unexpected trailing content in H-rep file"),
+    (parse_incidence, ["polybound-inc 1", "facets 1 vertices 2", "11", "farface 0", "farface 1"],
+     "unexpected trailing content in incidence file"),
+])
+def test_files_hold_exactly_the_rows_they_declare(parse, lines, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse(lines)
+
+
+def test_blank_lines_may_follow_the_declared_rows():
+    vrep = VREP_HEAD + ["rays 1", "1 0"]
+    assert parse_vrep(vrep + ["", "  "]) == parse_vrep(vrep)
+    assert parse_hrep(HREP_QUADRANT + [""]) == parse_hrep(HREP_QUADRANT)
+
+
 @pytest.mark.parametrize("lines", [
     ["polybound-inc 1", "facets 1 vertices 2", "12"],
     ["polybound-inc 1", "facets 1 vertices 2", "11", "extra junk"],

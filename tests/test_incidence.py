@@ -95,14 +95,14 @@ def test_far_face_segment():
     h = HRep.from_rows(1, [((-1,), 0)])
     clo = projective_closure(h)
     v = enumerate_vertices_bruteforce(clo.closure)
-    far = far_face_vertices(clo, v)
+    far = far_face_vertices(v)
     assert [v.vertices[i] for i in far] == [(1,)]
 
 
 def test_far_face_triangle():
     clo = projective_closure(quadrant())
     v = enumerate_vertices_bruteforce(clo.closure)
-    far = far_face_vertices(clo, v)
+    far = far_face_vertices(v)
     assert {v.vertices[i] for i in far} == {(1, 0), (0, 1)}
 
 

@@ -2,13 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 
 from conftest import cube3, instance, quadrant, random_pointed_hrep, square_pyramid, strip, unit_square
 from polybound.errors import BudgetExceededError, InputError, ObjectiveError
-from polybound.generators import (cyclic_matrix, dwarfed_cube, thrackle_metric, tight_span_hrep,
-                                  tropical_hrep)
+from polybound.generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
+                                  thrackle_metric, tight_span_hrep, tropical_hrep)
 from polybound import linalg, pipeline, polyhedron
 from oracles import ray_step, reference_closure, reference_nullspace, reference_reverse_search
 from polybound.errors import PolyboundError
@@ -26,7 +27,7 @@ def test_closure_of_ray_is_segment():
     clo = projective_closure(h)
     v = enumerate_vertices_bruteforce(clo.closure)
     assert v.vertices == ((ZERO,), (Fraction(1),))
-    assert clo.far_inequality == len(clo.closure.rows) - 1
+    assert clo.closure.rows[-1] == ((1,), 1)
 
 
 def test_closure_of_quadrant_is_triangle():
@@ -299,6 +300,67 @@ def test_walk_reads_simple_vertices_off_one_inverse():
         assert enumerate_vertices_pivoting(h) == expected
 
 
+def test_walk_matches_subset_reference_on_degenerate_closures():
+    # every input has vertices on more than d rows: the walk reads their
+    # edges by double description, the reference from (d-1)-subsets
+    cases = [projective_closure(h).closure
+             for h in (tight_span_hrep(thrackle_metric(3)), tight_span_hrep(thrackle_metric(4)),
+                       tropical_hrep(cyclic_matrix(3, 3)), square_pyramid())]
+    cases += [square_pyramid(), tropical_hrep(permutohedron_matrix(3))]
+    for h in cases:
+        expected = reference_pivoting(h)
+        assert max(active_counts(h, expected.vertices)) > h.dim
+        assert enumerate_vertices_pivoting(h) == expected
+
+
+def test_cone_edges_match_the_subset_rule_on_random_cones():
+    # pointed cones on d+1 to d+4 random rows in d = 3..6.  In d >= 5 two
+    # rays can share d-2 tight rows without being adjacent, and only the
+    # adjacency test keeps their combination out: 4 of these cones fail
+    # without it.  The subset rule takes each (d-1)-subset's kernel line
+    # that lies in the cone
+    rng = random.Random(3)
+    for _ in range(150):
+        d = rng.randint(3, 6)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, d + 4))]
+        if rank(rows) < d:
+            continue
+        want = set()
+        for subset in itertools.combinations(rows, d - 1):
+            v = linalg.kernel_line(subset, d)
+            for w in ((v, tuple(-x for x in v)) if v else ()):
+                if all(sum(map(mul, a, w)) <= 0 for a in rows):
+                    want.add(w)
+        assert set(polyhedron._cone_edges(rows, range(len(rows)), lambda units: None)) == want
+
+
+def test_walk_refuses_a_start_that_is_no_vertex():
+    # (1, 1) is interior to the quadrant and (0, 1) lies on one row: the
+    # subset walk returned either as the only vertex
+    for start in ((1, 1), (0, 1)):
+        with pytest.raises(InputError, match="^start point is not a vertex$"):
+            enumerate_vertices_pivoting(quadrant(), start=start)
+
+
+def test_walk_budget_at_a_degenerate_vertex():
+    # the square pyramid's four base vertices are simple and charge d = 3
+    # each; its apex lies on 4 rows, starts from the cone of 3 of them
+    # (3 more) and the fourth row splits that cone's rays 1 : 2, so 2 pairs
+    # are tested: 17 in all
+    h = square_pyramid()
+    assert enumerate_vertices_pivoting(h, 17) == enumerate_vertices_bruteforce(h)
+    with pytest.raises(BudgetExceededError, match=r"pivot enumeration \(budget 16\)"):
+        enumerate_vertices_pivoting(h, 16)
+
+
+def test_tropical_cyclic_closure_walks_within_a_small_budget():
+    # 8 of the 28 vertices of the (4,4) closure lie on 13 rows in d = 7: a
+    # subset walk charges C(13, 6) = 1,716 at each, 13,868 in all, where
+    # double description charges 2,736
+    _, h, clo, vbar, _ = instance("tropical-cyclic", 4, 4)
+    assert enumerate_vertices_pivoting(clo.closure, 10**4) == vbar
+
+
 def test_simple_vertex_takes_one_elimination_and_no_kernel_line(monkeypatch):
     h = tight_span_hrep(thrackle_metric(5))
     start, _ = polyhedron._start_vertex(h)
@@ -309,11 +371,12 @@ def test_simple_vertex_takes_one_elimination_and_no_kernel_line(monkeypatch):
         eliminations.append(len(rows))
         return real_echelon(rows)
 
-    def kernel_line(rows, ncols):
-        raise AssertionError("kernel_line called at a simple vertex")
+    def refuse(*args):
+        raise AssertionError("a simple vertex left the one-inverse path")
 
     monkeypatch.setattr(linalg, "_echelon", echelon)
-    monkeypatch.setattr(polyhedron, "kernel_line", kernel_line)
+    monkeypatch.setattr(linalg, "kernel_line", refuse)
+    monkeypatch.setattr(polyhedron, "_cone_edges", refuse)
     v = enumerate_vertices_pivoting(h, start=start)
     assert set(active_counts(h, v.vertices)) == {h.dim}
     assert eliminations == [h.dim] * len(v.vertices)

@@ -80,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     fv.add_argument("vrep")
     fv.add_argument("--simple", action="store_true", required=True,
                     help="use the simple-polyhedron degree counting (required)")
-    fv.add_argument("--dim", type=int, default=None,
-                    help="dimension (defaults to the V-rep dimension)")
-    fv.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser("bench", parents=[common], help="run a benchmark suite")
     bench.add_argument("--suite", choices=pipeline.SUITES, required=True)
@@ -166,8 +163,7 @@ def _cmd_fvector(args) -> int:
 
     inc = formats.read_incidence(args.inc)
     v = formats.read_vrep(args.vrep)
-    d = args.dim if args.dim is not None else v.dim
-    f_bounded, f_all, hv = f_vector_simple(inc, v, d, args.seed)
+    f_bounded, f_all, hv = f_vector_simple(inc, v, v.dim)
     print("f = (" + ", ".join(str(x) for x in f_bounded.f) + ")")
     record = {"f_bounded": list(f_bounded.f), "f_all": list(f_all.f),
               "h": list(hv.h), "h_inf": list(hv.h_inf)}

@@ -11,26 +11,33 @@ Counting sinks over the ordinary vertices therefore yields the f-vector of
 the bounded subcomplex, and counting sources yields the f-vector of the
 unbounded polyhedron itself.  Only the ordinary vertices need to be
 simple, so closures whose far vertices are degenerate are fine.
+
+The objective is fixed: sum(x), ties broken lexicographically by the
+coordinates.  For small enough eps > 0 the linear functional
+sum(x) + eps*x_1 + eps^2*x_2 + ... + eps^d*x_d orders any finite set of
+distinct points exactly as the keys (sum(p), p) do, so it is generic on
+the vertices (`vertex_key`).  The far face of a closure lies on
+sum(x) = 1 and every other vertex below it, so the far vertices come out
+on top.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, InternalError
 from .incidence import IncidenceMatrix, is_simple, polytope_edges, indices_from_mask
-from .linalg import ONE, Vector, dot
 from .polyhedron import VRep
 
 
 @dataclass(frozen=True)
 class HVector:
-    """Degree histograms: `h[k]` counts ordinary vertices of out-degree k,
-    `h_inf[k]` far-face vertices of in-degree k."""
+    """Degree histograms under the fixed order of `f_vector_simple`:
+    `h[k]` counts ordinary vertices of out-degree k, `h_inf[k]` far-face
+    vertices of in-degree k.  `h` does not depend on the order; `h_inf`
+    does when the far face is not simple."""
 
     h: tuple[int, ...]
     h_inf: tuple[int, ...]
@@ -46,35 +53,14 @@ class FVector:
         return cls(tuple(counts), sum(counts) + 1)
 
 
-def generic_ray_objective(v: VRep, far: Iterable[int], seed: int = 0) -> Vector:
-    """Objective for closure coordinates: exact, pairwise-distinct values on
-    all vertices, with every far-face value above every ordinary value.
-
-    Starts from the all-ones vector (the far face lies on sum(x) = 1, all
-    other vertices below it) and adds a seeded rational perturbation that
-    shrinks on every retry; both conditions are verified exactly."""
-    far = set(far)
-    d = v.dim
-    if not v.vertices:
-        raise InputError("no vertices to separate")
-    for attempt in range(64):
-        rng = random.Random(f"ray-objective:{seed}:{attempt}")
-        eps = Fraction(1, 2 ** (4 + 2 * attempt))
-        c = tuple(ONE + eps * Fraction(rng.randrange(1, 2**20), 2**20)
-                  for _ in range(d))
-        values = [dot(c, p) for p in v.vertices]
-        if len(set(values)) != len(values):
-            continue
-        far_vals = [val for i, val in enumerate(values) if i in far]
-        near_vals = [val for i, val in enumerate(values) if i not in far]
-        if far_vals and near_vals and min(far_vals) <= max(near_vals):
-            continue
-        return c
-    raise InputError("could not find a generic far-dominant objective")
+def vertex_key(p: tuple) -> tuple:
+    """Position of a closure point in the fixed order: sum(x), ties broken
+    lexicographically by the coordinates."""
+    return (sum(p), p)
 
 
-def f_vector_simple(inc: IncidenceMatrix, coords: VRep, d: int,
-                    seed: int = 0) -> tuple[FVector, FVector, HVector]:
+def f_vector_simple(inc: IncidenceMatrix, coords: VRep,
+                    d: int) -> tuple[FVector, FVector, HVector]:
     """(f-vector of the bounded subcomplex, f-vector of the polyhedron,
     degree histograms) for a simple pointed polyhedron given its closure's
     incidences (far face attached) and vertex coordinates."""
@@ -89,12 +75,14 @@ def f_vector_simple(inc: IncidenceMatrix, coords: VRep, d: int,
     if any(inc.column_masks[i].bit_count() != d for i in near):
         raise InputError("not simple")
 
-    c = generic_ray_objective(coords, far, seed)
-    values = [dot(c, p) for p in coords.vertices]
+    keys = [vertex_key(p) for p in coords.vertices]
+    # IncidenceMatrix refuses an empty far face and one holding every vertex
+    if min(keys[i] for i in far) <= max(keys[i] for i in near):
+        raise InputError("far face is not on top")
     out_deg = [0] * inc.n
     in_deg = [0] * inc.n
     for u, v in polytope_edges(inc):
-        lo, hi = (u, v) if values[u] < values[v] else (v, u)
+        lo, hi = (u, v) if keys[u] < keys[v] else (v, u)
         out_deg[lo] += 1
         in_deg[hi] += 1
 

@@ -1,9 +1,11 @@
 """Exact rational scalars.
 
-All geometry in this package is exact: coordinates, inequality data and
-objective values are `fractions.Fraction` instances, which are always kept
-in lowest terms with a positive denominator.  This module only adds the
-text form used by the file formats: "p/q", or just "p" when q == 1.
+All geometry in this package is exact.  The H-reps, V-reps and LP
+outcomes that the package reads, writes and returns hold
+`fractions.Fraction` values, always in lowest terms with a positive
+denominator; between those boundaries the computation runs in integers.
+This module only adds the text form used by the file formats: "p/q", or
+just "p" when q == 1.
 """
 
 import re

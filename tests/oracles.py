@@ -11,16 +11,20 @@ found combinatorially, by propagating w through every labeled spanning
 tree (Prufer sequences) with every choice of one row per edge; the library
 walks the tropical H-rep instead.  The vertex poset is the whole
 poset of vertex sets of faces with its Moebius numbers, the plain recursion
-that `moebius_generation` interleaves with its search.
+that `moebius_generation` interleaves with its search.  The simple
+polyhedron's face numbers are counted again along a seeded random
+objective, found by retries, in place of the library's fixed order.
 """
 
 import heapq
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from polybound.errors import BudgetExceededError, InputError, InternalError, ObjectiveError
-from polybound.incidence import IncidenceMatrix, indices_from_mask
+from polybound.incidence import IncidenceMatrix, indices_from_mask, polytope_edges
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
 from polybound.polyhedron import Graph, HRep, VRep, _start_vertex, normalize_ray
@@ -385,3 +389,52 @@ def faces(hd) -> set:
     """The (rank, vertex mask) pairs of a Hasse diagram's nodes."""
     return set(zip(hd.ranks, hd.masks))
 
+
+
+# -- face numbers of a simple polyhedron along a seeded objective ------------
+def generic_ray_objective(v: VRep, far, seed: int = 0):
+    """Objective for closure coordinates: exact, pairwise-distinct values on
+    all vertices, with every far-face value above every ordinary value.
+
+    Starts from the all-ones vector (the far face lies on sum(x) = 1, all
+    other vertices below it) and adds a seeded rational perturbation that
+    shrinks on every retry; both conditions are verified exactly."""
+    far = set(far)
+    for attempt in range(64):
+        rng = random.Random(f"ray-objective:{seed}:{attempt}")
+        eps = Fraction(1, 2 ** (4 + 2 * attempt))
+        c = tuple(ONE + eps * Fraction(rng.randrange(1, 2**20), 2**20)
+                  for _ in range(v.dim))
+        values = [dot(c, p) for p in v.vertices]
+        if len(set(values)) != len(values):
+            continue
+        far_vals = [val for i, val in enumerate(values) if i in far]
+        near_vals = [val for i, val in enumerate(values) if i not in far]
+        if far_vals and near_vals and min(far_vals) <= max(near_vals):
+            continue
+        return c
+    raise InputError("could not find a generic far-dominant objective")
+
+
+def seeded_f_vector(inc: IncidenceMatrix, v: VRep, seed: int = 0):
+    """(f_bounded, f_all, h, h_inf) as tuples, with every edge of the
+    closure pointing up along `generic_ray_objective`: each face of the
+    polyhedron is counted at its lowest vertex, each bounded face at its
+    highest, both ordinary."""
+    far = set(indices_from_mask(inc.far_face))
+    c = generic_ray_objective(v, far, seed)
+    values = [dot(c, p) for p in v.vertices]
+    up = [0] * inc.n
+    down = [0] * inc.n
+    for a, b in polytope_edges(inc):
+        lo, hi = sorted((a, b), key=values.__getitem__)
+        up[lo] += 1
+        down[hi] += 1
+    d = v.dim
+    near = [i for i in range(inc.n) if i not in far]
+    f_all = tuple(sum(comb(up[i], k) for i in near) for k in range(d + 1))
+    f_bounded = tuple(sum(comb(down[i], k) for i in near) for k in range(d + 1))
+    h = tuple(sum(up[i] == k for i in near) for k in range(d + 1))
+    width = max([d] + up + down) + 1
+    h_inf = tuple(sum(down[i] == k for i in far) for k in range(width))
+    return f_bounded, f_all, h, h_inf

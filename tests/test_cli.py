@@ -353,12 +353,13 @@ def test_smallest_flag_values_are_accepted(tmp_path, capsys):
     assert "faces=3 f_vector=[2]" in capsys.readouterr().out
 
 
-def test_fvector_refuses_a_dimension_other_than_the_vreps(tmp_path, capsys):
+def test_fvector_refuses_a_far_face_that_is_not_on_top(tmp_path, capsys):
     pipeline.run_pipeline("dwarfed-cube", (3,), out_dir=str(tmp_path))
     inc, vrep = tmp_path / "dwarfed-cube-3.inc", tmp_path / "dwarfed-cube-3.closure.vrep"
+    good = formats.read_incidence(str(inc))
+    row = next(r for r in good.row_masks if r != good.far_face)
+    formats.write_incidence(type(good)(good.n, good.row_masks, row), str(inc))
     capsys.readouterr()
-    assert run(["-o", tmp_path, "fvector", inc, vrep, "--simple", "--dim", "2"]) == 2
-    assert capsys.readouterr().err == "error: dimension 2 does not match V-rep dimension 3\n"
+    assert run(["-o", tmp_path, "fvector", inc, vrep, "--simple"]) == 2
+    assert capsys.readouterr().err == "error: far face is not on top\n"
     assert not (tmp_path / "dwarfed-cube-3.fvector.json").exists()
-    assert run(["-o", tmp_path, "fvector", inc, vrep, "--simple", "--dim", "3"]) == 0
-    assert "f = (4, 3, 0, 0)" in capsys.readouterr().out

@@ -5,8 +5,11 @@ bounded algorithm gives the same answer.
 degenerate vertices, which the walk reads by double description.  The
 walk must equal brute force, reverse search must agree whenever it
 returns, and selective, moebius and filter must give one diagram whose
-Euler characteristic is 1.  `derandomize=True` keeps the examples the same
-on every run.
+Euler characteristic is 1.  When every ordinary closure vertex lies on
+exactly d facets, the simple-polyhedron degree count must give that
+diagram's f-vector, and one more than the full lattice's count of faces
+outside the far face.  `derandomize=True` keeps the examples the same on
+every run.
 """
 
 import random
@@ -14,7 +17,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pointed_hrep
+from polybound.bounded import full_face_lattice
 from polybound.errors import InputError
+from polybound.fvector import f_vector_simple
 from polybound.pipeline import ALGORITHMS, bounded_diagram, closure_data
 from polybound.polyhedron import (enumerate_vertices_bruteforce, enumerate_vertices_pivoting,
                                   reverse_search_with_retries)
@@ -34,7 +39,14 @@ def test_enumerators_and_bounded_algorithms_agree(seed, d, extra_rows):
         assert str(exc) == "not simple" or str(exc).startswith("no generic objective")
     else:
         assert searched == walk
-    _, _, inc = closure_data(h)
+    _, vbar, inc = closure_data(h)
     first, *others = (bounded_diagram(inc, alg) for alg in ALGORITHMS)
     assert all(hd.canonical() == first.canonical() for hd in others)
     assert sum(f if k % 2 == 0 else -f for k, f in enumerate(first.f_vector())) == 1
+    if all(col.bit_count() == d for i, col in enumerate(inc.column_masks)
+           if not inc.far_face >> i & 1):
+        fb, fa, _ = f_vector_simple(inc, vbar, d)
+        counts = first.f_vector()
+        assert list(fb.f) == counts + [0] * (d + 1 - len(counts))
+        lattice = full_face_lattice(inc)
+        assert fa.total == sum(1 for mask in lattice.masks if mask & ~inc.far_face) + 1

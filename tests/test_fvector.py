@@ -1,37 +1,38 @@
 import pytest
 
 from conftest import instance
+from oracles import seeded_f_vector
 from polybound.bounded import selective_generation
 from polybound.errors import InputError
-from polybound.fvector import f_vector_simple, generic_ray_objective
-from polybound.incidence import indices_from_mask
-from polybound.linalg import dot
+from polybound.fvector import f_vector_simple, vertex_key
+from polybound.incidence import is_simple, indices_from_mask
 from polybound.polyhedron import VRep
 
+# every closure here is simple on its ordinary vertices
+ROSTER = ([("dwarfed-cube", (d,)) for d in range(2, 16)]
+          + [("tropical-cyclic", st) for st in [(3, 3), (3, 4), (4, 4), (3, 6), (5, 5), (3, 10)]])
 
-def test_generic_ray_objective_segment():
+
+def test_vertex_keys_segment():
     v = VRep.build(1, [(0,), (1,)], [])
-    c = generic_ray_objective(v, {1})
-    assert dot(c, (1,)) > dot(c, (0,))
+    assert vertex_key(v.vertices[1]) > vertex_key(v.vertices[0])
 
 
-def test_generic_ray_objective_triangle():
+def test_vertex_keys_triangle():
     v = VRep.build(2, [(0, 0), (1, 0), (0, 1)], [])
     far = {i for i, p in enumerate(v.vertices) if sum(p) == 1}
-    c = generic_ray_objective(v, far)
-    values = [dot(c, p) for p in v.vertices]
-    assert len(set(values)) == 3
-    near_val = values[v.vertices.index((0, 0))]
-    assert all(values[i] > near_val for i in far)
+    keys = [vertex_key(p) for p in v.vertices]
+    assert len(set(keys)) == 3
+    near_key = keys[v.vertices.index((0, 0))]
+    assert all(keys[i] > near_key for i in far)
 
 
-def test_generic_ray_objective_verified_on_dwarfed():
+def test_vertex_keys_on_dwarfed():
     _, _, _, vbar, inc = instance("dwarfed-cube", 5)
     far = set(indices_from_mask(inc.far_face))
-    c = generic_ray_objective(vbar, far)
-    values = [dot(c, p) for p in vbar.vertices]
-    assert len(set(values)) == len(values)
-    assert min(values[i] for i in far) > max(v for i, v in enumerate(values) if i not in far)
+    keys = [vertex_key(p) for p in vbar.vertices]
+    assert len(set(keys)) == len(keys)
+    assert min(keys[i] for i in far) > max(k for i, k in enumerate(keys) if i not in far)
 
 
 def test_dwarfed_2_face_numbers():
@@ -67,11 +68,17 @@ def test_matches_rank_histogram():
         assert all(x == 0 for x in fb.f[len(hist):])
 
 
-def test_seed_independent_f_vectors():
-    _, h, _, vbar, inc = instance("tropical-cyclic", 3, 3)
-    runs = [f_vector_simple(inc, vbar, h.dim, seed) for seed in (0, 1, 5)]
-    assert len({r[0].f for r in runs}) == 1
-    assert len({r[1].f for r in runs}) == 1
+@pytest.mark.parametrize("family, params", ROSTER,
+                         ids=["-".join(map(str, (f, *p))) for f, p in ROSTER])
+def test_fixed_order_matches_seeded_objective(family, params):
+    # f_bounded, f_all and h do not depend on the generic objective; h_inf
+    # does only when the far face is not simple
+    _, _, _, vbar, inc = instance(family, *params)
+    fb, fa, hv = f_vector_simple(inc, vbar, vbar.dim)
+    ref_fb, ref_fa, ref_h, ref_h_inf = seeded_f_vector(inc, vbar)
+    assert (fb.f, fa.f, hv.h) == (ref_fb, ref_fa, ref_h)
+    if is_simple(inc, vbar.dim):
+        assert hv.h_inf == ref_h_inf
 
 
 def test_f_all_matches_lattice_count():
@@ -98,3 +105,22 @@ def test_requires_far_face():
     bare = type(inc)(inc.n, inc.row_masks, None)
     with pytest.raises(InputError, match="far-face"):
         f_vector_simple(bare, vbar, 2)
+
+
+def test_refuses_a_dimension_other_than_the_vreps():
+    _, _, _, vbar, inc = instance("dwarfed-cube", 3)
+    with pytest.raises(InputError, match="^dimension 2 does not match V-rep dimension 3$"):
+        f_vector_simple(inc, vbar, 2)
+    assert f_vector_simple(inc, vbar, 3)[0].f == (4, 3, 0, 0)
+
+
+def test_refuses_a_far_face_that_is_not_on_top():
+    # any other facet of the closure as the far face leaves a vertex of
+    # the true far face (sum(x) = 1) among the ordinary ones
+    _, _, _, vbar, inc = instance("dwarfed-cube", 3)
+    others = [row for row in inc.row_masks if row != inc.far_face]
+    assert len(others) == 6
+    for row in others:
+        moved = type(inc)(inc.n, inc.row_masks, row)
+        with pytest.raises(InputError, match="^far face is not on top$"):
+            f_vector_simple(moved, vbar, 3)

@@ -9,7 +9,7 @@ from .errors import (BudgetExceededError, InputError, InternalError,
 from .polyhedron import (ClosureResult, HRep, VRep,
                          enumerate_vertices_bruteforce,
                          enumerate_vertices_pivoting, projective_closure,
-                         reverse_search_with_retries)
+                         reverse_search_vertices)
 from .incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
                         restrict_to_near)
 from .bounded import (HasseDiagram, filter_bounded, full_face_lattice,

@@ -26,25 +26,16 @@ from functools import reduce
 from operator import and_, getitem
 from typing import Optional
 
-from .errors import InputError, InternalError
+from .errors import BudgetExceededError, InputError, InternalError
 from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
 from .incidence import closure_mask  # noqa: F401  (perfbench's tracer wraps bounded.closure_mask)
-
-#: Distinguished "improper face" result of the closure operator.
-WHOLE = None
+from .polyhedron import DEFAULT_BUDGET
 
 
 def facet_set(mask: int, inc: IncidenceMatrix) -> int:
     """F(mask): the row-set mask of the facets containing `mask`."""
     return reduce(and_, map(inc.column_masks.__getitem__, indices_from_mask(mask)),
                   (1 << inc.m) - 1)
-
-
-def closure(mask: int, inc: IncidenceMatrix) -> Optional[int]:
-    """Intersection of the facet rows containing `mask`, the meet of
-    F(mask); WHOLE (None) when no facet contains it."""
-    facets = facet_set(mask, inc)
-    return inc.meet(facets) if facets else WHOLE
 
 
 def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
@@ -64,7 +55,7 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     facets = facet_set(mask, inc)
     counts = Counter(map(facets.__and__, inc.column_masks))
     counts[facets] -= inside
-    del counts[0]  # no facet holds mask + {v}: its closure is WHOLE
+    del counts[0]  # no facet holds mask + {v}: its closure is the whole polytope
     minimal = []
     for key, count in counts.items():
         if count:  # a closed mask leaves its own facet set with none
@@ -112,11 +103,13 @@ class HasseDiagram:
         return tuple(keys[i] for i in order), tuple(arcs)
 
 
-def _cover_search(inc: IncidenceMatrix, far: int,
-                  max_dim: Optional[int] = None) -> HasseDiagram:
+def _cover_search(inc: IncidenceMatrix, far: int, max_dim: Optional[int] = None,
+                  budget: int = DEFAULT_BUDGET) -> HasseDiagram:
     """Breadth-first search of the faces from the empty one along covers,
     never stepping onto a face that meets `far` and expanding no face of
-    rank max_dim or more.  Nodes and arcs are listed in discovery order."""
+    rank max_dim or more.  Nodes and arcs are listed in discovery order.
+    Faces are found in rank order, so the expanded ones are a prefix of
+    the list; expanding the (budget+1)-th raises BudgetExceededError."""
     index = {0: 0}
     masks, ranks = [0], [-1]
     arcs: list[tuple[int, int]] = []
@@ -125,6 +118,9 @@ def _cover_search(inc: IncidenceMatrix, far: int,
         rank = ranks[nid]
         if max_dim is not None and rank >= max_dim:
             continue
+        if nid >= budget:
+            raise BudgetExceededError(
+                f"instance too large for the face search (budget {budget})")
         # `covers` is read through the module, so perfbench's tracer counts each call
         for cover in covers(face, inc):
             if cover & far:
@@ -140,24 +136,27 @@ def _cover_search(inc: IncidenceMatrix, far: int,
     return HasseDiagram(inc.n, masks, ranks, arcs, inc.far_face)
 
 
-def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None) -> HasseDiagram:
+def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
+                         budget: int = DEFAULT_BUDGET) -> HasseDiagram:
     """Hasse diagram of the bounded faces, generated without ever visiting
     an unbounded one.
 
     Needs far-face data on `inc`; a cover is expanded only when its vertex
     set misses the far face.  With `max_dim` set, only faces of rank up to
-    max_dim are emitted (the skeleton cutoff).
+    max_dim are emitted (the skeleton cutoff).  More than `budget` faces to
+    expand raise BudgetExceededError.
     """
     if inc.far_face is None:
         raise InputError("far face required; use moebius_generation")
-    return _cover_search(inc, inc.far_face, max_dim)
+    return _cover_search(inc, inc.far_face, max_dim, budget)
 
 
-def full_face_lattice(inc: IncidenceMatrix) -> HasseDiagram:
+def full_face_lattice(inc: IncidenceMatrix, budget: int = DEFAULT_BUDGET) -> HasseDiagram:
     """Complete face lattice of a polytope, including the improper top face
     (whose node carries the full vertex set) above the faces with no
-    cover, the facets.  Ignores far-face data."""
-    hd = _cover_search(inc, 0)
+    cover, the facets.  Ignores far-face data.  More than `budget` faces
+    to expand raise BudgetExceededError."""
+    hd = _cover_search(inc, 0, None, budget)
     expanded = {lo for lo, _ in hd.arcs}
     coatoms = [i for i in range(hd.node_count()) if i not in expanded]
     ranks = {hd.ranks[i] for i in coatoms}

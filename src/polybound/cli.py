@@ -17,7 +17,9 @@ from .fvector import f_vector_simple
 from .incidence import compute_incidences, far_face_vertices
 from .polyhedron import (DEFAULT_BUDGET, enumerate_vertices_bruteforce,
                          enumerate_vertices_pivoting, projective_closure,
-                         reverse_search_with_retries)
+                         reverse_search_vertices)
+
+BUDGET_HELP = "work budget of gen, vertices, bounded and bench; exit 3 when it runs out"
 
 
 def _int_at_least(low: int):
@@ -38,13 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--out-dir", default=argparse.SUPPRESS,
                         help="directory for output files (default: .)")
     common.add_argument("--budget", type=_int_at_least(1), default=argparse.SUPPRESS,
-                        help="combinatorial budget for enumeration guards")
+                        help=BUDGET_HELP)
     top = argparse.ArgumentParser(
         prog="polybound",
         description="Bounded subcomplexes of unbounded polyhedra, exactly.")
     top.add_argument("-o", "--out-dir", default=".", help="directory for output files")
     top.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
-                     help="combinatorial budget for enumeration guards")
+                     help=BUDGET_HELP)
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", parents=[common], help="generate a benchmark instance H-rep")
@@ -58,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     verts = sub.add_parser("vertices", parents=[common], help="enumerate vertices and rays")
     verts.add_argument("hrep")
     verts.add_argument("--alg", choices=("pivot", "brute", "rs"), default="pivot")
-    verts.add_argument("--seed", type=int, default=0,
-                       help="seed for the reverse-search objective")
 
     incs = sub.add_parser("incidences", parents=[common], help="vertex-facet incidence matrix")
     incs.add_argument("hrep")
@@ -123,7 +123,7 @@ def _cmd_vertices(args) -> int:
     if args.alg == "brute":
         v = enumerate_vertices_bruteforce(h, args.budget)
     elif args.alg == "rs":
-        v, _ = reverse_search_with_retries(h, args.seed)
+        v, _ = reverse_search_vertices(h, args.budget)
     else:
         v = enumerate_vertices_pivoting(h, args.budget)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -148,9 +148,9 @@ def _cmd_incidences(args) -> int:
 
 def _cmd_bounded(args) -> int:
     inc = formats.read_incidence(args.inc)
-    hd = pipeline.bounded_diagram(inc, args.alg, args.max_dim)
+    hd = pipeline.bounded_diagram(inc, args.alg, args.max_dim, args.budget)
     if args.verify:
-        pipeline.verify_diagram(inc, hd, args.alg, args.max_dim)
+        pipeline.verify_diagram(inc, hd, args.alg, args.max_dim, args.budget)
     os.makedirs(args.out_dir, exist_ok=True)
     path = _stem(args.inc, args.out_dir) + ".hasse.json"
     formats.write_hasse(hd, path)

@@ -13,11 +13,6 @@ class InputError(PolyboundError):
     """Invalid or unusable input (empty polyhedron, not pointed, bad file, ...)."""
 
 
-class ObjectiveError(InputError):
-    """A reverse-search objective is unbounded or not generic on the input;
-    another objective may succeed."""
-
-
 class BudgetExceededError(PolyboundError):
     """A combinatorial guard tripped; the instance is too large for the chosen method."""
 

@@ -21,7 +21,6 @@ from .errors import BudgetExceededError, InputError, InternalError
 from .linalg import ONE, ZERO, Vector
 from .polyhedron import DEFAULT_BUDGET, HRep, VRep, enumerate_vertices_pivoting
 
-HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
 
 

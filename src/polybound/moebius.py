@@ -23,8 +23,7 @@ from typing import Optional
 from .errors import BudgetExceededError, InputError, InternalError
 from .bounded import HasseDiagram, covers
 from .incidence import IncidenceMatrix
-
-DEFAULT_ELEMENT_BUDGET = 10**6
+from .polyhedron import DEFAULT_BUDGET
 
 
 class BoundedRegistry:
@@ -71,12 +70,13 @@ class BoundedRegistry:
 
 
 def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
-                       budget: int = DEFAULT_ELEMENT_BUDGET) -> HasseDiagram:
+                       budget: int = DEFAULT_BUDGET) -> HasseDiagram:
     """Hasse diagram of the bounded faces from the incidences of the
     unbounded polyhedron, without any far-face data.
 
     Elements are popped in order of cardinality, a linear extension of
     containment.  With `max_dim`, faces above that rank are not emitted.
+    More than `budget` faces to expand raise BudgetExceededError.
     """
     if inc.far_face is not None:
         raise InputError("far-face data present; restrict to near vertices first")
@@ -87,6 +87,7 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
     masks, ranks = [], []                   # the emitted nodes, in pop order
     pending_arcs: list[tuple[int, int]] = []  # (parent mask, child mask)
     heap = [(0, 0, 0)]  # (cardinality, push sequence, mask)
+    expanded = 0
     while heap:
         face = heapq.heappop(heap)[2]
         mu = registry.mu_hat(face)
@@ -96,9 +97,13 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
         emitted[face] = len(masks)
         masks.append(face)
         ranks.append(rank)
-        if len(masks) > budget:
-            raise BudgetExceededError(f"bounded complex exceeds element budget {budget}")
-        ups = [] if max_dim is not None and rank >= max_dim else covers(face, inc)
+        ups = []
+        if max_dim is None or rank < max_dim:
+            expanded += 1
+            if expanded > budget:
+                raise BudgetExceededError(
+                    f"instance too large for moebius generation (budget {budget})")
+            ups = covers(face, inc)
         registry.add(face, mu, ups)
         for cover in ups:
             if cover not in node_rank:

@@ -101,9 +101,11 @@ def closure_data(h: HRep, vrep: Optional[VRep] = None,
 
 
 def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
-                    max_dim: Optional[int] = None) -> HasseDiagram:
+                    max_dim: Optional[int] = None,
+                    budget: int = DEFAULT_BUDGET) -> HasseDiagram:
     """Bounded-subcomplex Hasse diagram by the chosen algorithm, always
-    expressed in the closure's vertex indexing.
+    expressed in the closure's vertex indexing.  Each algorithm refuses to
+    expand more than `budget` faces.
 
     Two cheap invariants are checked on every diagram, and a failure
     raises InternalError naming the algorithm: every arc raises the rank
@@ -111,17 +113,17 @@ def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
     characteristic sum((-1)^k f_k) is 1, because the faces of a polytope
     that avoid a proper face form a contractible complex (Hirai 2006)."""
     if alg == "selective":
-        hd = selective_generation(inc, max_dim)
+        hd = selective_generation(inc, max_dim, budget)
     elif alg == "filter":
         if inc.far_face is None:
             raise InputError("far-face data required for the filter algorithm")
-        hd = filter_bounded(full_face_lattice(inc), inc.far_face, max_dim)
+        hd = filter_bounded(full_face_lattice(inc, budget), inc.far_face, max_dim)
     elif alg == "moebius":
         if inc.far_face is None:
-            hd = moebius_generation(inc, max_dim)
+            hd = moebius_generation(inc, max_dim, budget)
         else:
             near_inc, near = restrict_to_near(inc)
-            hd = relabel_vertices(moebius_generation(near_inc, max_dim),
+            hd = relabel_vertices(moebius_generation(near_inc, max_dim, budget),
                                   dict(enumerate(near)), inc.n, inc.far_face)
     else:
         raise InputError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
@@ -137,11 +139,11 @@ def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
 
 
 def verify_diagram(inc: IncidenceMatrix, hd: HasseDiagram, alg: str,
-                   max_dim: Optional[int] = None) -> None:
+                   max_dim: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> None:
     """Recompute the diagram hd (made by alg) with a second algorithm and
     raise InternalError unless both agree."""
     other_alg = "moebius" if alg != "moebius" else "selective"
-    other = bounded_diagram(inc, other_alg, max_dim)
+    other = bounded_diagram(inc, other_alg, max_dim, budget)
     if other.canonical() != hd.canonical():
         raise InternalError(f"algorithms {alg} and {other_alg} disagree on the bounded complex")
 
@@ -157,10 +159,10 @@ def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
         stage = "close/enumerate"
         clo, vbar, inc = closure_data(h, pre, budget)
         stage = f"bounded[{alg}]"
-        hd = bounded_diagram(inc, alg, max_dim)
+        hd = bounded_diagram(inc, alg, max_dim, budget)
         if verify:
             stage = "verify"
-            verify_diagram(inc, hd, alg, max_dim)
+            verify_diagram(inc, hd, alg, max_dim, budget)
     except PolyboundError as exc:
         # only our own errors are known to take a single message argument
         raise type(exc)(f"{stage}: {exc}") from exc

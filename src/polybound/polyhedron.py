@@ -10,7 +10,7 @@ are computed in integers.
 Three enumerators are provided:
 
 * `enumerate_vertices_bruteforce` solves every d-subset of rows; it is the
-  independent oracle for everything else and is budget-guarded.
+  independent oracle for everything else.
 * `enumerate_vertices_pivoting` walks the vertex-edge graph with one edge
   rule: a vertex's edges are the extreme rays of its tangent cone.  A
   simple vertex reads its d of them off one inverse of its active rows; a
@@ -18,7 +18,8 @@ Three enumerators are provided:
   rows and adds the others by double description, so the walk is exact on
   degenerate (non-simple) polyhedra such as tropical ones as well.
 * `reverse_search_vertices` is the classic reverse search for simple
-  polyhedra under a generic objective, with a ratio test that flags
+  polyhedra, ordered by one fixed lexicographic objective (the sum of the
+  rows, ties broken by x_1, ..., x_d), with a ratio test that flags
   unbounded edges.
 
 The walk and reverse search run in integers: integer rows, points as
@@ -27,24 +28,23 @@ elimination (`linalg.scaled_inverse`) and combined in integers at a
 degenerate vertex, and the one ratio test `linalg.ratio_step`.  Points
 become Fractions only in the returned `VRep`.
 
-`projective_closure`, the pivot walk and `reverse_search_with_retries`
-find a first vertex (or refuse empty and non-pointed input) through
-`_start_vertex`, one feasibility LP; brute force takes it from the
-closure, and the pipeline hands the closure's vertex on to the pivot walk,
-so each solves that LP once.
+`projective_closure`, the pivot walk and reverse search find a first
+vertex (or refuse empty and non-pointed input) through `_start_vertex`,
+one feasibility LP; brute force takes it from the closure, and the
+pipeline hands the closure's vertex on to the pivot walk, so each solves
+that LP once.  All three enumerators charge the one budget.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceededError, InputError, InternalError, ObjectiveError
+from .errors import BudgetExceededError, InputError, InternalError
 from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
                      integer_row, ratio_step, scaled_inverse, solve_linear_system)
 # perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
@@ -384,125 +384,96 @@ def _as_fractions(point: tuple[Sequence[int], int]) -> Vector:
     return tuple(Fraction(n, den) for n in num)
 
 
-def bounded_generic_objective(h: HRep, attempt: int = 0, seed: int = 0) -> Vector:
-    """Objective bounded above on a pointed h, with a seeded perturbation.
+def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> tuple[VRep, Graph]:
+    """Reverse search over a simple pointed polyhedron (Avis & Fukuda 1992).
 
-    The coefficient sum of all rows strictly decreases along every nonzero
-    recession direction of a pointed region, so it is bounded above; the
-    perturbation (shrunk on every retry attempt) breaks ties between
-    vertices.  Genericity is verified by the caller.
-    """
-    d = h.dim
-    base = [sum((a[j] for a, _ in h.rows), ZERO) for j in range(d)]
-    rng = random.Random(f"objective:{seed}:{attempt}")
-    scale = Fraction(1, 2 ** (16 + 8 * attempt))
-    return tuple(base[j] + scale * rng.randrange(1, 2**12) for j in range(d))
-
-
-def reverse_search_with_retries(h: HRep, seed: int = 0,
-                                attempts: int = 64) -> tuple[VRep, Graph]:
-    """Reverse search under automatically chosen objectives, retrying with a
-    fresh perturbation whenever genericity or boundedness fails.  Empty and
-    non-pointed input is refused up front: no objective can succeed there."""
-    _start_vertex(h)
-    last = None
-    for attempt in range(attempts):
-        try:
-            return reverse_search_vertices(h, bounded_generic_objective(h, attempt, seed))
-        except ObjectiveError as exc:
-            last = exc
-    raise InputError(f"no generic objective found after {attempts} attempts: {last}")
-
-
-def reverse_search_vertices(h: HRep, objective: Sequence[Fraction]) -> tuple[VRep, Graph]:
-    """Reverse search over a simple pointed polyhedron with a generic objective.
-
-    Returns all vertices plus the bounded vertex-edge graph; pivot
+    Returns all vertices plus the bounded vertex-edge graph; edge
     directions whose ratio test never blocks are reported as rays and
     flagged in `Graph.unbounded_edges`.  Raises "not simple" when a visited
-    vertex lies on more than d facets, and "objective not generic" when two
-    vertices share an objective value.
+    vertex lies on more than d facets.
+
+    The order is fixed: an edge direction v goes up when (c.v, v_1, ...,
+    v_d) > 0 lexicographically, with c the sum of h's integer rows.  It is
+    the order of c.x + eps*x_1 + ... + eps^d*x_d for small eps > 0, so no
+    two vertices tie, and c.r < 0 on every ray r of a pointed polyhedron,
+    so every ray goes down and one vertex, the sink, is on top.  The search
+    climbs from `_start_vertex` to the sink along the first up edge at each
+    vertex (Bland's rule), then walks the tree of those steps down from it:
+    y is a child of x when the edge x -> y goes down and y's first up edge
+    leads back to x.  The budget is charged d per vertex stepped on, the
+    climb included, as the pivot walk charges.
 
     It runs in integers, as the pivot walk does: a point is (num, den), the
     edges relaxing its d active rows are read off one inverse of them,
     `_simple_edges`, and `ratio_step` finds each edge's other end.
     """
     d = h.dim
-    c = as_vector(objective)
-    if len(c) != d:
-        raise InputError("objective length does not match dimension")
-    out = lp_solve(h.coefficient_rows(), h.rhs(), list(c))
-    if out.status is LpStatus.INFEASIBLE:
-        raise InputError("empty polyhedron")
-    if out.status is LpStatus.UNBOUNDED:
-        raise ObjectiveError("objective unbounded on polyhedron")
-    nums, den = common_denominator(out.point)
-    root = (tuple(nums), den)
+    start, _ = _start_vertex(h)
     rows = [integer_row([*a, b]) for a, b in h.rows]
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
-    c_int, _ = common_denominator(c)
+    c = [sum(col) for col in zip(*a_rows)]
+    level = (0,) * (d + 1)
+    work = 0
 
-    def value(point) -> tuple[int, int]:
-        """c.x as (numerator, positive denominator)."""
-        return sum(map(mul, c_int, point[0])), point[1]
+    def charge() -> None:
+        nonlocal work
+        work += d
+        if work > budget:
+            raise BudgetExceededError(
+                f"instance too large for reverse search (budget {budget})")
 
-    def active_basis(point) -> tuple[list[int], list[tuple[int, ...]]]:
-        """The slacks of a point and the edges relaxing each of its active
-        rows, in row order: there must be d independent ones."""
+    def up(v) -> bool:
+        return (sum(map(mul, c, v)), *v) > level
+
+    def edges_at(point) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The slacks of a vertex and the edges relaxing each of its
+        active rows, in row order: there must be d independent ones."""
         num, den = point
         slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
         act = [i for i, s in enumerate(slack) if not s]
-        edges = _simple_edges(a_rows, act) if len(act) == d else None
-        if edges is None:
+        directions = _simple_edges(a_rows, act) if len(act) == d else None
+        if directions is None:
             raise InputError("not simple")
-        return slack, edges
+        return slack, directions
 
-    def pivot(point, slack, v):
-        """Step along edge v; returns ('ray', v) or ('vertex', y, v)."""
+    def step(point, slack, v):
+        """The other end of edge v, or None when v is a ray."""
         y, blocking = ratio_step(a_rows, slack, point, v)
-        if y is None:
-            return ("ray", v)
         if blocking > 1:
             raise InputError("not simple")
-        return ("vertex", y, v)
+        return y
 
     def ascent_neighbor(point):
-        """Smallest-index improving pivot (Bland); None at the optimum."""
-        slack, directions = active_basis(point)
-        for v in directions:
-            res = pivot(point, slack, v)
-            if res[0] == "vertex" and sum(map(mul, c_int, res[2])) > 0:
-                return res[1]
-        return None
+        """The other end of the first up edge; None at the sink."""
+        slack, directions = edges_at(point)
+        v = next((v for v in directions if up(v)), None)
+        return None if v is None else step(point, slack, v)
+
+    nums, den = common_denominator(start)
+    root = (tuple(nums), den)
+    charge()
+    while (higher := ascent_neighbor(root)) is not None:
+        root = higher
+        charge()
 
     vertices = []
-    edges = set()
+    edges = []
     ray_flags = []
-    seen = set()
     stack = [root]
     while stack:
         x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
+        charge()
         vertices.append(x)
-        slack, directions = active_basis(x)
+        slack, directions = edges_at(x)
         for v in directions:
-            res = pivot(x, slack, v)
-            if res[0] == "ray":
-                ray_flags.append((x, normalize_ray(res[1])))
-                continue
-            y = res[1]
-            (cx, dx), (cy, dy) = value(x), value(y)
-            if cx * dy == cy * dx:
-                raise ObjectiveError("objective not generic")
-            edges.add((min(x, y), max(x, y)))
-            # y is a child iff its Bland ascent pivot leads back to x
-            if cy * dx < cx * dy and ascent_neighbor(y) == x:
-                stack.append(y)
-    if len({Fraction(*value(x)) for x in vertices}) != len(vertices):
-        raise ObjectiveError("objective not generic")
+            y = step(x, slack, v)
+            if y is None:
+                ray_flags.append((x, normalize_ray(v)))
+            elif not up(v):  # each bounded edge once, from its upper end
+                edges.append((x, y))
+                if ascent_neighbor(y) == x:
+                    stack.append(y)
 
     fractions = {x: _as_fractions(x) for x in vertices}
     vrep = VRep.build(d, fractions.values(), [r for _, r in ray_flags])

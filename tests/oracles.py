@@ -6,7 +6,14 @@ in integers: a reduced row echelon form, the projective closure with its
 point and ray maps, the LP's vertex purification with its ratio test, and
 reverse search.  They share with the library only the start vertex, the
 LP that finds a first point and the normalization of their output
-(`integer_row`, `normalize_ray`, `VRep.build`).  The tropical vertices are
+(`integer_row`, `normalize_ray`, `VRep.build`).  Reverse search here runs
+under a given objective, from the LP optimum; `bounded_generic_objective`
+gives seeded ones, and an objective that ties two vertices or is unbounded
+raises `ObjectiveError`.  The library instead orders every polyhedron by
+one fixed lexicographic objective, so it has neither.  The closure
+operator on vertex sets, `closure`, is the meet of the facets holding a
+set; the library's cover search reads meets off facet keys instead.  The
+tropical vertices are
 found combinatorially, by propagating w through every labeled spanning
 tree (Prufer sequences) with every choice of one row per edge; the library
 walks the tropical H-rep instead.  The vertex poset is the whole
@@ -23,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from polybound.errors import BudgetExceededError, InputError, InternalError, ObjectiveError
+from polybound.bounded import facet_set
+from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask, polytope_edges
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
@@ -179,6 +187,26 @@ def purify_to_vertex(rows, b, c, x):
 
 
 # -- reverse search -----------------------------------------------------------
+class ObjectiveError(InputError):
+    """An objective is unbounded or not generic on the input; another
+    objective may succeed."""
+
+
+def bounded_generic_objective(h: HRep, attempt: int = 0, seed: int = 0):
+    """Objective bounded above on a pointed h, with a seeded perturbation.
+
+    The coefficient sum of all rows strictly decreases along every nonzero
+    recession direction of a pointed region, so it is bounded above; the
+    perturbation (shrunk on every retry attempt) breaks ties between
+    vertices.  Genericity is verified by the caller.
+    """
+    d = h.dim
+    base = [sum((a[j] for a, _ in h.rows), ZERO) for j in range(d)]
+    rng = random.Random(f"objective:{seed}:{attempt}")
+    scale = Fraction(1, 2 ** (16 + 8 * attempt))
+    return tuple(base[j] + scale * rng.randrange(1, 2**12) for j in range(d))
+
+
 def reference_reverse_search(h, objective):
     """`reverse_search_vertices` over Fractions: each pivot solves
     a_i.v = 0 (i active, i != k), a_k.v = -1 and steps by `ray_step`."""
@@ -330,6 +358,18 @@ def reference_tropical_vertices(matrix, candidates):
     rays = [tuple(-ONE if j == i else ZERO for j in range(d)) for i in range(d)]
     rays.append(tuple([-ONE] * s + [ONE] * (t - 1)))
     return VRep.build(d, vertices, rays)
+
+
+# -- the closure operator -----------------------------------------------------
+#: Distinguished "improper face" result of the closure operator.
+WHOLE = None
+
+
+def closure(mask: int, inc: IncidenceMatrix):
+    """Intersection of the facet rows containing `mask`, the meet of
+    F(mask); WHOLE (None) when no facet contains it."""
+    facets = facet_set(mask, inc)
+    return inc.meet(facets) if facets else WHOLE
 
 
 # -- the vertex poset ---------------------------------------------------------

@@ -22,7 +22,7 @@ from polybound.lp import LpStatus, lp_solve
 from polybound.moebius import moebius_generation
 from polybound.pipeline import closure_data, run_pipeline
 from polybound.polyhedron import (HRep, enumerate_vertices_bruteforce,
-                                  reverse_search_with_retries)
+                                  reverse_search_vertices)
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -218,7 +218,7 @@ def test_criterion_11_enumeration_cross_checks():
     ok = True
     for h in simple_cases:
         assert len(h.rows) + 1 <= 25  # closure row count stays within the bound
-        rs_v, _ = reverse_search_with_retries(h)
+        rs_v, _ = reverse_search_vertices(h)
         brute = enumerate_vertices_bruteforce(h)
         ok &= rs_v.vertices == brute.vertices and rs_v.rays == brute.rays
     # exact LP optimum equals the best vertex value on random bounded LPs

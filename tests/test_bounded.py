@@ -4,10 +4,9 @@ from pathlib import Path
 import pytest
 
 from conftest import cube3, instance, random_pointed_hrep, square_incidence
-from oracles import faces, vertex_sets
-from polybound.bounded import (WHOLE, closure, covers, filter_bounded,
-                               full_face_lattice, selective_generation)
-from polybound.errors import InputError
+from oracles import WHOLE, closure, faces, vertex_sets
+from polybound.bounded import covers, filter_bounded, full_face_lattice, selective_generation
+from polybound.errors import BudgetExceededError, InputError
 from polybound.formats import read_incidence
 from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
                                  indices_from_mask, mask_from_indices)
@@ -274,3 +273,14 @@ def test_downward_closure_and_rank_gradedness():
             base = pts[0]
             diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
             assert face_rank == (rank(diffs) if diffs else 0)
+
+
+@pytest.mark.parametrize("alg, expanded", [("selective", 42), ("moebius", 42),
+                                           ("filter", 263)])
+def test_budget_counts_the_faces_expanded(alg, expanded):
+    # selective and moebius expand the 42 bounded faces of thrackle-5, the
+    # filter's lattice search every face but the improper top
+    _, _, _, _, inc = instance("thrackle", 5)
+    assert bounded_diagram(inc, alg, budget=expanded).node_count() == 42
+    with pytest.raises(BudgetExceededError, match=rf"\(budget {expanded - 1}\)$"):
+        bounded_diagram(inc, alg, budget=expanded - 1)

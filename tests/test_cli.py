@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -215,7 +216,8 @@ def test_bounded_verify_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     # a moebius run that finds vertex 0 alone: graded and contractible, so
     # the invariants pass, but it misses vertex 1 and the bounded edge
     monkeypatch.setattr(pipeline, "moebius_generation",
-                        lambda inc, max_dim=None: HasseDiagram(inc.n, [0, 1], [-1, 0], [(0, 1)]))
+                        lambda inc, max_dim=None, budget=None:
+                        HasseDiagram(inc.n, [0, 1], [-1, 0], [(0, 1)]))
     assert run(["-o", tmp_path, "bounded", inc, "--verify"]) == 4
     err = capsys.readouterr().err
     assert err == ("internal error: algorithms selective and moebius disagree "
@@ -296,6 +298,37 @@ def test_tropical_permutohedron_walk_obeys_the_budget(tmp_path, capsys):
         "error: instance too large for pivot enumeration (budget 1000)\n")
     assert run(["-o", tmp_path, "vertices", hrep]) == 0
     assert capsys.readouterr().out.endswith("vertices=124 rays=28\n")
+
+
+def test_reverse_search_obeys_the_budget(tmp_path, capsys):
+    assert run(["-o", tmp_path, "gen", "dwarfed-cube", "6"]) == 0
+    hrep = tmp_path / "dwarfed-cube-6.hrep"
+    capsys.readouterr()
+    assert run(["-o", tmp_path, "--budget", "1", "vertices", hrep, "--alg", "rs"]) == 3
+    assert capsys.readouterr().err == (
+        "error: instance too large for reverse search (budget 1)\n")
+    assert run(["-o", tmp_path, "vertices", hrep, "--alg", "rs"]) == 0
+    assert capsys.readouterr().out.endswith("vertices=7 rays=30\n")
+
+
+def test_vertices_has_no_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["-o", tmp_path, "vertices", "any.hrep", "--alg", "rs", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg, message", [("selective", "the face search"),
+                                          ("moebius", "moebius generation"),
+                                          ("filter", "the face search")])
+def test_bounded_obeys_the_budget(tmp_path, capsys, alg, message):
+    # thrackle-8 has 578 bounded faces in a lattice of 9,488
+    inc = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "thrackle-8.inc"
+    assert run(["-o", tmp_path, "--budget", "100", "bounded", inc, "--alg", alg]) == 3
+    assert capsys.readouterr().err == (
+        f"error: instance too large for {message} (budget 100)\n")
+    assert run(["-o", tmp_path, "bounded", inc, "--alg", alg]) == 0
+    assert "faces=578 " in capsys.readouterr().out
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -5,12 +5,12 @@ from operator import mul
 import pytest
 
 from conftest import random_pointed_hrep
-from oracles import purify_to_vertex, ray_step
+from oracles import bounded_generic_objective, purify_to_vertex, ray_step
 from polybound import lp
 from polybound.errors import InputError
 from polybound.linalg import dot, ratio_step
 from polybound.lp import LpOutcome, LpStatus, lp_solve
-from polybound.polyhedron import HRep, bounded_generic_objective, enumerate_vertices_bruteforce
+from polybound.polyhedron import HRep, enumerate_vertices_bruteforce
 
 
 def test_max_on_segment():

@@ -65,7 +65,8 @@ def test_bounded_diagram_catches_a_dropped_face(monkeypatch):
     faces = real(inc).node_count()
     for k in range(1, faces):
         monkeypatch.setattr(pipeline, "selective_generation",
-                            lambda inc, max_dim, k=k: without_face(real(inc, max_dim), k))
+                            lambda inc, max_dim, budget, k=k:
+                            without_face(real(inc, max_dim, budget), k))
         with pytest.raises(InternalError, match="^selective: the bounded complex has Euler "
                                                 "characteristic [02], not 1$"):
             pipeline.bounded_diagram(inc)
@@ -77,8 +78,8 @@ def test_bounded_diagram_catches_an_arc_that_skips_a_rank(monkeypatch):
     _, _, _, _, inc = instance("thrackle", 4)
     real = pipeline.moebius_generation
 
-    def skipping(inc, max_dim):
-        hd = real(inc, max_dim)
+    def skipping(inc, max_dim, budget):
+        hd = real(inc, max_dim, budget)
         hd.arcs.append((0, hd.ranks.index(1)))  # the empty face below an edge
         return hd
 

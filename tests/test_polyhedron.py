@@ -7,17 +7,19 @@ from operator import mul
 import pytest
 
 from conftest import cube3, instance, quadrant, random_pointed_hrep, square_pyramid, strip, unit_square
-from polybound.errors import BudgetExceededError, InputError, ObjectiveError
+from polybound.errors import BudgetExceededError, InputError
 from polybound.generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
                                   thrackle_metric, tight_span_hrep, tropical_hrep)
 from polybound import linalg, pipeline, polyhedron
-from oracles import ray_step, reference_closure, reference_nullspace, reference_reverse_search
+from oracles import (ObjectiveError, bounded_generic_objective, ray_step, reference_closure,
+                     reference_nullspace, reference_reverse_search)
 from polybound.errors import PolyboundError
-from polybound.linalg import ZERO, dot, rank
-from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, bounded_generic_objective,
+from polybound.linalg import (ZERO, as_vector, common_denominator, dot, integer_row, rank,
+                              ratio_step)
+from polybound.lp import LpStatus, lp_solve
+from polybound.polyhedron import (DEFAULT_BUDGET, Graph, HRep, VRep,
                                   enumerate_vertices_bruteforce, enumerate_vertices_pivoting,
-                                  normalize_ray, projective_closure, reverse_search_vertices,
-                                  reverse_search_with_retries)
+                                  normalize_ray, projective_closure, reverse_search_vertices)
 
 HALF = Fraction(1, 2)
 
@@ -402,10 +404,13 @@ def test_one_start_vertex_lp_per_instance(monkeypatch):
     del calls[:]
     enumerate_vertices_bruteforce(h)
     assert len(calls) == 1
+    del calls[:]
+    reverse_search_vertices(dwarfed_cube(4)[1])
+    assert len(calls) == 1
 
 
 def test_reverse_search_square():
-    v, g = reverse_search_vertices(unit_square(), [1, 2])
+    v, g = reverse_search_vertices(unit_square())
     assert len(v.vertices) == 4
     assert len(g.edges) == 4
     assert not g.unbounded_edges
@@ -413,80 +418,188 @@ def test_reverse_search_square():
 
 def test_reverse_search_dwarfed_5():
     _, rev = dwarfed_cube(5)
-    v, _ = reverse_search_with_retries(projective_closure(rev).closure)
+    v, _ = reverse_search_vertices(projective_closure(rev).closure)
     assert len(v.vertices) == 26
 
 
 def test_reverse_search_quadrant_flags_unbounded():
-    v, g = reverse_search_vertices(quadrant(), [-1, -2])
+    v, g = reverse_search_vertices(quadrant())
     assert v.vertices == ((0, 0),)
     assert set(v.rays) == {(1, 0), (0, 1)}
     assert len(g.unbounded_edges) == 2
 
 
 def test_reverse_search_rejects_non_simple():
-    with pytest.raises(InputError, match="not simple"):
-        reverse_search_vertices(square_pyramid(), [1, 2, 4])
-
-
-def test_reverse_search_retries_only_objective_failures(monkeypatch):
-    # "not simple" does not depend on the objective, so it is not retried
     with pytest.raises(InputError, match="^not simple$"):
-        reverse_search_with_retries(square_pyramid())
-    # an unbounded first objective is retried with the next attempt's
-    real = polyhedron.bounded_generic_objective
-    attempts = []
-
-    def first_unbounded(h, attempt, seed):
-        attempts.append(attempt)
-        return (1, 2) if attempt == 0 else real(h, attempt, seed)
-
-    monkeypatch.setattr(polyhedron, "bounded_generic_objective", first_unbounded)
-    v, _ = reverse_search_with_retries(quadrant())
-    assert v.vertices == ((0, 0),) and attempts == [0, 1]
+        reverse_search_vertices(square_pyramid())
 
 
-def test_reverse_search_rejects_non_generic():
-    with pytest.raises(ObjectiveError, match="not generic"):
-        reverse_search_vertices(unit_square(), [1, 0])
+def test_reverse_search_obeys_the_budget():
+    # the rows of the unit square sum to 0, so the order is by x, then y:
+    # the climb steps on (0,0), (1,0) and (1,1), the search on all four
+    # vertices, d = 2 each
+    h = unit_square()
+    assert polyhedron._start_vertex(h)[0] == (0, 0)
+    with pytest.raises(BudgetExceededError, match=r"^instance too large for reverse search "
+                                                  r"\(budget 13\)$"):
+        reverse_search_vertices(h, budget=13)
+    assert reverse_search_vertices(h, budget=14) == reverse_search_vertices(h)
 
 
-def test_reverse_search_rejects_unbounded_objective():
-    with pytest.raises(ObjectiveError, match="unbounded"):
-        reverse_search_vertices(quadrant(), [1, 2])
+def objective_reverse_search(h, objective):
+    """Reverse search under a given objective, from its LP optimum, as the
+    library ran it before its order was fixed: "objective not generic" on
+    a tie, "objective unbounded on polyhedron" without an optimum."""
+    d = h.dim
+    c = as_vector(objective)
+    if len(c) != d:
+        raise InputError("objective length does not match dimension")
+    out = lp_solve(h.coefficient_rows(), h.rhs(), list(c))
+    if out.status is LpStatus.INFEASIBLE:
+        raise InputError("empty polyhedron")
+    if out.status is LpStatus.UNBOUNDED:
+        raise ObjectiveError("objective unbounded on polyhedron")
+    nums, den = common_denominator(out.point)
+    root = (tuple(nums), den)
+    rows = [integer_row([*a, b]) for a, b in h.rows]
+    a_rows = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    c_int, _ = common_denominator(c)
+
+    def value(point):
+        return sum(map(mul, c_int, point[0])), point[1]
+
+    def active_basis(point):
+        num, den = point
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+        act = [i for i, s in enumerate(slack) if not s]
+        edges = polyhedron._simple_edges(a_rows, act) if len(act) == d else None
+        if edges is None:
+            raise InputError("not simple")
+        return slack, edges
+
+    def pivot(point, slack, v):
+        y, blocking = ratio_step(a_rows, slack, point, v)
+        if y is None:
+            return ("ray", v)
+        if blocking > 1:
+            raise InputError("not simple")
+        return ("vertex", y, v)
+
+    def ascent_neighbor(point):
+        slack, directions = active_basis(point)
+        for v in directions:
+            res = pivot(point, slack, v)
+            if res[0] == "vertex" and sum(map(mul, c_int, res[2])) > 0:
+                return res[1]
+        return None
+
+    vertices = []
+    edges = set()
+    ray_flags = []
+    seen = set()
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        vertices.append(x)
+        slack, directions = active_basis(x)
+        for v in directions:
+            res = pivot(x, slack, v)
+            if res[0] == "ray":
+                ray_flags.append((x, normalize_ray(res[1])))
+                continue
+            y = res[1]
+            (cx, dx), (cy, dy) = value(x), value(y)
+            if cx * dy == cy * dx:
+                raise ObjectiveError("objective not generic")
+            edges.add((min(x, y), max(x, y)))
+            if cy * dx < cx * dy and ascent_neighbor(y) == x:
+                stack.append(y)
+    if len({Fraction(*value(x)) for x in vertices}) != len(vertices):
+        raise ObjectiveError("objective not generic")
+
+    fractions = {x: polyhedron._as_fractions(x) for x in vertices}
+    vrep = VRep.build(d, fractions.values(), [r for _, r in ray_flags])
+    position = {v: i for i, v in enumerate(vrep.vertices)}
+    index = {x: position[v] for x, v in fractions.items()}
+    ray_index = {r: i for i, r in enumerate(vrep.rays)}
+    edge_list = sorted((index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
+                       for u, v in edges)
+    unbounded = sorted((index[x], ray_index[r]) for x, r in ray_flags)
+    return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))
 
 
-def reverse_search_outcome(search, h, c):
+def seeded_reverse_search(h, seed=0, attempts=64):
+    """`objective_reverse_search` under `bounded_generic_objective`,
+    retried with a fresh perturbation whenever the objective fails: the
+    library's reverse search before its order was fixed."""
+    polyhedron._start_vertex(h)
+    last = None
+    for attempt in range(attempts):
+        try:
+            return objective_reverse_search(h, bounded_generic_objective(h, attempt, seed))
+        except ObjectiveError as exc:
+            last = exc
+    raise InputError(f"no generic objective found after {attempts} attempts: {last}")
+
+
+def reverse_search_outcome(search, h, *args):
     try:
-        return search(h, c)
+        return search(h, *args)
     except PolyboundError as exc:
         return type(exc), str(exc)
 
 
-def test_reverse_search_matches_fraction_reference():
-    cases = [dwarfed_cube(d)[1] for d in range(2, 9)]
-    cases += [tropical_hrep(cyclic_matrix(s, t)) for s, t in ((3, 3), (3, 4), (4, 4))]
-    objectives = {id(h): [bounded_generic_objective(h, attempt) for attempt in range(2)]
-                  for h in cases}
+def fraction_reference_roster():
+    """(H-rep, objectives) pairs for the Fraction reverse search: dwarfed
+    2..8 and three tropical-cyclic H-reps under two seeded objectives,
+    random pointed polyhedra under a seeded, a tie-prone (no perturbation)
+    and an axis objective, the square pyramid (not simple) and the unit
+    square under a generic and a tied objective."""
+    roster = [(dwarfed_cube(d)[1], None) for d in range(2, 9)]
+    roster += [(tropical_hrep(cyclic_matrix(s, t)), None) for s, t in ((3, 3), (3, 4), (4, 4))]
+    roster = [(h, [bounded_generic_objective(h, attempt) for attempt in range(2)])
+              for h, _ in roster]
     rng = random.Random(41)
     for _ in range(60):
         h = random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(0, 6))
-        cases.append(h)
-        # generic, tie-prone (no perturbation) and axis objectives
-        objectives[id(h)] = [bounded_generic_objective(h),
-                             [sum(a[j] for a, _ in h.rows) for j in range(h.dim)],
-                             [1] + [0] * (h.dim - 1)]
-    cases += [square_pyramid(), unit_square()]
-    objectives[id(cases[-2])] = [[1, 2, 4]]
-    objectives[id(cases[-1])] = [[1, 2], [1, 0]]
+        roster.append((h, [bounded_generic_objective(h),
+                           [sum(a[j] for a, _ in h.rows) for j in range(h.dim)],
+                           [1] + [0] * (h.dim - 1)]))
+    roster += [(square_pyramid(), [[1, 2, 4]]), (unit_square(), [[1, 2], [1, 0]])]
+    return roster
+
+
+def test_reverse_search_matches_fraction_reference():
+    # where the reference returns under an objective, the fixed order gives
+    # the same vertices, edges and rays; where it says "not simple", so
+    # does the fixed order
     seen = set()
-    for h in cases:
-        for c in objectives[id(h)]:
-            got = reverse_search_outcome(reverse_search_vertices, h, c)
-            assert got == reverse_search_outcome(reference_reverse_search, h, c)
-            seen.add(got[1] if got[0] in (InputError, ObjectiveError) else "ok")
+    for h, objectives in fraction_reference_roster():
+        got = reverse_search_outcome(reverse_search_vertices, h)
+        for c in objectives:
+            want = reverse_search_outcome(reference_reverse_search, h, c)
+            seen.add(want[1] if want[0] in (InputError, ObjectiveError) else "ok")
+            if want[0] is not ObjectiveError:
+                assert got == want
     assert seen == {"ok", "not simple", "objective not generic",
                     "objective unbounded on polyhedron"}
+
+
+def test_reverse_search_matches_seeded_retries():
+    # criterion 11's roster (which adds tropical-cyclic (3,6)) and the
+    # Fraction reference's
+    cases = [h for h, _ in fraction_reference_roster()]
+    cases.append(tropical_hrep(cyclic_matrix(3, 6)))
+    outcomes = set()
+    for h in cases:
+        got = reverse_search_outcome(reverse_search_vertices, h)
+        assert got == reverse_search_outcome(seeded_reverse_search, h)
+        outcomes.add(got[1] if got[0] is InputError else "ok")
+    assert outcomes == {"ok", "not simple"}
 
 
 def test_normalize_ray():

@@ -12,10 +12,14 @@ precomputed row ANDs (`IncidenceMatrix.row_ands`): one lookup per 8 rows.
 A face of the closure polytope is bounded exactly when its vertex set
 avoids the far face, so the main algorithm simply refuses to step onto
 far-meeting faces and thereby runs in time proportional to the bounded
-part alone.  One breadth-first search, `_cover_search`, serves both the
-main algorithm (given the far face) and the full face lattice (given
-far = 0).  Faces are looked up by their vertex bitmask in a dict, whose
-values are list positions in discovery order.
+part alone.  One search, `_cover_search`, serves the main algorithm
+(given the far face), the full face lattice (given far = 0) and, with
+the Moebius number as its test of boundedness, `moebius_generation`.  It
+pops faces from a heap in order of cardinality, a linear extension of
+containment, so a face's rank is known when it is popped, and lists them
+in that order.  Its budget counts the faces expanded, one `covers` call
+each; under `max_dim` these are not a prefix of the list, since a face
+of rank max_dim can pop before a face of lower rank.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heappop, heappush
 from operator import and_, getitem
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import BudgetExceededError, InputError, InternalError
 from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
@@ -104,36 +109,45 @@ class HasseDiagram:
 
 
 def _cover_search(inc: IncidenceMatrix, far: int, max_dim: Optional[int] = None,
-                  budget: int = DEFAULT_BUDGET) -> HasseDiagram:
-    """Breadth-first search of the faces from the empty one along covers,
-    never stepping onto a face that meets `far` and expanding no face of
-    rank max_dim or more.  Nodes and arcs are listed in discovery order.
-    Faces are found in rank order, so the expanded ones are a prefix of
-    the list; expanding the (budget+1)-th raises BudgetExceededError."""
-    index = {0: 0}
-    masks, ranks = [0], [-1]
-    arcs: list[tuple[int, int]] = []
-    # masks grows as faces are found, so this loop is the breadth-first queue
-    for nid, face in enumerate(masks):
-        rank = ranks[nid]
+                  budget: int = DEFAULT_BUDGET,
+                  keep: Optional[Callable[[int, dict], bool]] = None) -> HasseDiagram:
+    """Search of the faces from the empty one along covers, in order of
+    cardinality, never pushing a cover that meets `far`.  A popped face is
+    emitted only when keep(face, ups) holds (always, without `keep`), ups
+    mapping each face emitted so far to the covers it admitted; it is then
+    expanded unless its rank is max_dim or more.  Expanding a (budget+1)-th
+    face raises BudgetExceededError.  Nodes are listed in pop order, and
+    the arcs are read off the admitted covers at the end."""
+    rank_of = {0: -1}
+    heap = [(0, 0, 0)]  # (cardinality, discovery order, mask)
+    ups: dict[int, list[int]] = {}
+    expanded = 0
+    while heap:
+        face = heappop(heap)[2]
+        if keep is not None and not keep(face, ups):
+            continue
+        ups[face] = admitted = []
+        rank = rank_of[face]
         if max_dim is not None and rank >= max_dim:
             continue
-        if nid >= budget:
+        expanded += 1
+        if expanded > budget:
             raise BudgetExceededError(
                 f"instance too large for the face search (budget {budget})")
         # `covers` is read through the module, so perfbench's tracer counts each call
         for cover in covers(face, inc):
-            if cover & far:
-                continue
-            gid = index.get(cover)
-            if gid is None:
-                gid = index[cover] = len(masks)
-                masks.append(cover)
-                ranks.append(rank + 1)
-            elif ranks[gid] != rank + 1:
-                raise InternalError("cover arcs must raise rank by one")
-            arcs.append((nid, gid))
-    return HasseDiagram(inc.n, masks, ranks, arcs, inc.far_face)
+            if not cover & far:
+                if cover not in rank_of:
+                    rank_of[cover] = rank + 1
+                    heappush(heap, (cover.bit_count(), len(rank_of), cover))
+                admitted.append(cover)
+    ranks = [rank_of[face] for face in ups]
+    del rank_of  # freed before the index and arcs are built, which set the peak memory
+    index = {face: i for i, face in enumerate(ups)}
+    arcs = [(index[lo], index[hi]) for lo, his in ups.items() for hi in his if hi in index]
+    if any(ranks[hi] != ranks[lo] + 1 for lo, hi in arcs):
+        raise InternalError("cover arcs must raise rank by one")
+    return HasseDiagram(inc.n, list(ups), ranks, arcs, inc.far_face)
 
 
 def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
@@ -147,7 +161,7 @@ def selective_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
     expand raise BudgetExceededError.
     """
     if inc.far_face is None:
-        raise InputError("far face required; use moebius_generation")
+        raise InputError("far face required for selective generation")
     return _cover_search(inc, inc.far_face, max_dim, budget)
 
 

@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     fv = sub.add_parser("fvector", parents=[common], help="face numbers of a simple polyhedron")
     fv.add_argument("inc")
     fv.add_argument("vrep")
-    fv.add_argument("--simple", action="store_true", required=True,
-                    help="use the simple-polyhedron degree counting (required)")
 
     bench = sub.add_parser("bench", parents=[common], help="run a benchmark suite")
     bench.add_argument("--suite", choices=pipeline.SUITES, required=True)
@@ -148,6 +146,8 @@ def _cmd_incidences(args) -> int:
 
 def _cmd_bounded(args) -> int:
     inc = formats.read_incidence(args.inc)
+    if args.verify and inc.far_face is None:
+        raise InputError("far face required for --verify: the incidence file has no farface line")
     hd = pipeline.bounded_diagram(inc, args.alg, args.max_dim, args.budget)
     if args.verify:
         pipeline.verify_diagram(inc, hd, args.alg, args.max_dim, args.budget)

@@ -6,11 +6,12 @@ import pytest
 from conftest import cube3, instance, random_pointed_hrep, square_incidence
 from oracles import WHOLE, closure, faces, vertex_sets
 from polybound.bounded import covers, filter_bounded, full_face_lattice, selective_generation
-from polybound.errors import BudgetExceededError, InputError
+from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.formats import read_incidence
 from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
-                                 indices_from_mask, mask_from_indices)
+                                 indices_from_mask, mask_from_indices, restrict_to_near)
 from polybound.linalg import rank
+from polybound.moebius import moebius_generation
 from polybound.pipeline import ALGORITHMS, bounded_diagram, closure_data
 from polybound.polyhedron import enumerate_vertices_bruteforce
 
@@ -160,16 +161,32 @@ def test_face_tree_distinct_faces_distinct_ids():
         assert len(set(hd.masks)) == len(hd.masks) == len(hd.ranks)
 
 
-def test_diagram_ids_follow_discovery_order():
+def test_diagram_ids_follow_pop_order():
     hd = full_face_lattice(square_incidence())
     assert hd.masks == [
         0, 0b0001, 0b0010, 0b0100, 0b1000,   # covers of the empty face
         0b0011, 0b1001, 0b0110, 0b1100,      # first reached from vertices 0, 0, 1, 2
         0b1111]
     _, _, _, _, inc = instance("thrackle", 5)
-    for hd in (selective_generation(inc), full_face_lattice(inc)):
-        first_seen = list(dict.fromkeys(hi for _, hi in hd.arcs))
-        assert first_seen == list(range(1, hd.node_count()))
+    near_inc, _ = restrict_to_near(inc)
+    lattice = full_face_lattice(inc)
+    for hd in (selective_generation(inc), moebius_generation(near_inc), lattice):
+        # the first arc into a face comes from the face that discovered it
+        discovery = list(dict.fromkeys(hi for _, hi in hd.arcs))
+        found = {node: i for i, node in enumerate(discovery)}
+        pop = sorted(discovery, key=lambda node: (hd.masks[node].bit_count(), found[node]))
+        assert pop == list(range(1, hd.node_count()))
+    # in the lattice pop order is not discovery order, and some face pops
+    # before a face of lower rank: cardinality extends containment, not rank
+    assert pop != discovery
+    assert any(high > low for high, low in zip(lattice.ranks, lattice.ranks[1:]))
+
+
+def test_cover_search_refuses_a_poset_that_is_not_graded():
+    # {0,1,3} covers both {0}, above the empty face, and {1,3}, above {3}
+    inc = IncidenceMatrix(4, (0b1011, 0b0001, 0b1010, 0b1000))
+    with pytest.raises(InternalError, match="^cover arcs must raise rank by one$"):
+        full_face_lattice(inc)
 
 
 def test_selective_dwarfed_5():
@@ -251,7 +268,7 @@ def test_filter_matches_selective_random():
 def test_skeleton_cutoff_agrees_across_algorithms(family, params):
     _, _, _, _, inc = instance(family, *params)
     top = max(selective_generation(inc).ranks)
-    for max_dim in range(top + 2):
+    for max_dim in (None, *range(top + 2)):
         want = bounded_diagram(inc, "selective", max_dim).canonical()
         for alg in ALGORITHMS:
             assert bounded_diagram(inc, alg, max_dim).canonical() == want, (alg, max_dim)

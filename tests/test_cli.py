@@ -28,7 +28,7 @@ def test_full_pipeline_via_cli(tmp_path, capsys):
         assert run(["-o", out, "bounded", inc, "--alg", alg, "--verify"]) == 0
         hasse = json.loads((out / "dwarfed-cube-3.closure.hasse.json").read_text())
         assert len(hasse["faces"]) == 8  # 2d + 2
-    assert run(["-o", out, "fvector", inc, vrep, "--simple"]) == 0
+    assert run(["-o", out, "fvector", inc, vrep]) == 0
     captured = capsys.readouterr().out
     assert "f = (4, 3, 0, 0)" in captured
     record = json.loads((out / "dwarfed-cube-3.closure.fvector.json").read_text())
@@ -150,7 +150,7 @@ def test_close_and_fvector_reject_bad_rep_file(tmp_path, capsys, case):
     else:
         inc = tmp_path / "one.inc"
         inc.write_text("polybound-inc 1\nfacets 1 vertices 1\n1\n")
-        argv = ["fvector", inc, path, "--simple"]
+        argv = ["fvector", inc, path]
     assert run(["-o", tmp_path] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -182,7 +182,7 @@ def test_every_reader_refuses_a_non_ascii_byte(tmp_path, capsys):
     inc.write_text("polybound-inc 1\nfacets 1 vertices 1\n1\n")
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"polybound-hrep 1\ndim 1 rows 1\n1 \xc3\xa9\n")
-    for argv in (["close", bad], ["bounded", bad], ["fvector", inc, bad, "--simple"]):
+    for argv in (["close", bad], ["bounded", bad], ["fvector", inc, bad]):
         assert run(["-o", tmp_path] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not ASCII text: ") and err.count("\n") == 1
@@ -222,6 +222,17 @@ def test_bounded_verify_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == ("internal error: algorithms selective and moebius disagree "
                    "on the bounded complex\n")
+
+
+def test_bounded_verify_needs_a_far_face(tmp_path, capsys, monkeypatch):
+    # the second algorithm needs the far face, so nothing is computed first
+    inc = tmp_path / "square.inc"
+    inc.write_text("polybound-inc 1\nfacets 4 vertices 4\n1100\n0110\n0011\n1001\n")
+    monkeypatch.setattr(pipeline, "moebius_generation", None)
+    assert run(["-o", tmp_path, "bounded", inc, "--alg", "moebius", "--verify"]) == 2
+    assert capsys.readouterr().err == (
+        "error: far face required for --verify: the incidence file has no farface line\n")
+    assert not list(tmp_path.glob("*.json"))
 
 
 NO_VERTEX_FILES = {
@@ -318,15 +329,13 @@ def test_vertices_has_no_seed_flag(tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alg, message", [("selective", "the face search"),
-                                          ("moebius", "moebius generation"),
-                                          ("filter", "the face search")])
-def test_bounded_obeys_the_budget(tmp_path, capsys, alg, message):
+@pytest.mark.parametrize("alg", ["selective", "moebius", "filter"])
+def test_bounded_obeys_the_budget(tmp_path, capsys, alg):
     # thrackle-8 has 578 bounded faces in a lattice of 9,488
     inc = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "thrackle-8.inc"
     assert run(["-o", tmp_path, "--budget", "100", "bounded", inc, "--alg", alg]) == 3
     assert capsys.readouterr().err == (
-        f"error: instance too large for {message} (budget 100)\n")
+        "error: instance too large for the face search (budget 100)\n")
     assert run(["-o", tmp_path, "bounded", inc, "--alg", alg]) == 0
     assert "faces=578 " in capsys.readouterr().out
 
@@ -393,6 +402,6 @@ def test_fvector_refuses_a_far_face_that_is_not_on_top(tmp_path, capsys):
     row = next(r for r in good.row_masks if r != good.far_face)
     formats.write_incidence(type(good)(good.n, good.row_masks, row), str(inc))
     capsys.readouterr()
-    assert run(["-o", tmp_path, "fvector", inc, vrep, "--simple"]) == 2
+    assert run(["-o", tmp_path, "fvector", inc, vrep]) == 2
     assert capsys.readouterr().err == "error: far face is not on top\n"
     assert not (tmp_path / "dwarfed-cube-3.fvector.json").exists()

@@ -8,6 +8,8 @@ everywhere, so re-running a command reproduces files bit for bit.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .errors import InputError
@@ -159,6 +161,11 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
         _expect(len(ln) == n and set(ln) <= {"0", "1"}, "bad incidence row")
         masks.append(mask_from_indices(i for i, ch in enumerate(ln) if ch == "1"))
     _expect(len(masks) == m, "incidence row count mismatch")
+    # every vertex of a polytope lies on a facet; n is a checked row's
+    # length by now, so 1 << n stays small
+    uncovered = ((1 << n) - 1) & ~reduce(or_, masks)
+    _expect(not uncovered,
+            f"vertex {(uncovered & -uncovered).bit_length() - 1} lies on no facet row")
     far: Optional[int] = None
     rest = [ln for ln in text_lines[2 + m:] if ln.strip()]
     if rest:

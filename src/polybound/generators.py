@@ -42,11 +42,6 @@ class Metric:
         return all(self.dist(i, j) <= self.dist(i, k) + self.dist(k, j)
                    for i in pts for j in pts for k in pts)
 
-    def scaled(self, factor: Fraction) -> "Metric":
-        if factor <= 0:
-            raise InputError("scale factor must be positive")
-        return Metric(self.d, {k: v * factor for k, v in self.entries.items()})
-
 
 @dataclass(frozen=True)
 class TropicalMatrix:

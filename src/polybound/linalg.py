@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, null spaces, inverses, unique solutions, ratio tests.
+"""Exact linear algebra: rank, null spaces, inverses, kernel lines, ratio tests.
 
 Everything is exact; there is deliberately no floating-point path anywhere
 in the package.  There is one elimination kernel, `_pivot`, the
@@ -7,18 +7,19 @@ representatives and linear algebra", J. Res. NBS 71B, 1967), which is the
 Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): rows hold integers over one common divisor det, and every pivot
 entry equals det.  `_echelon` drives it over the columns in order for
-`rank`, `nullspace`, `kernel_vector` (and so `kernel_line` and
-`solve_linear_system`), `scaled_inverse` and the start vertex of
-`polyhedron`; the simplex tableau in `lp` pivots with it directly.
-Rational rows reach it through `integer_row`, a positive scaling, which
-leaves the rref unchanged.
+`rank`, `nullspace`, `kernel_vector` (and so `kernel_line`),
+`scaled_inverse` and the start vertex of `polyhedron`; the simplex
+tableau in `lp` pivots with it directly.  Rational rows reach it through
+`integer_row`, a positive scaling, which leaves the rref unchanged.
 
 `scaled_inverse` reads delta*B^-1 off one elimination of [B | I].  It is
 the closure transform's inverse, and it gives the edges of a simple
 vertex in the pivot walk and reverse search, one column per active row;
 at a degenerate vertex of the walk it gives the rays of the simplicial
 cone that double description starts from.  `kernel_line` is behind
-`solve_linear_system` and so brute force; the walk does not use it.
+brute force, which reads a candidate vertex off the kernel of d rows
+[a, -b] and a candidate ray off that of d-1 coefficient rows a; the walk
+does not use it.
 
 `ratio_step` is the one ratio test: it moves a point held as an integer
 vector over one denominator along an integer direction, comparing
@@ -205,25 +206,6 @@ def ratio_step(rows: Sequence[Sequence[int]], slack: Sequence[int],
 
 def rank(a) -> int:
     return len(_echelon([integer_row(row) for row in a])[1])
-
-
-def solve_linear_system(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
-    """The unique exact solution of A x = b, or None when there is none:
-    when A has rank below its column count or the system is inconsistent.
-    Entries are ints or Fractions.
-
-    The solution is the kernel of [A | -b] scaled to a last entry of 1; it
-    exists exactly when that kernel is one-dimensional and its last entry
-    is nonzero."""
-    if len(a) != len(b):
-        raise InputError("A and b row counts differ")
-    if not a:
-        return ()
-    n = len(a[0])
-    v = kernel_line([integer_row([*row, -bi]) for row, bi in zip(a, b)], n + 1)
-    if v is None or not v[n]:
-        return None
-    return tuple(Fraction(x, v[n]) for x in v[:n])
 
 
 def nullspace(a) -> list[Vector]:

@@ -9,8 +9,9 @@ are computed in integers.
 
 Three enumerators are provided:
 
-* `enumerate_vertices_bruteforce` solves every d-subset of rows; it is the
-  independent oracle for everything else.
+* `enumerate_vertices_bruteforce` reads a candidate vertex off the kernel
+  of every d-subset of rows and a candidate ray off that of every
+  (d-1)-subset; it is the independent oracle for everything else.
 * `enumerate_vertices_pivoting` walks the vertex-edge graph with one edge
   rule: a vertex's edges are the extreme rays of its tangent cone.  A
   simple vertex reads its d of them off one inverse of its active rows; a
@@ -28,9 +29,9 @@ elimination (`linalg.scaled_inverse`) and combined in integers at a
 degenerate vertex, and the one ratio test `linalg.ratio_step`.  Points
 become Fractions only in the returned `VRep`.
 
-`projective_closure`, the pivot walk and reverse search find a first
-vertex (or refuse empty and non-pointed input) through `_start_vertex`,
-one feasibility LP; brute force takes it from the closure, and the
+`projective_closure` and all three enumerators find a first vertex (or
+refuse empty and non-pointed input) through `_start_vertex`, one
+feasibility LP; brute force uses it only for that refusal, and the
 pipeline hands the closure's vertex on to the pivot walk, so each solves
 that LP once.  All three enumerators charge the one budget.
 """
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError
 from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
-                     integer_row, ratio_step, scaled_inverse, solve_linear_system)
+                     integer_row, kernel_line, ratio_step, scaled_inverse)
 # perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
 from .linalg import nullspace, rank  # noqa: F401
 from .lp import LpStatus, lp_solve
@@ -155,11 +156,6 @@ class ClosureResult:
             raise InputError("not a recession direction of the polyhedron")
         return tuple(Fraction(yi, total) for yi in y)
 
-    def unmap_far_vertex(self, z: Sequence[Fraction]) -> Vector:
-        """Recession direction of the polyhedron behind a far-face vertex:
-        rho^-1 z, a positive multiple of the solution of R r = z."""
-        return normalize_ray(solve_linear_system(self.rho, z))
-
 
 def projective_closure(h: HRep) -> ClosureResult:
     """Bounded polytope projectively equivalent to the pointed polyhedron h.
@@ -215,41 +211,38 @@ def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
 
 
 def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
-    """Oracle enumeration: solve every d-subset of rows, keep feasible solutions.
+    """Oracle enumeration: try every row subset that can pin a vertex or
+    an extreme ray, keep those that satisfy every row.
 
-    Rays are recovered by running the same procedure on the projective
-    closure and pulling the far-face vertices back as directions.  Empty
-    and non-pointed input is refused up front by the closure's start
-    vertex, as by the other enumerators.
+    A d-subset of the integer rows [a, -b] pins the point v[:d]/v[d] when
+    its `kernel_line` v has v[d] != 0.  A (d-1)-subset of the rows a pins
+    the line of its `kernel_line` r, and r or -r is an extreme ray when
+    a.r <= 0 on every row, i.e. when it lies in the recession cone, which
+    is pointed.  That is C(m, d) + C(m, d-1) = C(m+1, d) subsets, checked
+    against the budget up front.  Empty and non-pointed input is refused
+    first by `_start_vertex`, as by the other enumerators.
     """
-    closure = projective_closure(h)
-    vertices = _bruteforce_points(h, budget)
-    rays: list[Vector] = []
-    far_candidates = _bruteforce_points(closure.closure, budget)
-    for z in far_candidates:
-        if sum(z, ZERO) == 1:
-            rays.append(closure.unmap_far_vertex(z))
-    return VRep.build(h.dim, vertices, rays)
-
-
-def _bruteforce_points(h: HRep, budget: int) -> list[Vector]:
-    m = len(h.rows)
     d = h.dim
-    if comb(m, d) > budget:
+    m = len(h.rows)
+    _start_vertex(h)
+    if comb(m + 1, d) > budget:
         raise BudgetExceededError(
-            f"instance too large for brute force: C({m},{d}) subsets exceed budget {budget}")
-    rows = [integer_row([*a, b]) for a, b in h.rows]
-    a_rows = [row[:-1] for row in rows]
-    b = [row[-1] for row in rows]
-    seen = set()
-    for subset in itertools.combinations(range(m), d):
-        point = solve_linear_system([a_rows[i] for i in subset], [b[i] for i in subset])
-        if point is None or point in seen:
-            continue
-        num, den = common_denominator(point)
-        if all(bi * den >= sum(map(mul, a, num)) for a, bi in zip(a_rows, b)):
-            seen.add(point)
-    return sorted(seen)
+            f"instance too large for brute force: C({m + 1},{d}) subsets exceed budget {budget}")
+    eqs = [integer_row([*a, -b]) for a, b in h.rows]
+    a_rows = [eq[:-1] for eq in eqs]
+    points = set()
+    for subset in itertools.combinations(eqs, d):
+        v = kernel_line(subset, d + 1)
+        # v is a nonzero multiple v[d] of (x, 1): a.x <= b reads (eq.v)*v[d] <= 0
+        if v is not None and v[d] and all(sum(map(mul, eq, v)) * v[d] <= 0 for eq in eqs):
+            points.add(tuple(Fraction(x, v[d]) for x in v[:d]))
+    rays = set()
+    for subset in itertools.combinations(a_rows, d - 1):
+        r = kernel_line(subset, d)
+        for w in ((r, tuple(-x for x in r)) if r else ()):
+            if all(sum(map(mul, a, w)) <= 0 for a in a_rows):
+                rays.add(w)
+    return VRep.build(d, points, rays)
 
 
 def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,

@@ -109,6 +109,10 @@ BAD_INCIDENCE_FILES = {
     # a face, but not a proper one: no bounded face is left, Euler characteristic 0
     "far face holding every vertex": "facets 1 vertices 2\n11\nfarface 0 1\n",
     "negative far face": "facets 1 vertices 2\n11\nfarface -1\n",
+    # used to end in exit 4 (Euler characteristic 0)
+    "vertex on no facet, far face": "facets 2 vertices 3\n110\n100\nfarface 0 1\n",
+    # used to exit 0 with a diagram that silently dropped vertex 3
+    "vertex on no facet, bounded diagram": "facets 3 vertices 4\n1100\n0110\n1010\nfarface 0\n",
     "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
     "non-integer facet count": "facets x vertices 2\n11\n",
     "non-integer vertex count": "facets 1 vertices 2.5\n11\n",

@@ -8,6 +8,9 @@ line dropped, repeated or inserted as junk.  `derandomize=True` keeps the
 examples the same on every run.
 """
 
+from functools import reduce
+from operator import or_
+
 from hypothesis import given, settings, strategies as st
 
 from polybound.errors import InputError
@@ -49,6 +52,8 @@ def vrep_documents(draw):
 def incidence_documents(draw):
     n = draw(st.integers(1, 5))
     rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+    # every vertex lies on a row: the last row takes in those on none
+    rows[-1] |= ((1 << n) - 1) & ~reduce(or_, rows)
     lines = [INC_MAGIC, f"facets {len(rows)} vertices {n}"]
     lines += ["".join("1" if row >> v & 1 else "0" for v in range(n)) for row in rows]
     # the meet of some rows is a face, when it is not empty

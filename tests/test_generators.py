@@ -6,8 +6,8 @@ from oracles import reference_tropical_candidates, reference_tropical_vertices
 from test_polyhedron import reference_pivoting
 from polybound.bounded import selective_generation
 from polybound.errors import BudgetExceededError, InputError
-from polybound.generators import (RANDOM_METRIC_DENOMINATOR, cyclic_matrix, dwarfed_cube,
-                                  permutohedron_matrix, random_metric, splitmix64,
+from polybound.generators import (RANDOM_METRIC_DENOMINATOR, Metric, cyclic_matrix,
+                                  dwarfed_cube, permutohedron_matrix, random_metric, splitmix64,
                                   thrackle_metric, tight_span_hrep, tropical_hrep,
                                   tropical_vertices)
 from polybound.lp import LpStatus, lp_solve
@@ -77,8 +77,8 @@ def test_tight_span_scaling_invariance():
     # uniform scaling of the metric preserves the face counts
     m = random_metric(4, 2)
     base = selective_generation(closure_data(tight_span_hrep(m))[2])
-    scaled = selective_generation(
-        closure_data(tight_span_hrep(m.scaled(Fraction(3))))[2])
+    tripled = Metric(m.d, {k: 3 * v for k, v in m.entries.items()})
+    scaled = selective_generation(closure_data(tight_span_hrep(tripled))[2])
     assert base.f_vector() == scaled.f_vector()
     assert base.node_count() == scaled.node_count()
 

@@ -2,53 +2,26 @@ import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from oracles import reference_inverse, reference_nullspace, reference_rref
-from polybound.errors import InputError
 from polybound.linalg import (_echelon, dot, integer_row, kernel_line, kernel_vector, nullspace,
-                              rank, scaled_inverse, solve_linear_system)
-
-
-def test_solve_identity():
-    assert solve_linear_system([[1, 0], [0, 1]], [3, 5]) == (3, 5)
-
-
-def test_solve_inconsistent():
-    assert solve_linear_system([[1, 1], [1, 1]], [1, 2]) is None
-    # full column rank, but the extra equation contradicts the others
-    assert solve_linear_system([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
-    assert solve_linear_system([[1, 0], [0, 1], [1, 1]], [1, 1, 2]) == (1, 1)
-
-
-def test_solve_diagonal():
-    assert solve_linear_system([[2, 0], [0, 4]], [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
-
-
-def test_solve_underdetermined_returns_none():
-    # one equation, two unknowns: a line of solutions, so no unique one
-    assert solve_linear_system([[1, 1]], [5]) is None
-
-
-def test_solve_row_count_mismatch():
-    with pytest.raises(InputError):
-        solve_linear_system([[1, 0]], [1, 2])
+                              rank, scaled_inverse)
 
 
 def test_solutions_satisfy_system_random():
-    # square, over- and underdetermined systems A x = A x0: the solution is
-    # x0 exactly when A has full column rank, and there is none otherwise
+    # square, over- and underdetermined systems A x = A x0: the kernel line
+    # of [A | -b] reads off x0 exactly when A has full column rank; below
+    # it, (x0, 1) and the kernel of A span a kernel of dimension 2 or more
     rng = random.Random(3)
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
         x0 = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
         b = [dot(row, x0) for row in a]
-        x = solve_linear_system(a, b)
+        v = kernel_line([integer_row([*row, -bi]) for row, bi in zip(a, b)], n + 1)
         if rank(a) == n:
-            assert x == x0
+            assert tuple(Fraction(x, v[n]) for x in v[:n]) == x0
         else:
-            assert x is None
+            assert v is None
 
 
 def test_rank_nullity():

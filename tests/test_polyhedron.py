@@ -172,6 +172,42 @@ def test_bruteforce_budget():
         enumerate_vertices_bruteforce(poly, budget=10)
 
 
+def test_bruteforce_budget_is_the_subset_count():
+    # C(m, d) vertex subsets and C(m, d-1) ray subsets: C(m+1, d) in all
+    for h in (unit_square(), dwarfed_cube(3)[1]):
+        subsets = comb(len(h.rows) + 1, h.dim)
+        assert enumerate_vertices_bruteforce(h, subsets) == enumerate_vertices_pivoting(h)
+        with pytest.raises(BudgetExceededError, match="too large for brute force"):
+            enumerate_vertices_bruteforce(h, subsets - 1)
+
+
+def test_bruteforce_needs_no_closure(monkeypatch):
+    def refuse(h):
+        raise AssertionError("brute force built the closure it checks")
+
+    monkeypatch.setattr(polyhedron, "projective_closure", refuse)
+    h = dwarfed_cube(3)[1]
+    assert enumerate_vertices_bruteforce(h) == enumerate_vertices_pivoting(h)
+
+
+def test_bruteforce_rays_match_the_far_vertices_of_the_closure():
+    # the rule brute force used to follow: a ray is the preimage of a far
+    # vertex of the closure.  The closure segment from the origin, the
+    # image of the start vertex v, to a far vertex z is the image of the
+    # ray from v, so z/2 pulls back to v plus a positive multiple of it
+    cases = [dwarfed_cube(d)[1] for d in range(2, 6)]
+    cases.append(instance("tropical-cyclic", 3, 3)[1])
+    rng = random.Random(16)
+    cases += [random_pointed_hrep(rng, rng.randint(1, 4), rng.randint(0, 4)) for _ in range(20)]
+    for h in cases:
+        ref = reference_closure(h)
+        far = [z for z in enumerate_vertices_bruteforce(ref.closure).vertices if sum(z) == 1]
+        want = {normalize_ray([x - v for x, v in zip(ref.unmap_point([HALF * zi for zi in z]),
+                                                     ref.translation)])
+                for z in far}
+        assert set(enumerate_vertices_bruteforce(h).rays) == want and want
+
+
 def test_pivoting_agrees_with_bruteforce():
     cases = [unit_square(), quadrant(), strip(), cube3(), square_pyramid(),
              dwarfed_cube(2)[1], dwarfed_cube(3)[1], dwarfed_cube(4)[0]]
@@ -378,6 +414,7 @@ def test_simple_vertex_takes_one_elimination_and_no_kernel_line(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", echelon)
     monkeypatch.setattr(linalg, "kernel_line", refuse)
+    monkeypatch.setattr(polyhedron, "kernel_line", refuse)
     monkeypatch.setattr(polyhedron, "_cone_edges", refuse)
     v = enumerate_vertices_pivoting(h, start=start)
     assert set(active_counts(h, v.vertices)) == {h.dim}

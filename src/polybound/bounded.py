@@ -31,10 +31,10 @@ from heapq import heappop, heappush
 from operator import and_, getitem
 from typing import Callable, Optional
 
-from .errors import BudgetExceededError, InputError, InternalError
+from .errors import InputError, InternalError
 from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
 from .incidence import closure_mask  # noqa: F401  (perfbench's tracer wraps bounded.closure_mask)
-from .polyhedron import DEFAULT_BUDGET
+from .polyhedron import DEFAULT_BUDGET, meter
 
 
 def facet_set(mask: int, inc: IncidenceMatrix) -> int:
@@ -115,13 +115,14 @@ def _cover_search(inc: IncidenceMatrix, far: int, max_dim: Optional[int] = None,
     cardinality, never pushing a cover that meets `far`.  A popped face is
     emitted only when keep(face, ups) holds (always, without `keep`), ups
     mapping each face emitted so far to the covers it admitted; it is then
-    expanded unless its rank is max_dim or more.  Expanding a (budget+1)-th
-    face raises BudgetExceededError.  Nodes are listed in pop order, and
+    expanded unless its rank is max_dim or more.  Each face expanded
+    charges one unit to a `meter`, so expanding a (budget+1)-th face raises
+    BudgetExceededError.  Nodes are listed in pop order, and
     the arcs are read off the admitted covers at the end."""
     rank_of = {0: -1}
     heap = [(0, 0, 0)]  # (cardinality, discovery order, mask)
     ups: dict[int, list[int]] = {}
-    expanded = 0
+    charge = meter(budget, "the face search")
     while heap:
         face = heappop(heap)[2]
         if keep is not None and not keep(face, ups):
@@ -130,10 +131,7 @@ def _cover_search(inc: IncidenceMatrix, far: int, max_dim: Optional[int] = None,
         rank = rank_of[face]
         if max_dim is not None and rank >= max_dim:
             continue
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(
-                f"instance too large for the face search (budget {budget})")
+        charge(1)
         # `covers` is read through the module, so perfbench's tracer counts each call
         for cover in covers(face, inc):
             if not cover & far:

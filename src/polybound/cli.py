@@ -121,7 +121,7 @@ def _cmd_vertices(args) -> int:
     if args.alg == "brute":
         v = enumerate_vertices_bruteforce(h, args.budget)
     elif args.alg == "rs":
-        v, _ = reverse_search_vertices(h, args.budget)
+        v = reverse_search_vertices(h, args.budget)
     else:
         v = enumerate_vertices_pivoting(h, args.budget)
     os.makedirs(args.out_dir, exist_ok=True)

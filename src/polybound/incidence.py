@@ -142,12 +142,17 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     full-dimensional polytopes, so a nonzero row tight at every vertex is
     refused as "not full-dimensional"; rows 0.x <= b are skipped.
     Duplicate facet rows are merged, so output rows biject with facets, in
-    the order of their first row.  h and v must share one dimension.
+    the order of their first row.  h and v must share one dimension, and v
+    must hold a vertex.  A point of v is refused unless the facets through
+    it meet in it alone: that holds at every vertex when v holds all of
+    them, and fails at a point of v that is no vertex.
     """
     if v.dim != h.dim:
         raise InputError(f"V-rep dimension {v.dim} does not match H-rep dimension {h.dim}")
     if v.rays:
         raise InputError("incidences need a polytope; close the polyhedron first")
+    if not v.vertices:
+        raise InputError("V-rep has no vertex")
     points = [common_denominator(p) for p in v.vertices]
     masks = []
     for a, b in h.rows:
@@ -166,7 +171,13 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     candidates = list(dict.fromkeys(m for m in masks if m.bit_count() >= h.dim))
     facets = [m for m in candidates
               if not any(m != other and m & other == m for other in candidates)]
-    return IncidenceMatrix(len(points), tuple(facets))
+    inc = IncidenceMatrix(len(points), tuple(facets))
+    for k, col in enumerate(inc.column_masks):
+        if not col or inc.meet(col) != 1 << k:
+            point = ", ".join(map(str, v.vertices[k]))
+            raise InputError(f"V-rep is not the vertex set of the H-rep: the facets "
+                             f"through ({point}) do not meet in it alone")
+    return inc
 
 
 def far_face_vertices(v: VRep) -> set[int]:

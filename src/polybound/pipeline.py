@@ -149,8 +149,8 @@ def verify_diagram(inc: IncidenceMatrix, hd: HasseDiagram, alg: str,
 
 
 def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
-                 max_dim: Optional[int] = None, out_dir: Optional[str] = None,
-                 budget: int = DEFAULT_BUDGET, verify: bool = False) -> BenchRow:
+                 out_dir: Optional[str] = None, budget: int = DEFAULT_BUDGET,
+                 verify: bool = False) -> BenchRow:
     """Full generate -> close -> enumerate -> incidences -> bounded run."""
     started = time.perf_counter()
     stage = "generate"
@@ -159,10 +159,10 @@ def run_pipeline(family: str, params: Sequence[int], alg: str = "selective",
         stage = "close/enumerate"
         clo, vbar, inc = closure_data(h, pre, budget)
         stage = f"bounded[{alg}]"
-        hd = bounded_diagram(inc, alg, max_dim, budget)
+        hd = bounded_diagram(inc, alg, None, budget)
         if verify:
             stage = "verify"
-            verify_diagram(inc, hd, alg, max_dim, budget)
+            verify_diagram(inc, hd, alg, None, budget)
     except PolyboundError as exc:
         # only our own errors are known to take a single message argument
         raise type(exc)(f"{stage}: {exc}") from exc
@@ -211,7 +211,7 @@ def run_suite(suite: str, max_size: Optional[int] = None, seeds: int = 20,
     rows = []
     for family, params in instances:
         try:
-            rows.append(run_pipeline(family, params, alg, None, out_dir, budget, verify))
+            rows.append(run_pipeline(family, params, alg, out_dir, budget, verify))
         except Exception as exc:
             label = f"{family}-" + "-".join(str(p) for p in params)
             rows.append(BenchRow(label, 0, 0, 0, 0, 0, 0.0, error=str(exc)))

@@ -20,8 +20,8 @@ Three enumerators are provided:
   degenerate (non-simple) polyhedra such as tropical ones as well.
 * `reverse_search_vertices` is the classic reverse search for simple
   polyhedra, ordered by one fixed lexicographic objective (the sum of the
-  rows, ties broken by x_1, ..., x_d), with a ratio test that flags
-  unbounded edges.
+  rows, ties broken by x_1, ..., x_d); an edge whose ratio test never
+  blocks is a ray.
 
 The walk and reverse search run in integers: integer rows, points as
 integer vectors over one denominator, edges read off one Bareiss
@@ -33,7 +33,9 @@ become Fractions only in the returned `VRep`.
 refuse empty and non-pointed input) through `_start_vertex`, one
 feasibility LP; brute force uses it only for that refusal, and the
 pipeline hands the closure's vertex on to the pivot walk, so each solves
-that LP once.  All three enumerators charge the one budget.
+that LP once.  All three enumerators charge the one budget: brute force
+checks its subset count up front, and the walk and reverse search charge
+a running `meter` as they go, as the face search does.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ from .linalg import nullspace, rank  # noqa: F401
 from .lp import LpStatus, lp_solve
 
 DEFAULT_BUDGET = 10**7
+
+
+def meter(budget: int, what: str) -> Callable[[int], None]:
+    """A running budget: charge(units) adds units to the work done and
+    raises BudgetExceededError, naming `what`, once it exceeds `budget`."""
+    work = 0
+
+    def charge(units: int) -> None:
+        nonlocal work
+        work += units
+        if work > budget:
+            raise BudgetExceededError(f"instance too large for {what} (budget {budget})")
+
+    return charge
 
 
 @dataclass(frozen=True)
@@ -105,16 +121,6 @@ class VRep:
         vs = sorted(set(tuple(v) for v in vertices))
         rs = sorted(set(normalize_ray(r) for r in rays))
         return cls(dim, tuple(vs), tuple(rs))
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Simple graph on vertex indices; optionally with the pivot directions
-    that were found unbounded, as (vertex index, ray index) pairs."""
-
-    n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    unbounded_edges: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -275,15 +281,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     b = [row[-1] for row in rows]
     nums, den = common_denominator(start)
     point = (tuple(nums), den)
-    work = 0
-
-    def charge(units: int) -> None:
-        nonlocal work
-        work += units
-        if work > budget:
-            raise BudgetExceededError(
-                f"instance too large for pivot enumeration (budget {budget})")
-
+    charge = meter(budget, "pivot enumeration")
     visited = {point}
     stack = [point]
     rays: set[tuple[int, ...]] = set()
@@ -377,13 +375,12 @@ def _as_fractions(point: tuple[Sequence[int], int]) -> Vector:
     return tuple(Fraction(n, den) for n in num)
 
 
-def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> tuple[VRep, Graph]:
-    """Reverse search over a simple pointed polyhedron (Avis & Fukuda 1992).
+def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
+    """Vertices and rays of a simple pointed polyhedron by reverse search
+    (Avis & Fukuda 1992).
 
-    Returns all vertices plus the bounded vertex-edge graph; edge
-    directions whose ratio test never blocks are reported as rays and
-    flagged in `Graph.unbounded_edges`.  Raises "not simple" when a visited
-    vertex lies on more than d facets.
+    An edge direction whose ratio test never blocks is a ray.  Raises "not
+    simple" when a visited vertex lies on more than d facets.
 
     The order is fixed: an edge direction v goes up when (c.v, v_1, ...,
     v_d) > 0 lexicographically, with c the sum of h's integer rows.  It is
@@ -407,14 +404,7 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> tuple[VRep
     b = [row[-1] for row in rows]
     c = [sum(col) for col in zip(*a_rows)]
     level = (0,) * (d + 1)
-    work = 0
-
-    def charge() -> None:
-        nonlocal work
-        work += d
-        if work > budget:
-            raise BudgetExceededError(
-                f"instance too large for reverse search (budget {budget})")
+    charge = meter(budget, "reverse search")
 
     def up(v) -> bool:
         return (sum(map(mul, c, v)), *v) > level
@@ -445,35 +435,23 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> tuple[VRep
 
     nums, den = common_denominator(start)
     root = (tuple(nums), den)
-    charge()
+    charge(d)
     while (higher := ascent_neighbor(root)) is not None:
         root = higher
-        charge()
+        charge(d)
 
     vertices = []
-    edges = []
-    ray_flags = []
+    rays = set()
     stack = [root]
     while stack:
         x = stack.pop()
-        charge()
+        charge(d)
         vertices.append(x)
         slack, directions = edges_at(x)
         for v in directions:
             y = step(x, slack, v)
             if y is None:
-                ray_flags.append((x, normalize_ray(v)))
-            elif not up(v):  # each bounded edge once, from its upper end
-                edges.append((x, y))
-                if ascent_neighbor(y) == x:
-                    stack.append(y)
-
-    fractions = {x: _as_fractions(x) for x in vertices}
-    vrep = VRep.build(d, fractions.values(), [r for _, r in ray_flags])
-    position = {v: i for i, v in enumerate(vrep.vertices)}
-    index = {x: position[v] for x, v in fractions.items()}
-    ray_index = {r: i for i, r in enumerate(vrep.rays)}
-    edge_list = sorted((index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
-                       for u, v in edges)
-    unbounded = sorted((index[x], ray_index[r]) for x, r in ray_flags)
-    return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))
+                rays.add(v)
+            elif not up(v) and ascent_neighbor(y) == x:
+                stack.append(y)
+    return VRep.build(d, map(_as_fractions, vertices), rays)

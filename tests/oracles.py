@@ -35,7 +35,7 @@ from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask, polytope_edges
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
-from polybound.polyhedron import Graph, HRep, VRep, _start_vertex, normalize_ray
+from polybound.polyhedron import HRep, VRep, _start_vertex, normalize_ray
 
 
 # -- linear algebra over Fractions ------------------------------------------
@@ -248,7 +248,7 @@ def reference_reverse_search(h, objective):
                 return res[1]
         return None
 
-    vertices, edges, ray_flags, seen = [], set(), [], set()
+    vertices, rays, seen = [], [], set()
     stack = [root]
     while stack:
         x = stack.pop()
@@ -260,24 +260,18 @@ def reference_reverse_search(h, objective):
         for k in act:
             res = pivot(x, act, k)
             if res[0] == "ray":
-                ray_flags.append((x, res[1]))
+                rays.append(res[1])
                 continue
             y = res[1]
             vx, vy = dot(c, x), dot(c, y)
             if vx == vy:
                 raise ObjectiveError("objective not generic")
-            edges.add((min(x, y), max(x, y)))
             if vy < vx and ascent_neighbor(y, active_basis(y)) == x:
                 stack.append(y)
     values = [dot(c, x) for x in vertices]
     if len(set(values)) != len(values):
         raise ObjectiveError("objective not generic")
-    vrep = VRep.build(d, vertices, [r for _, r in ray_flags])
-    index = {v: i for i, v in enumerate(vrep.vertices)}
-    ray_index = {r: i for i, r in enumerate(vrep.rays)}
-    edge_list = sorted(tuple(sorted((index[u], index[v]))) for u, v in edges)
-    unbounded = sorted((index[x], ray_index[r]) for x, r in ray_flags)
-    return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))
+    return VRep.build(d, vertices, rays)
 
 
 # -- tropical vertices ---------------------------------------------------------

@@ -218,7 +218,7 @@ def test_criterion_11_enumeration_cross_checks():
     ok = True
     for h in simple_cases:
         assert len(h.rows) + 1 <= 25  # closure row count stays within the bound
-        rs_v, _ = reverse_search_vertices(h)
+        rs_v = reverse_search_vertices(h)
         brute = enumerate_vertices_bruteforce(h)
         ok &= rs_v.vertices == brute.vertices and rs_v.rays == brute.rays
     # exact LP optimum equals the best vertex value on random bounded LPs

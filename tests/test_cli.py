@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,9 @@ from polybound import formats, pipeline
 from polybound.bounded import HasseDiagram
 from polybound.cli import main
 from polybound.polyhedron import VRep
+
+
+HALF = Fraction(1, 2)
 
 
 def run(argv):
@@ -36,14 +40,17 @@ def test_full_pipeline_via_cli(tmp_path, capsys):
 
 
 def test_vertices_algorithms_agree(tmp_path):
+    # reverse search needs a simple polyhedron, which the dwarfed cube is
     out = tmp_path
-    run(["-o", out, "gen", "thrackle", "4"])
-    hrep = out / "thrackle-4.hrep"
-    blobs = {}
-    for alg in ("pivot", "brute"):
-        assert run(["-o", out / alg, "vertices", hrep, "--alg", alg]) == 0
-        blobs[alg] = (out / alg / "thrackle-4.vrep").read_bytes()
-    assert blobs["pivot"] == blobs["brute"]
+    for label, algs in (("thrackle-4", ("pivot", "brute")),
+                        ("dwarfed-cube-4", ("pivot", "brute", "rs"))):
+        family, d = label.rsplit("-", 1)
+        assert run(["-o", out, "gen", family, d]) == 0
+        blobs = set()
+        for alg in algs:
+            assert run(["-o", out / alg, "vertices", out / f"{label}.hrep", "--alg", alg]) == 0
+            blobs.add((out / alg / f"{label}.vrep").read_bytes())
+        assert len(blobs) == 1, label
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -265,6 +272,36 @@ def test_incidences_refuses_lower_dimensional_closure(tmp_path, capsys):
     capsys.readouterr()
     assert run(["-o", tmp_path, "incidences", closure, vrep, "--closure"]) == 2
     assert capsys.readouterr().err == "error: not full-dimensional\n"
+
+
+NOT_VERTEX_SETS = {
+    "a point on no facet row": ("dim 2 rows 1\n0 0 1", [(0, 0)], "(0, 0)"),
+    "the centre of the unit square": (
+        "dim 2 rows 4\n1 0 1\n0 1 1\n-1 0 0\n0 -1 0", [(HALF, HALF)], "(1/2, 1/2)"),
+    "an edge midpoint besides the triangle's vertices": (
+        "dim 2 rows 3\n-1 0 0\n0 -1 0\n1 1 1", [(0, 0), (1, 0), (0, 1), (HALF, HALF)],
+        "(1/2, 1/2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_VERTEX_SETS))
+def test_incidences_refuses_points_that_are_no_vertices(tmp_path, capsys, case):
+    rows, points, shown = NOT_VERTEX_SETS[case]
+    hrep, vrep = tmp_path / "p.hrep", tmp_path / "p.vrep"
+    hrep.write_text(f"polybound-hrep 1\n{rows}\n")
+    formats.write_vrep(VRep.build(2, points, []), str(vrep))
+    assert run(["-o", tmp_path, "incidences", hrep, vrep]) == 2
+    assert capsys.readouterr().err == (f"error: V-rep is not the vertex set of the H-rep: "
+                                       f"the facets through {shown} do not meet in it alone\n")
+    assert not (tmp_path / "p.inc").exists()
+
+
+def test_incidences_refuses_a_vrep_with_no_vertex(tmp_path, capsys):
+    hrep, vrep = tmp_path / "zero.hrep", tmp_path / "empty.vrep"
+    hrep.write_text("polybound-hrep 1\ndim 2 rows 1\n0 0 1\n")
+    formats.write_vrep(VRep.build(2, [], []), str(vrep))
+    assert run(["-o", tmp_path, "incidences", hrep, vrep]) == 2
+    assert capsys.readouterr().err == "error: V-rep has no vertex\n"
 
 
 def test_incidences_refuses_bounded_closure(tmp_path, capsys):

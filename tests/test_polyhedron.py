@@ -17,7 +17,7 @@ from polybound.errors import PolyboundError
 from polybound.linalg import (ZERO, as_vector, common_denominator, dot, integer_row, rank,
                               ratio_step)
 from polybound.lp import LpStatus, lp_solve
-from polybound.polyhedron import (DEFAULT_BUDGET, Graph, HRep, VRep,
+from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep,
                                   enumerate_vertices_bruteforce, enumerate_vertices_pivoting,
                                   normalize_ray, projective_closure, reverse_search_vertices)
 
@@ -447,23 +447,21 @@ def test_one_start_vertex_lp_per_instance(monkeypatch):
 
 
 def test_reverse_search_square():
-    v, g = reverse_search_vertices(unit_square())
-    assert len(v.vertices) == 4
-    assert len(g.edges) == 4
-    assert not g.unbounded_edges
+    v = reverse_search_vertices(unit_square())
+    assert v.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert not v.rays
 
 
 def test_reverse_search_dwarfed_5():
     _, rev = dwarfed_cube(5)
-    v, _ = reverse_search_vertices(projective_closure(rev).closure)
+    v = reverse_search_vertices(projective_closure(rev).closure)
     assert len(v.vertices) == 26
 
 
 def test_reverse_search_quadrant_flags_unbounded():
-    v, g = reverse_search_vertices(quadrant())
+    v = reverse_search_vertices(quadrant())
     assert v.vertices == ((0, 0),)
-    assert set(v.rays) == {(1, 0), (0, 1)}
-    assert len(g.unbounded_edges) == 2
+    assert v.rays == ((0, 1), (1, 0))
 
 
 def test_reverse_search_rejects_non_simple():
@@ -532,8 +530,7 @@ def objective_reverse_search(h, objective):
         return None
 
     vertices = []
-    edges = set()
-    ray_flags = []
+    rays = []
     seen = set()
     stack = [root]
     while stack:
@@ -546,27 +543,17 @@ def objective_reverse_search(h, objective):
         for v in directions:
             res = pivot(x, slack, v)
             if res[0] == "ray":
-                ray_flags.append((x, normalize_ray(res[1])))
+                rays.append(res[1])
                 continue
             y = res[1]
             (cx, dx), (cy, dy) = value(x), value(y)
             if cx * dy == cy * dx:
                 raise ObjectiveError("objective not generic")
-            edges.add((min(x, y), max(x, y)))
             if cy * dx < cx * dy and ascent_neighbor(y) == x:
                 stack.append(y)
     if len({Fraction(*value(x)) for x in vertices}) != len(vertices):
         raise ObjectiveError("objective not generic")
-
-    fractions = {x: polyhedron._as_fractions(x) for x in vertices}
-    vrep = VRep.build(d, fractions.values(), [r for _, r in ray_flags])
-    position = {v: i for i, v in enumerate(vrep.vertices)}
-    index = {x: position[v] for x, v in fractions.items()}
-    ray_index = {r: i for i, r in enumerate(vrep.rays)}
-    edge_list = sorted((index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
-                       for u, v in edges)
-    unbounded = sorted((index[x], ray_index[r]) for x, r in ray_flags)
-    return vrep, Graph(len(vrep.vertices), tuple(edge_list), tuple(unbounded))
+    return VRep.build(d, map(polyhedron._as_fractions, vertices), rays)
 
 
 def seeded_reverse_search(h, seed=0, attempts=64):
@@ -584,8 +571,9 @@ def seeded_reverse_search(h, seed=0, attempts=64):
 
 
 def reverse_search_outcome(search, h, *args):
+    """("ok", the VRep) or (the error's type, its message)."""
     try:
-        return search(h, *args)
+        return "ok", search(h, *args)
     except PolyboundError as exc:
         return type(exc), str(exc)
 
@@ -612,7 +600,7 @@ def fraction_reference_roster():
 
 def test_reverse_search_matches_fraction_reference():
     # where the reference returns under an objective, the fixed order gives
-    # the same vertices, edges and rays; where it says "not simple", so
+    # the same vertices and rays; where it says "not simple", so
     # does the fixed order
     seen = set()
     for h, objectives in fraction_reference_roster():

@@ -18,8 +18,10 @@ from .incidence import compute_incidences, far_face_vertices
 from .polyhedron import (DEFAULT_BUDGET, enumerate_vertices_bruteforce,
                          enumerate_vertices_pivoting, projective_closure,
                          reverse_search_vertices)
+from .rational import format_point
 
-BUDGET_HELP = "work budget of gen, vertices, bounded and bench; exit 3 when it runs out"
+BUDGET_HELP = ("work budget of gen, vertices, incidences, bounded and bench; "
+               "exit 3 when it runs out")
 
 
 def _int_at_least(low: int):
@@ -127,7 +129,7 @@ def _cmd_vertices(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     path = _stem(args.hrep, args.out_dir) + ".vrep"
     formats.write_vrep(v, path)
-    print(f"{path}  vertices={len(v.vertices)} rays={len(v.rays)}")
+    print(f"{path}  vertices={len(v.points)} rays={len(v.directions)}")
     return 0
 
 
@@ -135,6 +137,16 @@ def _cmd_incidences(args) -> int:
     h = formats.read_hrep(args.hrep)
     v = formats.read_vrep(args.vrep)
     inc = compute_incidences(h, v)
+    # that check passes a point of v that is no vertex only where v misses
+    # a vertex; the walk from v's first point finds what v misses
+    walk = enumerate_vertices_pivoting(h, args.budget, start=v.points[0])
+    if walk.directions:
+        raise InputError("the H-rep has rays: close the polyhedron first")
+    known = set(v.points)
+    missed = next((p for p in walk.points if p not in known), None)
+    if missed is not None:
+        raise InputError(f"V-rep misses the vertex ({', '.join(format_point(*missed))}) "
+                         "of the H-rep")
     if args.closure:
         inc = inc.with_far_face(far_face_vertices(v))
     os.makedirs(args.out_dir, exist_ok=True)

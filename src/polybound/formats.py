@@ -16,7 +16,7 @@ from .errors import InputError
 from .bounded import HasseDiagram
 from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
 from .polyhedron import HRep, VRep
-from .rational import format_rational, parse_rational
+from .rational import format_point, format_rational, parse_point, parse_rational
 
 HREP_MAGIC = "polybound-hrep 1"
 VREP_MAGIC = "polybound-vrep 1"
@@ -97,36 +97,33 @@ def read_hrep(path: str) -> HRep:
 
 
 def vrep_to_text(v: VRep) -> str:
-    out = [VREP_MAGIC, f"dim {v.dim}", f"vertices {len(v.vertices)}"]
-    for p in v.vertices:
-        out.append(" ".join(format_rational(x) for x in p))
-    out.append(f"rays {len(v.rays)}")
-    for r in v.rays:
-        out.append(" ".join(format_rational(x) for x in r))
+    out = [VREP_MAGIC, f"dim {v.dim}", f"vertices {len(v.points)}"]
+    out += [" ".join(format_point(*p)) for p in v.points]
+    out.append(f"rays {len(v.directions)}")
+    out += [" ".join(format_point(*r)) for r in v.directions]
     return "\n".join(out) + "\n"
+
+
+def _points(text_lines: list[str], idx: int, count: int, d: int, what: str) -> list:
+    """The points on the `count` lines from line idx, each of d literals."""
+    points = []
+    for ln in text_lines[idx:idx + count]:
+        tokens = ln.split()
+        points.append(parse_point(tokens))
+        _expect(len(tokens) == d, f"{what} has wrong width")
+    return points
 
 
 def parse_vrep(text_lines: list[str]) -> VRep:
     _expect(bool(text_lines) and text_lines[0] == VREP_MAGIC, "not a V-rep file")
     d = _section_count(text_lines, 1, "dim")
     k = _section_count(text_lines, 2, "vertices")
-    idx = 3
-    vertices = []
-    for ln in text_lines[idx:idx + k]:
-        parts = [parse_rational(tok) for tok in ln.split()]
-        _expect(len(parts) == d, "vertex has wrong width")
-        vertices.append(tuple(parts))
-    idx += k
-    r = _section_count(text_lines, idx, "rays")
-    idx += 1
-    rays = []
-    for ln in text_lines[idx:idx + r]:
-        parts = [parse_rational(tok) for tok in ln.split()]
-        _expect(len(parts) == d, "ray has wrong width")
-        rays.append(tuple(parts))
+    vertices = _points(text_lines, 3, k, d, "vertex")
+    r = _section_count(text_lines, 3 + k, "rays")
+    rays = _points(text_lines, 4 + k, r, d, "ray")
     _expect(len(rays) == r, "V-rep ray count mismatch")
-    _expect_end(text_lines, idx + r, "V-rep")
-    return VRep.build(d, vertices, rays)
+    _expect_end(text_lines, 4 + k + r, "V-rep")
+    return VRep.from_integers(d, vertices, (num for num, _ in rays))
 
 
 def write_vrep(v: VRep, path: str) -> None:

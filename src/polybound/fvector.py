@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import InputError, InternalError
 from .incidence import IncidenceMatrix, is_simple, polytope_edges, indices_from_mask
-from .polyhedron import VRep
+from .polyhedron import VRep, numerators_over_lcm
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class FVector:
 
 def vertex_key(p: tuple) -> tuple:
     """Position of a closure point in the fixed order: sum(x), ties broken
-    lexicographically by the coordinates."""
+    lexicographically by the coordinates.  p holds the coordinates, or
+    their numerators over a denominator shared by every point compared."""
     return (sum(p), p)
 
 
@@ -68,14 +69,14 @@ def f_vector_simple(inc: IncidenceMatrix, coords: VRep,
         raise InputError("far-face data required")
     if d != coords.dim:
         raise InputError(f"dimension {d} does not match V-rep dimension {coords.dim}")
-    if inc.n != len(coords.vertices):
+    if inc.n != len(coords.points):
         raise InputError("incidences and coordinates disagree on vertex count")
     far = set(indices_from_mask(inc.far_face))
     near = [i for i in range(inc.n) if i not in far]
     if any(inc.column_masks[i].bit_count() != d for i in near):
         raise InputError("not simple")
 
-    keys = [vertex_key(p) for p in coords.vertices]
+    keys = [vertex_key(p) for p in numerators_over_lcm(coords.points)]
     # IncidenceMatrix refuses an empty far face and one holding every vertex
     if min(keys[i] for i in far) <= max(keys[i] for i in near):
         raise InputError("far face is not on top")

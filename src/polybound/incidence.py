@@ -5,7 +5,9 @@ the set), which makes the set operations used by the face enumeration
 algorithms exact and fast.  Facet sets are bitmasks over rows, and the
 meet of a facet set (the AND of its rows) is read from a byte table of
 precomputed row ANDs, the "Four Russians" trick of Arlazarov, Dinic,
-Kronrod & Faradzev (1970).
+Kronrod & Faradzev (1970).  The incidences and the far face are read off
+a `VRep`'s integer points as they are held: a row's slack at num/den is
+the integer b*den - a.num.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from operator import and_, getitem, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .linalg import common_denominator, integer_row
+from .linalg import integer_row
 from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
 from .polyhedron import HRep, VRep
+from .rational import format_point
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -116,7 +119,12 @@ class IncidenceMatrix:
                                 key.to_bytes(len(self.row_ands), "little")), self.all_mask)
 
     def with_far_face(self, far: Iterable[int]) -> "IncidenceMatrix":
-        return IncidenceMatrix(self.n, self.row_masks, mask_from_indices(far))
+        """This matrix with the far face `far`, keeping the cached
+        `column_masks` and `row_ands`: they depend only on n and the rows."""
+        inc = IncidenceMatrix(self.n, self.row_masks, mask_from_indices(far))
+        inc.__dict__.update({name: self.__dict__[name] for name in ("column_masks", "row_ands")
+                             if name in self.__dict__})
+        return inc
 
 
 def closure_mask(mask: int, rows: Sequence[int]) -> Optional[int]:
@@ -149,16 +157,15 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     """
     if v.dim != h.dim:
         raise InputError(f"V-rep dimension {v.dim} does not match H-rep dimension {h.dim}")
-    if v.rays:
+    if v.directions:
         raise InputError("incidences need a polytope; close the polyhedron first")
-    if not v.vertices:
+    if not v.points:
         raise InputError("V-rep has no vertex")
-    points = [common_denominator(p) for p in v.vertices]
     masks = []
     for a, b in h.rows:
         *a_int, b_int = integer_row([*a, b])
         mask = 0
-        for i, (num, den) in enumerate(points):
+        for i, (num, den) in enumerate(v.points):
             slack = b_int * den - sum(map(mul, a_int, num))
             if slack < 0:
                 raise InputError("point outside polyhedron")
@@ -166,15 +173,15 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
                 mask |= 1 << i
         if any(a_int):
             masks.append(mask)
-    if (1 << len(points)) - 1 in masks:
+    if (1 << len(v.points)) - 1 in masks:
         raise InputError("not full-dimensional")
     candidates = list(dict.fromkeys(m for m in masks if m.bit_count() >= h.dim))
     facets = [m for m in candidates
               if not any(m != other and m & other == m for other in candidates)]
-    inc = IncidenceMatrix(len(points), tuple(facets))
+    inc = IncidenceMatrix(len(v.points), tuple(facets))
     for k, col in enumerate(inc.column_masks):
         if not col or inc.meet(col) != 1 << k:
-            point = ", ".join(map(str, v.vertices[k]))
+            point = ", ".join(format_point(*v.points[k]))
             raise InputError(f"V-rep is not the vertex set of the H-rep: the facets "
                              f"through ({point}) do not meet in it alone")
     return inc
@@ -184,8 +191,7 @@ def far_face_vertices(v: VRep) -> set[int]:
     """Indices of the closure vertices on the far hyperplane sum(x) = 1,
     the one far-face rule: each vertex's numerators over one denominator
     sum to that denominator."""
-    return {i for i, (num, den) in enumerate(map(common_denominator, v.vertices))
-            if sum(num) == den}
+    return {i for i, (num, den) in enumerate(v.points) if sum(num) == den}
 
 
 def is_simple(inc: IncidenceMatrix, d: int) -> bool:

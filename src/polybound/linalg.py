@@ -9,8 +9,10 @@ Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
 entry equals det.  `_echelon` drives it over the columns in order for
 `rank`, `nullspace`, `kernel_vector` (and so `kernel_line`),
 `scaled_inverse` and the start vertex of `polyhedron`; the simplex
-tableau in `lp` pivots with it directly.  Rational rows reach it through
-`integer_row`, a positive scaling, which leaves the rref unchanged.
+tableau in `lp` pivots with it directly.  Rational rows, those of H-reps
+and of the LP, reach it through `integer_row` or `common_denominator`, a
+positive scaling, which leaves the rref unchanged; points need no such
+step, since they are integer vectors over one denominator throughout.
 
 `scaled_inverse` reads delta*B^-1 off one elimination of [B | I].  It is
 the closure transform's inverse, and it gives the edges of a simple
@@ -22,9 +24,9 @@ brute force, which reads a candidate vertex off the kernel of d rows
 does not use it.
 
 `ratio_step` is the one ratio test: it moves a point held as an integer
-vector over one denominator along an integer direction, comparing
-slack/(a.v) by cross-multiplying.  The pivot walk, reverse search and the
-LP's vertex purification all step with it.
+vector over one denominator (a `polyhedron.Point`) along an integer
+direction, comparing slack/(a.v) by cross-multiplying.  The pivot walk,
+reverse search and the LP's vertex purification all step with it.
 """
 
 from __future__ import annotations

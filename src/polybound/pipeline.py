@@ -92,9 +92,9 @@ def closure_data(h: HRep, vrep: Optional[VRep] = None,
     clo = projective_closure(h)
     if vrep is None:
         vrep = enumerate_vertices_pivoting(h, budget, start=clo.translation)
-    points = [clo.map_point(x) for x in vrep.vertices]
-    points += [clo.map_ray(r) for r in vrep.rays]
-    vbar = VRep.build(h.dim, points, [])
+    points = [clo.map_point(x) for x in vrep.points]
+    points += [clo.map_ray(r) for r in vrep.directions]
+    vbar = VRep.from_integers(h.dim, points, [])
     inc = compute_incidences(clo.closure, vbar)
     inc = inc.with_far_face(far_face_vertices(vbar))
     return clo, vbar, inc

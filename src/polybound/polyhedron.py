@@ -1,11 +1,13 @@
 """Polyhedron representations and vertex enumeration.
 
-An `HRep` is a system of inequalities a.x <= b; a `VRep` lists vertices and
-(normalized) extreme ray directions.  `projective_closure` turns a pointed
+An `HRep` is a system of inequalities a.x <= b with `Fraction` entries; a
+`VRep` lists vertices and (normalized) extreme ray directions, each held
+as lrs holds a point (Avis 2000): an integer numerator vector over one
+positive denominator, a `Point`.  `projective_closure` turns a pointed
 unbounded polyhedron into a projectively equivalent polytope inside the
 standard simplex, with the directions of unboundedness realized on the
 hyperplane sum(x) = 1; its transform, its rows and its point and ray maps
-are computed in integers.
+are computed in integers, and the maps take and return `Point`s.
 
 Three enumerators are provided:
 
@@ -23,11 +25,12 @@ Three enumerators are provided:
   rows, ties broken by x_1, ..., x_d); an edge whose ratio test never
   blocks is a ray.
 
-The walk and reverse search run in integers: integer rows, points as
-integer vectors over one denominator, edges read off one Bareiss
-elimination (`linalg.scaled_inverse`) and combined in integers at a
-degenerate vertex, and the one ratio test `linalg.ratio_step`.  Points
-become Fractions only in the returned `VRep`.
+The walk and reverse search run in integers: integer rows, `Point`s,
+edges read off one Bareiss elimination (`linalg.scaled_inverse`) and
+combined in integers at a degenerate vertex, and the one ratio test
+`linalg.ratio_step`.  All three enumerators build their `VRep` from
+integer points and directions; only its `vertices` and `rays` views are
+`Fraction`s.
 
 `projective_closure` and all three enumerators find a first vertex (or
 refuse empty and non-pointed input) through `_start_vertex`, one
@@ -43,18 +46,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError
-from .linalg import (ZERO, ONE, Vector, _echelon, as_vector, common_denominator, dot,
+from .linalg import (ZERO, Vector, _echelon, as_vector, common_denominator, dot,
                      integer_row, kernel_line, ratio_step, scaled_inverse)
 # perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
 from .linalg import nullspace, rank  # noqa: F401
 from .lp import LpStatus, lp_solve
 
 DEFAULT_BUDGET = 10**7
+
+#: a point num/den: an integer numerator vector over a denominator den > 0
+Point = tuple[tuple[int, ...], int]
 
 
 def meter(budget: int, what: str) -> Callable[[int], None]:
@@ -98,29 +104,64 @@ class HRep:
         return [b for _, b in self.rows]
 
 
-def normalize_ray(direction: Sequence[Fraction]) -> Vector:
-    """Scale by a positive factor so the first nonzero entry has absolute value 1."""
-    lead = next((x for x in direction if x != 0), None)
-    if lead is None:
-        raise InputError("zero vector is not a ray direction")
-    scale = ONE / abs(lead)
-    return tuple(x * scale for x in direction)
+def numerators_over_lcm(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Each point's numerators over the lcm of all the denominators, which
+    compare as the points' coordinates do."""
+    big = lcm(*(den for _, den in points))
+    return [tuple(n * (big // den) for n in num) for num, den in points]
+
+
+def _ordered(points: Iterable[Point]) -> tuple[Point, ...]:
+    points = list(set(points))
+    return tuple(p for _, p in sorted(zip(numerators_over_lcm(points), points)))
+
+
+def _reduced(num: Sequence[int], den: int) -> Point:
+    g = gcd(*num, den) if den > 0 else -gcd(*num, den)
+    return tuple(n // g for n in num), den // g
+
+
+def _fractions(points: Iterable[Point]) -> tuple[Vector, ...]:
+    return tuple(tuple(Fraction(n, den) for n in num) for num, den in points)
 
 
 @dataclass(frozen=True)
 class VRep:
-    """Vertex/ray description.  Vertices are duplicate-free and sorted;
-    rays are normalized (first nonzero entry +-1), duplicate-free, sorted."""
+    """Vertex/ray description in integers, each list duplicate-free and in
+    lexicographic order.  `points` are the vertices as reduced `Point`s;
+    `directions` are the rays, each over |its first nonzero numerator| so
+    that, as rationals, that entry is +-1.  `vertices` and `rays` are
+    their views as `Fraction` tuples."""
 
     dim: int
-    vertices: tuple[Vector, ...]
-    rays: tuple[Vector, ...]
+    points: tuple[Point, ...]
+    directions: tuple[Point, ...]
 
     @classmethod
-    def build(cls, dim: int, vertices, rays) -> "VRep":
-        vs = sorted(set(tuple(v) for v in vertices))
-        rs = sorted(set(normalize_ray(r) for r in rays))
-        return cls(dim, tuple(vs), tuple(rs))
+    def from_integers(cls, dim: int, points: Iterable[tuple[Sequence[int], int]],
+                      rays: Iterable[Sequence[int]]) -> "VRep":
+        """From vertices num/den in any terms and integer ray directions."""
+        directions = []
+        for r in rays:
+            lead = next((x for x in r if x), 0)
+            if not lead:
+                raise InputError("zero vector is not a ray direction")
+            directions.append(_reduced(r, abs(lead)))
+        return cls(dim, _ordered(_reduced(*p) for p in points), _ordered(directions))
+
+    @classmethod
+    def build(cls, dim: int, vertices: Iterable[Sequence], rays: Iterable[Sequence]) -> "VRep":
+        """From rational (int or Fraction) vertices and ray directions."""
+        return cls.from_integers(dim, map(common_denominator, vertices),
+                                 (common_denominator(r)[0] for r in rays))
+
+    @property
+    def vertices(self) -> tuple[Vector, ...]:
+        return _fractions(self.points)
+
+    @property
+    def rays(self) -> tuple[Vector, ...]:
+        return _fractions(self.directions)
 
 
 @dataclass(frozen=True)
@@ -134,33 +175,32 @@ class ClosureResult:
     """
 
     closure: HRep
-    translation: Vector
+    translation: Point
     rho: tuple[tuple[int, ...], ...]
     rho_den: int
 
-    def map_point(self, x: Sequence[Fraction]) -> Vector:
+    def map_point(self, x: Point) -> Point:
         """Image in the closure of an ordinary point of the polyhedron.
 
         With x = X/s and translation V/t, the image is R.(tX - sV) over
-        D*s*t + sum(R.(tX - sV)) for rho = R/D."""
-        num, s = common_denominator(x)
-        shift, t = common_denominator(self.translation)
+        D*s*t + sum(R.(tX - sV)) for rho = R/D, reduced."""
+        num, s = x
+        shift, t = self.translation
         xv = [t * n - s * w for n, w in zip(num, shift)]
         y = [sum(map(mul, row, xv)) for row in self.rho]
         denom = self.rho_den * s * t + sum(y)
         if denom <= 0:
             raise InternalError("point maps outside the affine chart")
-        return tuple(Fraction(yi, denom) for yi in y)
+        return _reduced(y, denom)
 
-    def map_ray(self, direction: Sequence[Fraction]) -> Vector:
+    def map_ray(self, direction: Point) -> Point:
         """Far-face vertex of the closure corresponding to a recession
-        direction r: R.r / sum(R.r), with r scaled to integers."""
-        num, _ = common_denominator(direction)
-        y = [sum(map(mul, row, num)) for row in self.rho]
+        direction r: R.r / sum(R.r), reduced; r's denominator is not read."""
+        y = [sum(map(mul, row, direction[0])) for row in self.rho]
         total = sum(y)
         if total <= 0:
             raise InputError("not a recession direction of the polyhedron")
-        return tuple(Fraction(yi, total) for yi in y)
+        return _reduced(y, total)
 
 
 def projective_closure(h: HRep) -> ClosureResult:
@@ -185,7 +225,7 @@ def projective_closure(h: HRep) -> ClosureResult:
     rho = tuple(tuple(nums[i * d:(i + 1) * d]) for i in range(d))
     inv, delta = scaled_inverse(rho)  # R is invertible: W is a basis
     inv_cols = list(zip(*inv))
-    shift, t = common_denominator(v)
+    shift, t = v
     new_rows = []
     for a, bi in h.rows:
         *a_int, b_int = integer_row([*a, bi])
@@ -194,13 +234,13 @@ def projective_closure(h: HRep) -> ClosureResult:
         new_rows.append(integer_row([*row, beta]))
     new_rows.append([1] * (d + 1))
     closure = HRep.from_rows(d, [(row[:-1], row[-1]) for row in new_rows])
-    return ClosureResult(closure, tuple(v), rho, rho_den)
+    return ClosureResult(closure, v, rho, rho_den)
 
 
-def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
-    """A vertex of h, found by one feasibility LP, and a dual basis there:
-    the first rows active at the vertex, in input order, that are
-    independent of the rows before them.  Errors: "empty polyhedron" when
+def _start_vertex(h: HRep) -> tuple[Point, list[Vector]]:
+    """A vertex of h, found by one feasibility LP, as a reduced `Point`,
+    and a dual basis there: the first rows active at the vertex, in input
+    order, that are independent of the rows before them.  Errors: "empty polyhedron" when
     infeasible, "not pointed" when the feasible point found lies on fewer
     than d independent rows (h then contains a line and has no vertex)."""
     out = lp_solve(h.coefficient_rows(), h.rhs(), [ZERO] * h.dim)
@@ -213,7 +253,8 @@ def _start_vertex(h: HRep) -> tuple[Vector, list[Vector]]:
     _, pivots, _ = _echelon([integer_row(col) for col in zip(*active)])
     if len(pivots) < h.dim:
         raise InputError("not pointed")
-    return start, [active[j] for j in pivots]
+    nums, den = common_denominator(start)
+    return (tuple(nums), den), [active[j] for j in pivots]
 
 
 def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
@@ -241,18 +282,18 @@ def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep
         v = kernel_line(subset, d + 1)
         # v is a nonzero multiple v[d] of (x, 1): a.x <= b reads (eq.v)*v[d] <= 0
         if v is not None and v[d] and all(sum(map(mul, eq, v)) * v[d] <= 0 for eq in eqs):
-            points.add(tuple(Fraction(x, v[d]) for x in v[:d]))
+            points.add((v[:d], v[d]))
     rays = set()
     for subset in itertools.combinations(a_rows, d - 1):
         r = kernel_line(subset, d)
         for w in ((r, tuple(-x for x in r)) if r else ()):
             if all(sum(map(mul, a, w)) <= 0 for a in a_rows):
                 rays.add(w)
-    return VRep.build(d, points, rays)
+    return VRep.from_integers(d, points, rays)
 
 
 def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
-                                start: Optional[Sequence[Fraction]] = None) -> VRep:
+                                start: Optional[Point] = None) -> VRep:
     """Exact vertex/ray enumeration by walking the bounded vertex-edge graph.
 
     At each vertex the incident edge directions are the extreme rays of its
@@ -263,15 +304,14 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     by double description, `_cone_edges`, so degenerate vertices are
     handled without perturbation.  The budget is charged d per vertex plus
     one per ray pair tested for adjacency.  `start` is a vertex of h to
-    walk from, and a point that is none is refused; without it one is
-    found by LP.
+    walk from, a `Point` in any terms, and a point that is none is
+    refused; without it one is found by LP.
 
     The walk runs in integers, as lrs does (Avis, 2000): rows are scaled
-    to integers once, a point is an integer numerator vector over a
-    positive denominator reduced by their gcd, and an edge direction is a
-    primitive integer vector.  Each vertex gets one integer slack vector
-    b*den - a.num, which gives its active rows and the ratio test,
-    `ratio_step`.  Points become Fractions only for the returned VRep.
+    to integers once, a point is a reduced `Point`, and an edge direction
+    is a primitive integer vector.  Each vertex gets one integer slack
+    vector b*den - a.num, which gives its active rows and the ratio test,
+    `ratio_step`.
     """
     d = h.dim
     if start is None:
@@ -279,8 +319,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     rows = [integer_row([*a, b]) for a, b in h.rows]
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
-    nums, den = common_denominator(start)
-    point = (tuple(nums), den)
+    point = _reduced(*start)
     charge = meter(budget, "pivot enumeration")
     visited = {point}
     stack = [point]
@@ -301,7 +340,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
             elif nxt not in visited:
                 visited.add(nxt)
                 stack.append(nxt)
-    return VRep.build(d, map(_as_fractions, visited), rays)
+    return VRep.from_integers(d, visited, rays)
 
 
 def _simple_edges(a_rows: Sequence[Sequence[int]],
@@ -370,11 +409,6 @@ def _cone_edges(a_rows: Sequence[Sequence[int]], act: Sequence[int],
     return [v for v, _ in cone]
 
 
-def _as_fractions(point: tuple[Sequence[int], int]) -> Vector:
-    num, den = point
-    return tuple(Fraction(n, den) for n in num)
-
-
 def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     """Vertices and rays of a simple pointed polyhedron by reverse search
     (Avis & Fukuda 1992).
@@ -393,12 +427,11 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     leads back to x.  The budget is charged d per vertex stepped on, the
     climb included, as the pivot walk charges.
 
-    It runs in integers, as the pivot walk does: a point is (num, den), the
+    It runs in integers, as the pivot walk does: a point is a `Point`, the
     edges relaxing its d active rows are read off one inverse of them,
     `_simple_edges`, and `ratio_step` finds each edge's other end.
     """
     d = h.dim
-    start, _ = _start_vertex(h)
     rows = [integer_row([*a, b]) for a, b in h.rows]
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
@@ -433,8 +466,7 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
         v = next((v for v in directions if up(v)), None)
         return None if v is None else step(point, slack, v)
 
-    nums, den = common_denominator(start)
-    root = (tuple(nums), den)
+    root, _ = _start_vertex(h)
     charge(d)
     while (higher := ascent_neighbor(root)) is not None:
         root = higher
@@ -454,4 +486,4 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
                 rays.add(v)
             elif not up(v) and ascent_neighbor(y) == x:
                 stack.append(y)
-    return VRep.build(d, map(_as_fractions, vertices), rays)
+    return VRep.from_integers(d, vertices, rays)

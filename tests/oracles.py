@@ -6,7 +6,10 @@ in integers: a reduced row echelon form, the projective closure with its
 point and ray maps, the LP's vertex purification with its ratio test, and
 reverse search.  They share with the library only the start vertex, the
 LP that finds a first point and the normalization of their output
-(`integer_row`, `normalize_ray`, `VRep.build`).  Reverse search here runs
+(`integer_row`, `VRep.build`).  The V-rep's own order and ray
+normalization have their `Fraction` form here too, `reference_vrep`:
+the library holds points as integer numerator vectors over one
+denominator and sorts them by an integer key.  Reverse search here runs
 under a given objective, from the LP optimum; `bounded_generic_objective`
 gives seeded ones, and an objective that ties two vertices or is unbounded
 raises `ObjectiveError`.  The library instead orders every polyhedron by
@@ -35,7 +38,7 @@ from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask, polytope_edges
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
-from polybound.polyhedron import HRep, VRep, _start_vertex, normalize_ray
+from polybound.polyhedron import HRep, VRep, _start_vertex
 
 
 # -- linear algebra over Fractions ------------------------------------------
@@ -90,6 +93,28 @@ def reference_solve(a, b):
     return tuple(row[n] for row in rows[:n])
 
 
+# -- points ---------------------------------------------------------------------
+def as_fractions(point):
+    """A point (numerators, denominator) as a Fraction tuple."""
+    num, den = point
+    return tuple(Fraction(n, den) for n in num)
+
+
+def normalize_ray(direction):
+    """Scale by a positive factor so the first nonzero entry has absolute value 1."""
+    lead = next((x for x in direction if x != 0), None)
+    if lead is None:
+        raise InputError("zero vector is not a ray direction")
+    return tuple(Fraction(x) / abs(lead) for x in direction)
+
+
+def reference_vrep(vertices, rays):
+    """(vertices, rays) as `VRep` orders them, over Fractions: distinct
+    vertices and distinct normalized rays, each sorted lexicographically."""
+    return (tuple(sorted({tuple(map(Fraction, v)) for v in vertices})),
+            tuple(sorted({normalize_ray(r) for r in rays})))
+
+
 # -- projective closure -------------------------------------------------------
 def _mat_vec(rows, v):
     return [dot(r, v) for r in rows]
@@ -131,7 +156,8 @@ def reference_closure(h):
     (a rho^-1 + beta) . y <= beta with beta = b - a.v, scaled by
     `integer_row`."""
     d = h.dim
-    v, basis = _start_vertex(h)
+    start, basis = _start_vertex(h)
+    v = as_fractions(start)
     rho = tuple(tuple(-x for x in a) for a in basis)
     rho_inv = tuple(reference_inverse(rho))
     new_rows = []
@@ -141,7 +167,7 @@ def reference_closure(h):
         ints = integer_row([*(x + beta for x in a_prime), beta])
         new_rows.append((as_vector(ints[:-1]), Fraction(ints[-1])))
     new_rows.append((tuple(ONE for _ in range(d)), ONE))
-    return ReferenceClosure(HRep(d, tuple(new_rows)), tuple(v), rho, rho_inv)
+    return ReferenceClosure(HRep(d, tuple(new_rows)), v, rho, rho_inv)
 
 
 # -- ratio test and purification ----------------------------------------------

@@ -1,10 +1,11 @@
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import segment, unit_square
+from conftest import cube3, segment, unit_square
 from polybound import formats, pipeline
 from polybound.bounded import HasseDiagram
 from polybound.cli import main
@@ -294,6 +295,49 @@ def test_incidences_refuses_points_that_are_no_vertices(tmp_path, capsys, case):
     assert capsys.readouterr().err == (f"error: V-rep is not the vertex set of the H-rep: "
                                        f"the facets through {shown} do not meet in it alone\n")
     assert not (tmp_path / "p.inc").exists()
+
+
+# a 6-row H-rep with 7 vertices and the ray (0, 0, 1): the facets through
+# each vertex meet in it alone, so only the walk sees that the H-rep is
+# unbounded
+UNBOUNDED_WITH_RIGID_VERTICES = ("dim 3 rows 6\n-1 0 0 2\n0 -1 0 -2\n0 0 -1 1\n"
+                                 "3 -2 -2 -5\n0 3 -3 12\n3 1 0 0")
+MISSED_BY_THE_VREP = {
+    "the cube without (1, 1, 1)": (
+        "dim 3 rows 6\n1 0 0 1\n-1 0 0 0\n0 1 0 1\n0 -1 0 0\n0 0 1 1\n0 0 -1 0",
+        [p for p in itertools.product((0, 1), repeat=3) if p != (1, 1, 1)],
+        "V-rep misses the vertex (1, 1, 1) of the H-rep"),
+    "the vertices of an unbounded H-rep": (
+        UNBOUNDED_WITH_RIGID_VERTICES,
+        [(-2, 2, -1), (-2, 3, -1), (-2, 6, 2), (-1, 2, -1), (-1, 3, -1),
+         (Fraction(-7, 9), Fraction(7, 3), -1), (Fraction(-2, 3), 2, -HALF)],
+        "the H-rep has rays: close the polyhedron first"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSED_BY_THE_VREP))
+def test_incidences_walks_the_hrep_for_what_the_vrep_misses(tmp_path, capsys, case):
+    # each V-rep passes the facet check: the cube's facets x=1, y=1 and z=1
+    # keep three of the seven points each
+    rows, points, message = MISSED_BY_THE_VREP[case]
+    hrep, vrep = tmp_path / "p.hrep", tmp_path / "p.vrep"
+    hrep.write_text(f"polybound-hrep 1\n{rows}\n")
+    formats.write_vrep(VRep.build(3, points, []), str(vrep))
+    assert run(["-o", tmp_path, "incidences", hrep, vrep]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "p.inc").exists()
+
+
+def test_incidences_obeys_the_budget(tmp_path, capsys):
+    # the walk charges d = 3 at each of the cube's 8 vertices
+    hrep, vrep = tmp_path / "cube.hrep", tmp_path / "cube.vrep"
+    formats.write_hrep(cube3(), str(hrep))
+    formats.write_vrep(VRep.build(3, itertools.product((0, 1), repeat=3), []), str(vrep))
+    assert run(["-o", tmp_path, "--budget", "23", "incidences", hrep, vrep]) == 3
+    assert capsys.readouterr().err == (
+        "error: instance too large for pivot enumeration (budget 23)\n")
+    assert run(["-o", tmp_path, "--budget", "24", "incidences", hrep, vrep]) == 0
+    assert capsys.readouterr().out.endswith("facets=6 vertices=8 alpha=24\n")
 
 
 def test_incidences_refuses_a_vrep_with_no_vertex(tmp_path, capsys):

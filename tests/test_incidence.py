@@ -4,7 +4,9 @@ import pytest
 
 from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segment,
                       square_pyramid, strip, unit_square)
+from oracles import as_fractions
 from polybound.errors import InputError
+from polybound.generators import dwarfed_cube
 from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
                                  far_face_vertices, indices_from_mask, is_simple,
                                  mask_from_indices, polytope_edges, restrict_to_near)
@@ -117,11 +119,22 @@ def test_far_face_must_be_a_face():
             inc.with_far_face(far)
 
 
+def test_far_face_matrix_keeps_the_caches():
+    # compute_incidences builds column_masks and row_ands for its vertex
+    # check; the far-face matrix takes them over instead of building them again
+    inc = compute_incidences(cube3(), enumerate_vertices_bruteforce(cube3()))
+    far = inc.with_far_face([7])
+    assert far.column_masks is inc.column_masks and far.row_ands is inc.row_ands
+    _, _, closure_inc = closure_data(dwarfed_cube(3)[1])
+    assert {"column_masks", "row_ands"} <= closure_inc.__dict__.keys()
+
+
 def test_far_face_dwarfed_2_leaves_original_vertices():
     _, h, clo, vbar, inc = instance("dwarfed-cube", 2)
     near = [p for i, p in enumerate(vbar.vertices) if not inc.far_face >> i & 1]
     assert len(near) == 3
-    mapped = sorted(clo.map_point(p) for p in enumerate_vertices_bruteforce(h).vertices)
+    originals = enumerate_vertices_bruteforce(h)
+    mapped = sorted(as_fractions(clo.map_point(p)) for p in originals.points)
     assert mapped == near
 
 

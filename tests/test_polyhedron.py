@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 import pytest
@@ -11,15 +11,16 @@ from polybound.errors import BudgetExceededError, InputError
 from polybound.generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
                                   thrackle_metric, tight_span_hrep, tropical_hrep)
 from polybound import linalg, pipeline, polyhedron
-from oracles import (ObjectiveError, bounded_generic_objective, ray_step, reference_closure,
-                     reference_nullspace, reference_reverse_search)
+from oracles import (ObjectiveError, as_fractions, bounded_generic_objective, normalize_ray,
+                     ray_step, reference_closure, reference_nullspace, reference_reverse_search,
+                     reference_vrep)
 from polybound.errors import PolyboundError
 from polybound.linalg import (ZERO, as_vector, common_denominator, dot, integer_row, rank,
                               ratio_step)
 from polybound.lp import LpStatus, lp_solve
 from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep,
                                   enumerate_vertices_bruteforce, enumerate_vertices_pivoting,
-                                  normalize_ray, projective_closure, reverse_search_vertices)
+                                  projective_closure, reverse_search_vertices)
 
 HALF = Fraction(1, 2)
 
@@ -63,8 +64,8 @@ def test_closure_vertex_bijection():
         near = [p for p in vbar.vertices if sum(p) < 1]
         originals = enumerate_vertices_bruteforce(h)
         assert len(near) == len(originals.vertices)
-        assert sorted(clo.map_point(p) for p in originals.vertices) == near
-        assert sorted(clo.map_ray(r) for r in originals.rays) == far
+        assert sorted(as_fractions(clo.map_point(p)) for p in originals.points) == near
+        assert sorted(as_fractions(clo.map_ray(r)) for r in originals.directions) == far
 
 
 def greedy_basis_rows(h, v):
@@ -86,7 +87,7 @@ def test_closure_basis_is_greedy_rank_scan():
     for h in cases:
         clo = projective_closure(h)
         basis = [tuple(Fraction(-x, clo.rho_den) for x in row) for row in clo.rho]
-        assert basis == greedy_basis_rows(h, clo.translation)
+        assert basis == greedy_basis_rows(h, as_fractions(clo.translation))
 
 
 def benchmark_instances():
@@ -113,16 +114,18 @@ def test_closure_matches_fraction_reference():
     for h, v in cases:
         clo, ref = projective_closure(h), reference_closure(h)
         assert clo.closure == ref.closure
-        assert clo.translation == ref.translation
+        assert as_fractions(clo.translation) == ref.translation
         assert [tuple(Fraction(x, clo.rho_den) for x in row) for row in clo.rho] == list(ref.rho)
-        assert [clo.map_point(x) for x in v.vertices] == [ref.map_point(x) for x in v.vertices]
-        assert [clo.map_ray(r) for r in v.rays] == [ref.map_ray(r) for r in v.rays]
+        assert ([as_fractions(clo.map_point(x)) for x in v.points]
+                == [ref.map_point(x) for x in v.vertices])
+        assert ([as_fractions(clo.map_ray(r)) for r in v.directions]
+                == [ref.map_ray(r) for r in v.rays])
     # a start vertex, a rho and mapped points with denominators other than 1
     clo = projective_closure(fractional_cone())
-    assert clo.rho_den > 1 and all(x.denominator > 1 for x in clo.translation)
+    assert clo.rho_den > 1 and all(x.denominator > 1 for x in as_fractions(clo.translation))
     clo = projective_closure(fractional_rows())
-    mapped = [clo.map_point(x) for x in enumerate_vertices_pivoting(fractional_rows()).vertices]
-    assert any(x.denominator > 1 for p in mapped for x in p)
+    mapped = [clo.map_point(x) for x in enumerate_vertices_pivoting(fractional_rows()).points]
+    assert any(den > 1 for _, den in mapped)
 
 
 def fractional_cone():
@@ -134,8 +137,8 @@ def fractional_cone():
 def test_closure_maps_refuse_points_outside_the_chart():
     clo = projective_closure(quadrant())
     with pytest.raises(InputError, match="not a recession direction"):
-        clo.map_ray((-1, 0))
-    assert clo.map_ray((2, 2)) == clo.map_ray((1, 1))
+        clo.map_ray(((-1, 0), 1))
+    assert clo.map_ray(((2, 2), 1)) == clo.map_ray(((1, 1), 1)) == ((1, 1), 2)
 
 
 def test_closure_error_empty():
@@ -228,7 +231,7 @@ def reference_pivoting(h, budget=DEFAULT_BUDGET):
     d = h.dim
     a_rows = h.coefficient_rows()
     b = h.rhs()
-    start, _ = polyhedron._start_vertex(h)
+    start = as_fractions(polyhedron._start_vertex(h)[0])
     work = 0
     visited = {start}
     stack = [start]
@@ -375,7 +378,7 @@ def test_cone_edges_match_the_subset_rule_on_random_cones():
 def test_walk_refuses_a_start_that_is_no_vertex():
     # (1, 1) is interior to the quadrant and (0, 1) lies on one row: the
     # subset walk returned either as the only vertex
-    for start in ((1, 1), (0, 1)):
+    for start in (((1, 1), 1), ((0, 1), 1)):
         with pytest.raises(InputError, match="^start point is not a vertex$"):
             enumerate_vertices_pivoting(quadrant(), start=start)
 
@@ -474,7 +477,7 @@ def test_reverse_search_obeys_the_budget():
     # the climb steps on (0,0), (1,0) and (1,1), the search on all four
     # vertices, d = 2 each
     h = unit_square()
-    assert polyhedron._start_vertex(h)[0] == (0, 0)
+    assert polyhedron._start_vertex(h)[0] == ((0, 0), 1)
     with pytest.raises(BudgetExceededError, match=r"^instance too large for reverse search "
                                                   r"\(budget 13\)$"):
         reverse_search_vertices(h, budget=13)
@@ -553,7 +556,7 @@ def objective_reverse_search(h, objective):
                 stack.append(y)
     if len({Fraction(*value(x)) for x in vertices}) != len(vertices):
         raise ObjectiveError("objective not generic")
-    return VRep.build(d, map(polyhedron._as_fractions, vertices), rays)
+    return VRep.from_integers(d, vertices, rays)
 
 
 def seeded_reverse_search(h, seed=0, attempts=64):
@@ -628,12 +631,47 @@ def test_reverse_search_matches_seeded_retries():
 
 
 def test_normalize_ray():
-    assert normalize_ray((0, 2, 4)) == (0, 1, 2)
-    assert normalize_ray((-3, 6)) == (-1, 2)
-    with pytest.raises(InputError):
-        normalize_ray((0, 0))
+    # a ray is held as its primitive integer vector over |first nonzero entry|
+    assert VRep.build(3, [], [(0, 2, 4)]).directions == (((0, 1, 2), 1),)
+    assert VRep.build(2, [], [(-3, 6)]).rays == ((-1, 2),)
+    assert VRep.build(2, [], [(HALF, Fraction(1, 3))]).directions == (((3, 2), 3),)
+    assert VRep.build(2, [], [(HALF, Fraction(1, 3))]).rays == ((1, Fraction(2, 3)),)
+    for zero in ((0, 0), (ZERO, ZERO)):
+        with pytest.raises(InputError, match="zero vector"):
+            VRep.build(2, [], [zero])
 
 
 def test_vrep_build_dedupes_rays_up_to_scaling():
     v = VRep.build(2, [], [(1, 2), (2, 4), (HALF, 1)])
     assert v.rays == ((1, 2),)
+
+
+def test_vrep_integer_order_matches_the_fraction_sort():
+    # VRep sorts points by their numerators over the lcm of all denominators;
+    # the reference sorts the Fractions.  The random metrics' closures have
+    # denominators whose lcm exceeds 500 bits, and fractional_cone has rays
+    # whose normalized form is fractional
+    roster = ([("thrackle", (d,)) for d in range(3, 9)]
+              + [("dwarfed-cube", (d,)) for d in (5, 10, 15)]
+              + [("tropical-cyclic", (4, 4)), ("tropical-cyclic", (5, 5))]
+              + [("random-metric", (6, s)) for s in (0, 3, 4)])
+    reps = []
+    for family, params in roster:
+        _, h, _, vbar, _ = instance(family, *params)
+        reps += [enumerate_vertices_pivoting(h), vbar]
+        if family == "random-metric":
+            assert lcm(*(den for _, den in vbar.points)).bit_length() > 500
+    cone = enumerate_vertices_pivoting(fractional_cone())
+    assert any(den > 1 for _, den in cone.directions)
+    reps.append(cone)
+    rng = random.Random(18)
+    for v in reps:
+        assert (v.vertices, v.rays) == reference_vrep(v.vertices, v.rays)
+        vertices, rays = list(v.vertices), list(v.rays)
+        rng.shuffle(vertices)
+        rng.shuffle(rays)
+        scales = [rng.randint(1, 9) for _ in rays]
+        assert VRep.build(v.dim, vertices, [[x * k for x in r] for r, k in zip(rays, scales)]) == v
+        pairs = [([n * k for n in num], den * k)
+                 for (num, den), k in zip(v.points, itertools.cycle((1, -1, 2, -3)))]
+        assert VRep.from_integers(v.dim, pairs, [num for num, _ in v.directions]) == v

@@ -30,6 +30,7 @@ from typing import Sequence
 from .errors import InputError, InternalError
 from .incidence import IncidenceMatrix, is_simple, polytope_edges, indices_from_mask
 from .polyhedron import VRep, numerators_over_lcm
+from .rational import format_point
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ def f_vector_simple(inc: IncidenceMatrix, coords: VRep,
                     d: int) -> tuple[FVector, FVector, HVector]:
     """(f-vector of the bounded subcomplex, f-vector of the polyhedron,
     degree histograms) for a simple pointed polyhedron given its closure's
-    incidences (far face attached) and vertex coordinates."""
+    incidences (far face attached) and vertex coordinates.  Every ordinary
+    vertex must lie on d facets and have d edges, as a simple vertex of a
+    polytope does; incidences that break either are refused."""
     if inc.far_face is None:
         raise InputError("far-face data required")
     if d != coords.dim:
@@ -86,6 +89,12 @@ def f_vector_simple(inc: IncidenceMatrix, coords: VRep,
         lo, hi = (u, v) if keys[u] < keys[v] else (v, u)
         out_deg[lo] += 1
         in_deg[hi] += 1
+    for i in near:
+        degree = in_deg[i] + out_deg[i]
+        if degree != d:
+            point = ", ".join(format_point(*coords.points[i]))
+            raise InputError(f"not a polytope's incidences: vertex ({point}) is on {d} "
+                             f"facets, but its edge count is {degree}")
 
     # near vertices are simple, so their degrees stay <= d; far vertices of a
     # non-simple closure can exceed d, so the far histograms size to fit

@@ -140,14 +140,22 @@ class VRep:
     @classmethod
     def from_integers(cls, dim: int, points: Iterable[tuple[Sequence[int], int]],
                       rays: Iterable[Sequence[int]]) -> "VRep":
-        """From vertices num/den in any terms and integer ray directions."""
+        """From vertices num/den in any terms and integer ray directions,
+        each of length dim."""
+        vertices = []
+        for num, den in points:
+            if len(num) != dim:
+                raise InputError(f"point of length {len(num)} in a V-rep of dimension {dim}")
+            vertices.append(_reduced(num, den))
         directions = []
         for r in rays:
+            if len(r) != dim:
+                raise InputError(f"ray of length {len(r)} in a V-rep of dimension {dim}")
             lead = next((x for x in r if x), 0)
             if not lead:
                 raise InputError("zero vector is not a ray direction")
             directions.append(_reduced(r, abs(lead)))
-        return cls(dim, _ordered(_reduced(*p) for p in points), _ordered(directions))
+        return cls(dim, _ordered(vertices), _ordered(directions))
 
     @classmethod
     def build(cls, dim: int, vertices: Iterable[Sequence], rays: Iterable[Sequence]) -> "VRep":

@@ -15,15 +15,17 @@ gives seeded ones, and an objective that ties two vertices or is unbounded
 raises `ObjectiveError`.  The library instead orders every polyhedron by
 one fixed lexicographic objective, so it has neither.  The closure
 operator on vertex sets, `closure`, is the meet of the facets holding a
-set; the library's cover search reads meets off facet keys instead.  The
-tropical vertices are
-found combinatorially, by propagating w through every labeled spanning
-tree (Prufer sequences) with every choice of one row per edge; the library
-walks the tropical H-rep instead.  The vertex poset is the whole
-poset of vertex sets of faces with its Moebius numbers, the plain recursion
-that `moebius_generation` interleaves with its search.  The simple
-polyhedron's face numbers are counted again along a seeded random
-objective, found by retries, in place of the library's fixed order.
+set; the library's cover search reads meets off facet keys instead, and
+its edge search reads a simple vertex's edges off one meet per facet,
+where `reference_polytope_edges` closes every vertex pair.  The tropical
+vertices are found combinatorially, by propagating w through every
+labeled spanning tree (Prufer sequences) with every choice of one row per
+edge; the library walks the tropical H-rep instead.  The vertex poset is
+the whole poset of vertex sets of faces with its Moebius numbers, the
+plain recursion that `moebius_generation` interleaves with its search.
+The simple polyhedron's face numbers are counted again along a seeded
+random objective, found by retries, in place of the library's fixed
+order.
 """
 
 import heapq
@@ -35,7 +37,7 @@ from math import comb
 
 from polybound.bounded import facet_set
 from polybound.errors import BudgetExceededError, InputError, InternalError
-from polybound.incidence import IncidenceMatrix, indices_from_mask, polytope_edges
+from polybound.incidence import IncidenceMatrix, indices_from_mask
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
 from polybound.lp import LpStatus, lp_solve
 from polybound.polyhedron import HRep, VRep, _start_vertex
@@ -392,6 +394,14 @@ def closure(mask: int, inc: IncidenceMatrix):
     return inc.meet(facets) if facets else WHOLE
 
 
+def reference_polytope_edges(inc: IncidenceMatrix):
+    """Every edge of a polytope by the pair scan: {u,v} is an edge iff its
+    closure is {u,v}, one closure per vertex pair where the library reads
+    a simple vertex's edges off one meet per facet through it."""
+    return [(u, v) for u in range(inc.n) for v in range(u + 1, inc.n)
+            if closure(1 << u | 1 << v, inc) == 1 << u | 1 << v]
+
+
 # -- the vertex poset ---------------------------------------------------------
 @dataclass(frozen=True)
 class VertexPoset:
@@ -486,7 +496,7 @@ def seeded_f_vector(inc: IncidenceMatrix, v: VRep, seed: int = 0):
     values = [dot(c, p) for p in v.vertices]
     up = [0] * inc.n
     down = [0] * inc.n
-    for a, b in polytope_edges(inc):
+    for a, b in reference_polytope_edges(inc):
         lo, hi = sorted((a, b), key=values.__getitem__)
         up[lo] += 1
         down[hi] += 1

@@ -490,3 +490,16 @@ def test_fvector_refuses_a_far_face_that_is_not_on_top(tmp_path, capsys):
     assert run(["-o", tmp_path, "fvector", inc, vrep]) == 2
     assert capsys.readouterr().err == "error: far face is not on top\n"
     assert not (tmp_path / "dwarfed-cube-3.fvector.json").exists()
+
+
+def test_fvector_refuses_a_vertex_whose_edge_count_is_not_d(tmp_path, capsys):
+    # not a polytope's incidences: the near vertex (0, 0) lies on d = 2
+    # facets, but the meet of its first facet holds three vertices, so it
+    # has one edge; the record would count its faces wrong
+    inc, vrep = tmp_path / "bad.inc", tmp_path / "bad.vrep"
+    inc.write_text("polybound-inc 1\nfacets 3 vertices 4\n1110\n1001\n0111\nfarface 1 2 3\n")
+    vrep.write_text("polybound-vrep 1\ndim 2\nvertices 4\n0 0\n0 1\n1/2 1/2\n1 0\nrays 0\n")
+    assert run(["-o", tmp_path / "out", "fvector", inc, vrep]) == 2
+    assert capsys.readouterr().err == ("error: not a polytope's incidences: vertex (0, 0) "
+                                       "is on 2 facets, but its edge count is 1\n")
+    assert not (tmp_path / "out").exists()

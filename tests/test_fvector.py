@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import instance
@@ -5,12 +7,13 @@ from oracles import seeded_f_vector
 from polybound.bounded import selective_generation
 from polybound.errors import InputError
 from polybound.fvector import f_vector_simple, vertex_key
-from polybound.incidence import is_simple, indices_from_mask
+from polybound.incidence import IncidenceMatrix, is_simple, indices_from_mask
 from polybound.polyhedron import VRep
 
 # every closure here is simple on its ordinary vertices
 ROSTER = ([("dwarfed-cube", (d,)) for d in range(2, 16)]
           + [("tropical-cyclic", st) for st in [(3, 3), (3, 4), (4, 4), (3, 6), (5, 5), (3, 10)]])
+HALF = Fraction(1, 2)
 
 
 def test_vertex_keys_segment():
@@ -98,6 +101,16 @@ def test_rejects_non_simple():
     _, h, _, vbar, inc = instance("tropical-permutohedron", 3)
     with pytest.raises(InputError, match="not simple"):
         f_vector_simple(inc, vbar, h.dim)
+
+
+def test_refuses_a_near_vertex_whose_edge_count_is_not_d():
+    # vertex (0, 0) lies on d = 2 facets, but one of them holds three
+    # vertices, so it has one edge: no polytope has these incidences
+    inc = IncidenceMatrix(4, (0b0111, 0b1001, 0b1110), far_face=0b1110)
+    v = VRep.build(2, [(0, 0), (0, 1), (HALF, HALF), (1, 0)], [])
+    with pytest.raises(InputError, match=r"^not a polytope's incidences: vertex \(0, 0\) "
+                                         "is on 2 facets, but its edge count is 1$"):
+        f_vector_simple(inc, v, 2)
 
 
 def test_requires_far_face():

@@ -1,19 +1,25 @@
+import itertools
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segment,
                       square_pyramid, strip, unit_square)
-from oracles import as_fractions
+from oracles import as_fractions, reference_polytope_edges
+from polybound import formats
 from polybound.errors import InputError
 from polybound.generators import dwarfed_cube
-from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
-                                 far_face_vertices, indices_from_mask, is_simple,
-                                 mask_from_indices, polytope_edges, restrict_to_near)
+from polybound.incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
+                                 indices_from_mask, is_simple, mask_from_indices,
+                                 polytope_edges, restrict_to_near)
 from polybound.linalg import dot, rank
 from polybound.pipeline import closure_data
 from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
                                   projective_closure)
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def reference_incidences(h, v):
@@ -167,19 +173,69 @@ def test_polytope_edges_general_criterion():
     assert len(polytope_edges(incp)) == 8
 
 
+def octahedron() -> HRep:
+    # |x| + |y| + |z| <= 1: every vertex lies on four facets, none is simple
+    return HRep.from_rows(3, [(signs, 1) for signs in itertools.product((1, -1), repeat=3)])
+
+
+def _stored_incidences():
+    return {path.stem: formats.read_incidence(str(path)) for path in sorted(DATA.glob("*.inc"))}
+
+
 def test_polytope_edges_match_closure_scan():
-    # oracle: every pair {u,v} closed under closure_mask's scan over all rows
+    # oracle: every pair {u,v} whose closure is {u,v}
     rng = random.Random(5)
     incs = [closure_data(random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(1, 4)))[2]
             for _ in range(10)]
-    roster = ([("dwarfed-cube", (d,)) for d in range(3, 7)]
-              + [("thrackle", (d,)) for d in range(3, 6)] + [("tropical-cyclic", (3, 3))])
+    roster = ([("dwarfed-cube", (d,)) for d in (3, 4, 5, 6, 10, 15)]
+              + [("thrackle", (d,)) for d in range(3, 8)]
+              + [("tropical-cyclic", (3, 3)), ("tropical-cyclic", (4, 4))])
     incs += [instance(family, *params)[4] for family, params in roster]
+    stored = _stored_incidences()
+    assert len(stored) == 6
+    incs += stored.values()
+    for h in (square_pyramid(), octahedron()):  # vertices on more than d facets
+        incs.append(compute_incidences(h, enumerate_vertices_bruteforce(h)))
     incs.append(IncidenceMatrix(2, (0b01, 0b10)))  # a segment is no edge of itself
+    # vertices 0 and 1 lie on the same three facets, whose pairwise meets are
+    # {0, 1}: vertex 0 finds its one partner three times
+    incs.append(IncidenceMatrix(5, (0b00111, 0b01011, 0b10011)))
     for inc in incs:
-        expected = [(u, v) for u in range(inc.n) for v in range(u + 1, inc.n)
-                    if closure_mask(1 << u | 1 << v, inc.row_masks) == 1 << u | 1 << v]
-        assert polytope_edges(inc) == expected
+        assert polytope_edges(inc) == reference_polytope_edges(inc)
+
+
+def _counting_meets(monkeypatch):
+    keys = []
+    meet = IncidenceMatrix.meet
+
+    def counted(self, key):
+        keys.append(key)
+        return meet(self, key)
+    monkeypatch.setattr(IncidenceMatrix, "meet", counted)
+    return keys
+
+
+def test_polytope_edges_meet_count_on_a_simple_closure(monkeypatch):
+    # one meet per facet through each vertex, each key one facet short:
+    # n*d = 226*15, where the pair scan would close C(226, 2) pairs
+    inc = instance("dwarfed-cube", 15)[4]
+    keys = _counting_meets(monkeypatch)
+    assert len(polytope_edges(inc)) == 226 * 15 // 2
+    assert len(keys) == 3390
+    assert {key.bit_count() for key in keys} == {14}
+
+
+def test_polytope_edges_fall_back_to_pairs_on_degenerate_vertices(monkeypatch):
+    # no vertex of the (24,4) closure passes the drop-one rule, so every pair
+    # that shares a facet is closed
+    inc = _stored_incidences()["tropical-permutohedron-4"]
+    cols = inc.column_masks
+    pair_keys = [cols[u] & cols[v] for u in range(inc.n) for v in range(u + 1, inc.n)]
+    pair_keys = [key for key in pair_keys if key]
+    expected = reference_polytope_edges(inc)
+    keys = _counting_meets(monkeypatch)
+    assert polytope_edges(inc) == expected
+    assert Counter(keys) >= Counter(pair_keys)
 
 
 def _and_of_rows(inc, key):
@@ -288,6 +344,18 @@ def test_compute_incidences_refuses_other_dimensions():
         with pytest.raises(InputError, match=f"V-rep dimension {dim} does not match "
                                              "H-rep dimension 2"):
             compute_incidences(h, v)
+
+
+def test_compute_incidences_never_sees_a_point_of_the_wrong_length():
+    # a point or ray with a stray coordinate is refused, not cut to length 2
+    h = HRep.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
+    with pytest.raises(InputError, match="^point of length 3 in a V-rep of dimension 2$"):
+        compute_incidences(h, VRep.build(2, [(0, 0), (1, 0), (0, 1, 7)], []))
+    with pytest.raises(InputError, match="^point of length 1 in a V-rep of dimension 2$"):
+        VRep.from_integers(2, [((0,), 1)], [])
+    with pytest.raises(InputError, match="^ray of length 3 in a V-rep of dimension 2$"):
+        VRep.build(2, [(0, 0)], [(1, 0, 0)])
+    assert compute_incidences(h, VRep.build(2, [(0, 0), (1, 0), (0, 1)], [])).m == 3
 
 
 def test_compute_incidences_refuses_rays():

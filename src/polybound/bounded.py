@@ -4,9 +4,9 @@ algorithms that work on a closure's incidence matrix.
 The face poset is explored bottom-up from the empty face.  Covers of a
 closed vertex set H are generated as Kaibel & Pfetsch do ("Computing the
 face lattice of a polytope from its vertex-facet incidences", Comput.
-Geom. 23, 2002): the facets through H + {v} are F(H) & col(v), vertices
-with equal facet sets share one closure, and a closure G covers H exactly
-when |G \\ H| vertices lead to it.  The closure of a facet set is its
+Geom. 23, 2002): the facets through H + {v} are F(H) & col(v), v's key,
+and the closure of a key covers H exactly when no other key strictly
+contains it, so only those keys are met.  The closure of a facet set is its
 meet, the AND of its rows, read from the incidence matrix's byte table of
 precomputed row ANDs (`IncidenceMatrix.row_ands`): one lookup per 8 rows.
 A face of the closure polytope is bounded exactly when its vertex set
@@ -24,11 +24,10 @@ of rank max_dim can pop before a face of lower rank.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from operator import and_, getitem
+from operator import and_
 from typing import Callable, Optional
 
 from .errors import InputError, InternalError
@@ -44,31 +43,31 @@ def facet_set(mask: int, inc: IncidenceMatrix) -> int:
 
 
 def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
-    """Faces covering the closed set `mask`: the inclusion-minimal closures
-    cl(mask + {v}) over vertices v outside mask, in the order their facet
-    sets first occur over the vertices.
+    """Faces covering the set `mask`: the inclusion-minimal closures
+    cl(mask + {v}) over vertices v outside mask, by decreasing key size.
 
-    Each v contributes the facet set F(mask) & col(v); a closure G is
-    minimal exactly when all |G \\ mask| of its new vertices share its
-    facet set, since any other one would generate a smaller closure.  The
-    facet sets are counted over all vertices at once; the |mask| vertices
-    inside have facet set F(mask) and are taken back out of its count.
-    Each distinct facet set is closed by its meet, one `row_ands` lookup
-    per byte, and that closure always contains mask."""
-    row_ands, inside = inc.row_ands, mask.bit_count()
-    nbytes = len(row_ands)
+    A set that is not closed has one cover, its closure meet(F(mask)).
+    Else v outside mask has the key F(mask) & col(v), and v is in meet(K)
+    iff col(v) contains K iff v's key contains K, so meet(K) \\ mask holds
+    the vertices whose key contains K.  A closure is minimal iff all its
+    new vertices share its key, so iff that key K is maximal: in no other
+    key.  Keys are sorted by size, largest first, and met unless they lie
+    in a key met before; keys of one size never do.  One meet, ceil(m/8)
+    `row_ands` lookups, per cover; a key of 0 (the whole polytope) is none."""
     facets = facet_set(mask, inc)
-    counts = Counter(map(facets.__and__, inc.column_masks))
-    counts[facets] -= inside
-    del counts[0]  # no facet holds mask + {v}: its closure is the whole polytope
+    closed = inc.meet(facets)
+    if closed != mask:
+        return [closed] if facets else []
+    keys = dict.fromkeys(map(facets.__and__, inc.column_masks))
+    keys.pop(0, None)
+    keys.pop(facets, None)  # the key of the vertices inside mask
+    keys = sorted(keys, key=int.bit_count, reverse=True)
     minimal = []
-    for key, count in counts.items():
-        if count:  # a closed mask leaves its own facet set with none
-            # inc.meet(key) inlined: a call per key cost (24,4) selective ~15 %
-            face = reduce(and_, map(getitem, row_ands, key.to_bytes(nbytes, "little")))
-            if face.bit_count() - inside == count:
-                minimal.append(face)
-    return minimal
+    while keys and keys[-1].bit_count() < keys[0].bit_count():
+        key = keys[0]
+        minimal.append(inc.meet(key))
+        keys = list(filter((~key).__and__, keys))
+    return minimal + list(map(inc.meet, keys))  # keys of one size: none lies in another
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import InputError
 from .bounded import HasseDiagram
-from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
+from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices, unclosed_vertex
 from .polyhedron import HRep, VRep
 from .rational import format_point, format_rational, parse_point, parse_rational
 
@@ -173,7 +173,17 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
         # checked before the mask is built: 1 << i for a huge i exhausts memory
         _expect(all(i < n for i in indices), "far face references a vertex out of range")
         far = mask_from_indices(indices)
-    return IncidenceMatrix(n, tuple(masks), far)
+    inc = IncidenceMatrix(n, tuple(masks), far)
+    k = unclosed_vertex(inc)
+    _expect(k is None, f"the facets through vertex {k} do not meet in it alone")
+    if far is not None:
+        # a closure is a polytope, whose facet rows are pairwise incomparable;
+        # incidences of an unbounded polyhedron may repeat a row
+        for i, row in enumerate(masks):
+            j = next((j for j, other in enumerate(masks) if j != i and row & ~other == 0), i)
+            relation = "equals" if row == masks[j] else "lies inside"
+            _expect(j == i, f"facet row {i} {relation} row {j}")
+    return inc
 
 
 def write_incidence(inc: IncidenceMatrix, path: str) -> None:

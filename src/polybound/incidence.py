@@ -181,12 +181,19 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     facets = [m for m in candidates
               if not any(m != other and m & other == m for other in candidates)]
     inc = IncidenceMatrix(len(v.points), tuple(facets))
-    for k, col in enumerate(inc.column_masks):
-        if not col or inc.meet(col) != 1 << k:
-            point = ", ".join(format_point(*v.points[k]))
-            raise InputError(f"V-rep is not the vertex set of the H-rep: the facets "
-                             f"through ({point}) do not meet in it alone")
+    k = unclosed_vertex(inc)
+    if k is not None:
+        point = ", ".join(format_point(*v.points[k]))
+        raise InputError(f"V-rep is not the vertex set of the H-rep: the facets "
+                         f"through ({point}) do not meet in it alone")
     return inc
+
+
+def unclosed_vertex(inc: IncidenceMatrix) -> Optional[int]:
+    """The first vertex whose facets do not meet in it alone, or None.  On
+    a polytope's incidences every vertex is the meet of its facets."""
+    return next((k for k, col in enumerate(inc.column_masks)
+                 if not col or inc.meet(col) != 1 << k), None)
 
 
 def far_face_vertices(v: VRep) -> set[int]:

@@ -2,9 +2,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cube3, instance, random_pointed_hrep, square_incidence
 from oracles import WHOLE, closure, faces, vertex_sets
+from polybound import bounded
 from polybound.bounded import covers, filter_bounded, full_face_lattice, selective_generation
 from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.formats import read_incidence
@@ -14,6 +16,8 @@ from polybound.linalg import rank
 from polybound.moebius import moebius_generation
 from polybound.pipeline import ALGORITHMS, bounded_diagram, closure_data
 from polybound.polyhedron import enumerate_vertices_bruteforce
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def test_closure_on_square():
@@ -137,6 +141,62 @@ def test_covers_match_reference_on_stored_permutohedron_4():
     assert hd.node_count() == 1424
     for mask in hd.masks:
         assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7),
+    st.integers(0, (1 << n) - 1))))
+def test_covers_match_reference_on_arbitrary_matrices(case):
+    # moebius searches near restrictions, which are no polytope's matrices,
+    # so the maximal-key rule must hold on any 0/1 matrix and any set
+    n, rows, mask = case
+    inc = IncidenceMatrix(n, tuple(rows))
+    assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
+
+
+def counted_search(monkeypatch, inc, alg):
+    """(covers calls, covers returned, meets) over one `bounded_diagram`
+    run, and the diagram; `inc` is read before the counters are set."""
+    counts = {"calls": 0, "covers": 0, "meets": 0}
+    meet, real_covers = IncidenceMatrix.meet, bounded.covers
+
+    def counting_meet(self, key):
+        counts["meets"] += 1
+        return meet(self, key)
+
+    def counting_covers(mask, inc):
+        found = real_covers(mask, inc)
+        counts["calls"] += 1
+        counts["covers"] += len(found)
+        return found
+
+    monkeypatch.setattr(IncidenceMatrix, "meet", counting_meet)
+    monkeypatch.setattr(bounded, "covers", counting_covers)
+    hd = bounded_diagram(inc, alg)
+    monkeypatch.undo()
+    return counts, hd
+
+
+@pytest.mark.parametrize("alg, calls, found", [("selective", 1424, 37988),
+                                               ("moebius", 1424, 7132)])
+def test_covers_make_one_meet_per_cover_on_stored_permutohedron_4(monkeypatch, alg, calls,
+                                                                   found):
+    # one meet checks that a face is closed, then one per cover returned;
+    # meeting every distinct facet key took 190,722 meets for selective
+    inc = read_incidence(str(DATA / "tropical-permutohedron-4.inc"))
+    counts, _ = counted_search(monkeypatch, inc, alg)
+    assert counts == {"calls": calls, "covers": found, "meets": calls + found}
+
+
+@pytest.mark.parametrize("stem, nodes", [("thrackle-8", 578), ("tropical-cyclic-5-5", 322),
+                                         ("tropical-permutohedron-4", 1424)])
+@pytest.mark.parametrize("alg", ["selective", "moebius"])
+def test_cover_search_calls_covers_once_per_node(monkeypatch, stem, nodes, alg):
+    # the paper's output sensitivity: selective and moebius expand exactly
+    # the bounded faces and the empty one, each with one `covers` call
+    counts, hd = counted_search(monkeypatch, read_incidence(str(DATA / f"{stem}.inc")), alg)
+    assert counts["calls"] == hd.node_count() == nodes
 
 
 def test_face_tree_insert_then_find():

@@ -121,6 +121,14 @@ BAD_INCIDENCE_FILES = {
     "vertex on no facet, far face": "facets 2 vertices 3\n110\n100\nfarface 0 1\n",
     # used to exit 0 with a diagram that silently dropped vertex 3
     "vertex on no facet, bounded diagram": "facets 3 vertices 4\n1100\n0110\n1010\nfarface 0\n",
+    # used to end in exit 4 (Euler characteristic 0): vertex 0's facets
+    # {0,1,2} and {0,1,3} meet in {0,1}
+    "vertex not the meet of its facets": "facets 4 vertices 4\n1110\n1101\n0011\n0100\n"
+                                         "farface 2 3\n",
+    # used to end in exit 4 (Euler characteristic 2)
+    "equal facet rows, far face": "facets 4 vertices 3\n100\n010\n001\n001\nfarface 2\n",
+    # a triangle with a spurious row {1}; used to exit 0
+    "facet row inside another, far face": "facets 4 vertices 3\n110\n011\n101\n010\nfarface 0\n",
     "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
     "non-integer facet count": "facets x vertices 2\n11\n",
     "non-integer vertex count": "facets 1 vertices 2.5\n11\n",
@@ -493,12 +501,13 @@ def test_fvector_refuses_a_far_face_that_is_not_on_top(tmp_path, capsys):
 
 
 def test_fvector_refuses_a_vertex_whose_edge_count_is_not_d(tmp_path, capsys):
-    # not a polytope's incidences: the near vertex (0, 0) lies on d = 2
-    # facets, but the meet of its first facet holds three vertices, so it
-    # has one edge; the record would count its faces wrong
+    # not a polytope's incidences, though every vertex is the meet of its
+    # facets and no row lies inside another: the near vertex (0, 0) lies
+    # on d = 2 facets, but the meet of its facet {1,2,3} holds three
+    # vertices, so it has one edge; the record would count its faces wrong
     inc, vrep = tmp_path / "bad.inc", tmp_path / "bad.vrep"
-    inc.write_text("polybound-inc 1\nfacets 3 vertices 4\n1110\n1001\n0111\nfarface 1 2 3\n")
-    vrep.write_text("polybound-vrep 1\ndim 2\nvertices 4\n0 0\n0 1\n1/2 1/2\n1 0\nrays 0\n")
+    inc.write_text("polybound-inc 1\nfacets 4 vertices 4\n1010\n1100\n1001\n0111\nfarface 0 2\n")
+    vrep.write_text("polybound-vrep 1\ndim 2\nvertices 4\n-1 2\n0 0\n0 1\n1/4 1/4\nrays 0\n")
     assert run(["-o", tmp_path / "out", "fvector", inc, vrep]) == 2
     assert capsys.readouterr().err == ("error: not a polytope's incidences: vertex (0, 0) "
                                        "is on 2 facets, but its edge count is 1\n")

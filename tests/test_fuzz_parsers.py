@@ -50,14 +50,23 @@ def vrep_documents(draw):
 
 @st.composite
 def incidence_documents(draw):
+    """A polygon's or a simplex's incidences, rows shuffled, or random rows,
+    which are seldom a polytope's and so are mostly refused."""
     n = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
-    # every vertex lies on a row: the last row takes in those on none
-    rows[-1] |= ((1 << n) - 1) & ~reduce(or_, rows)
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(["polygon", "simplex", "random"]))
+    if kind == "polygon" and n >= 3:
+        rows = draw(st.permutations([1 << v | 1 << (v + 1) % n for v in range(n)]))
+    elif kind == "simplex" and n >= 2:
+        rows = draw(st.permutations([full & ~(1 << v) for v in range(n)]))
+    else:
+        rows = draw(st.lists(st.integers(1, full), min_size=1, max_size=5))
+        # every vertex lies on a row: the last row takes in those on none
+        rows[-1] |= full & ~reduce(or_, rows)
     lines = [INC_MAGIC, f"facets {len(rows)} vertices {n}"]
     lines += ["".join("1" if row >> v & 1 else "0" for v in range(n)) for row in rows]
     # the meet of some rows is a face, when it is not empty
-    far = (1 << n) - 1
+    far = full
     for row in draw(st.lists(st.sampled_from(rows), max_size=3)):
         far &= row
     if draw(st.booleans()):

@@ -6,9 +6,11 @@ closed vertex set H are generated as Kaibel & Pfetsch do ("Computing the
 face lattice of a polytope from its vertex-facet incidences", Comput.
 Geom. 23, 2002): the facets through H + {v} are F(H) & col(v), v's key,
 and the closure of a key covers H exactly when no other key strictly
-contains it, so only those keys are met.  The closure of a facet set is its
-meet, the AND of its rows, read from the incidence matrix's byte table of
-precomputed row ANDs (`IncidenceMatrix.row_ands`): one lookup per 8 rows.
+contains it.  Such a key's closure is H plus the vertices of that key, so
+covers are read off the vertices grouped by key, with no meet.  The meet,
+the AND of a facet set's rows read from the incidence matrix's byte table
+of precomputed row ANDs (`IncidenceMatrix.row_ands`, one lookup per 8
+rows), checks that H itself is closed.
 A face of the closure polytope is bounded exactly when its vertex set
 avoids the far face, so the main algorithm simply refuses to step onto
 far-meeting faces and thereby runs in time proportional to the bounded
@@ -48,26 +50,34 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
 
     A set that is not closed has one cover, its closure meet(F(mask)).
     Else v outside mask has the key F(mask) & col(v), and v is in meet(K)
-    iff col(v) contains K iff v's key contains K, so meet(K) \\ mask holds
-    the vertices whose key contains K.  A closure is minimal iff all its
-    new vertices share its key, so iff that key K is maximal: in no other
-    key.  Keys are sorted by size, largest first, and met unless they lie
-    in a key met before; keys of one size never do.  One meet, ceil(m/8)
-    `row_ands` lookups, per cover; a key of 0 (the whole polytope) is none."""
+    iff v's key contains K.  A closure is minimal iff all its new vertices
+    share its key, so iff that key K is maximal: in no other key.  Then
+    only K's own vertices hold K, so meet(K) = mask | groups[K], with the
+    vertices grouped by key in one pass: no meet per cover.  The keys one
+    facet short of F(mask) are maximal and come first.  With D the facets
+    they drop, a key lies in one of them iff it misses a facet of D, so
+    only the keys that hold D (no one-drop key does) are sorted by size,
+    largest first, and kept unless they lie in a key kept before; keys of
+    one size never do.  A key of 0 (the whole polytope) is none."""
     facets = facet_set(mask, inc)
     closed = inc.meet(facets)
     if closed != mask:
         return [closed] if facets else []
-    keys = dict.fromkeys(map(facets.__and__, inc.column_masks))
-    keys.pop(0, None)
-    keys.pop(facets, None)  # the key of the vertices inside mask
-    keys = sorted(keys, key=int.bit_count, reverse=True)
-    minimal = []
+    groups: dict[int, int] = {}  # key -> its vertices, in first-occurrence order
+    for v, key in enumerate(map(facets.__and__, inc.column_masks)):
+        groups[key] = groups.get(key, 0) | 1 << v
+    groups.pop(0, None)
+    groups.pop(facets, None)  # the key of the vertices inside mask
+    short = facets.bit_count() - 1
+    minimal = [key for key in groups if key.bit_count() == short]
+    dropped = facets & ~reduce(and_, minimal, facets)  # D, the facets they drop
+    keys = sorted((key for key in groups if key & dropped == dropped),
+                  key=int.bit_count, reverse=True)
     while keys and keys[-1].bit_count() < keys[0].bit_count():
         key = keys[0]
-        minimal.append(inc.meet(key))
+        minimal.append(key)
         keys = list(filter((~key).__and__, keys))
-    return minimal + list(map(inc.meet, keys))  # keys of one size: none lies in another
+    return [mask | groups[key] for key in minimal + keys]  # keys of one size: none lies in another
 
 
 @dataclass

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import cube3, instance, random_pointed_hrep, square_incidence
 from oracles import WHOLE, closure, faces, vertex_sets
 from polybound import bounded
-from polybound.bounded import covers, filter_bounded, full_face_lattice, selective_generation
+from polybound.bounded import (covers, facet_set, filter_bounded, full_face_lattice,
+                               selective_generation)
 from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.formats import read_incidence
 from polybound.incidence import (IncidenceMatrix, closure_mask, compute_incidences,
@@ -106,6 +107,16 @@ def reference_covers(mask, inc):
     return sorted(minimal)
 
 
+def in_covers_order(found, mask, inc):
+    """The covers `found` of mask in the order `covers` lists them, on
+    which node ids and so written bytes depend: by decreasing size of the
+    key F(c), then by the lowest new vertex, the first with that key."""
+    def rank(c):
+        new = c & ~mask
+        return -facet_set(c, inc).bit_count(), new & -new
+    return sorted(found, key=rank)
+
+
 def test_covers_match_reference_on_every_lattice_face():
     rng = random.Random(7)
     incs = [closure_data(random_pointed_hrep(rng, rng.randint(2, 3), rng.randint(1, 3)))[2]
@@ -140,7 +151,9 @@ def test_covers_match_reference_on_stored_permutohedron_4():
     hd = selective_generation(inc)
     assert hd.node_count() == 1424
     for mask in hd.masks:
-        assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
+        found, expected = covers(mask, inc), reference_covers(mask, inc)
+        assert sorted(found) == expected
+        assert found == in_covers_order(expected, mask, inc)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
@@ -152,7 +165,18 @@ def test_covers_match_reference_on_arbitrary_matrices(case):
     # so the maximal-key rule must hold on any 0/1 matrix and any set
     n, rows, mask = case
     inc = IncidenceMatrix(n, tuple(rows))
-    assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
+    found, expected = covers(mask, inc), reference_covers(mask, inc)
+    assert sorted(found) == expected
+    assert found == in_covers_order(expected, mask, inc)
+
+
+def test_covers_take_the_one_drop_keys_in_one_batch():
+    # vertex keys at the empty face (columns, row 3 first): 1110 and 1101
+    # drop one facet each, so D = 0011; 0011 holds D and is maximal, while
+    # 0100 and 0001 miss a facet of D and lie in a one-drop key
+    inc = IncidenceMatrix(5, (0b10110, 0b00101, 0b01011, 0b00011))
+    assert inc.column_masks == (0b1110, 0b1101, 0b0011, 0b0100, 0b0001)
+    assert covers(0, inc) == [0b001, 0b010, 0b100]
 
 
 def counted_search(monkeypatch, inc, alg):
@@ -180,13 +204,14 @@ def counted_search(monkeypatch, inc, alg):
 
 @pytest.mark.parametrize("alg, calls, found", [("selective", 1424, 37988),
                                                ("moebius", 1424, 7132)])
-def test_covers_make_one_meet_per_cover_on_stored_permutohedron_4(monkeypatch, alg, calls,
-                                                                   found):
-    # one meet checks that a face is closed, then one per cover returned;
-    # meeting every distinct facet key took 190,722 meets for selective
+def test_covers_make_one_meet_per_call_on_stored_permutohedron_4(monkeypatch, alg, calls,
+                                                                  found):
+    # one meet checks that a face is closed, and each cover is read off its
+    # key's vertices; meeting every distinct facet key took 190,722 meets
+    # for selective, and one meet per cover 39,412
     inc = read_incidence(str(DATA / "tropical-permutohedron-4.inc"))
     counts, _ = counted_search(monkeypatch, inc, alg)
-    assert counts == {"calls": calls, "covers": found, "meets": calls + found}
+    assert counts == {"calls": calls, "covers": found, "meets": calls}
 
 
 @pytest.mark.parametrize("stem, nodes", [("thrackle-8", 578), ("tropical-cyclic-5-5", 322),

@@ -119,12 +119,11 @@ class HasseDiagram:
 
 def _cover_search(inc: IncidenceMatrix, far: int, max_dim: Optional[int] = None,
                   budget: int = DEFAULT_BUDGET,
-                  keep: Optional[Callable[[int, dict], bool]] = None) -> HasseDiagram:
+                  keep: Optional[Callable[[int], int]] = None) -> HasseDiagram:
     """Search of the faces from the empty one along covers, in order of
     cardinality, never pushing a cover that meets `far`.  A popped face is
-    emitted only when keep(face, ups) holds (always, without `keep`), ups
-    mapping each face emitted so far to the covers it admitted; it is then
-    expanded unless its rank is max_dim or more.  Each face expanded
+    emitted only when keep(face) is nonzero (always, without `keep`), and
+    is then expanded unless its rank is max_dim or more.  Each face expanded
     charges one unit to a `meter`, so expanding a (budget+1)-th face raises
     BudgetExceededError.  Nodes are listed in pop order, and
     the arcs are read off the admitted covers at the end."""
@@ -134,7 +133,7 @@ def _cover_search(inc: IncidenceMatrix, far: int, max_dim: Optional[int] = None,
     charge = meter(budget, "the face search")
     while heap:
         face = heappop(heap)[2]
-        if keep is not None and not keep(face, ups):
+        if keep is not None and not keep(face):
             continue
         ups[face] = admitted = []
         rank = rank_of[face]

@@ -9,11 +9,13 @@ vertex set of a bounded face exactly when its Moebius number is nonzero.
 the Moebius number as its test of boundedness.  The search pops elements
 in order of cardinality, a linear extension of containment, so when an
 element is popped every element strictly below it has been processed.
-Its Moebius number is then minus the sum over its down-set of bounded
-elements (unbounded elements contribute zero, and are neither emitted nor
-expanded), and that down-set is walked from the empty face along the
-covers the bounded elements admitted: every face of a bounded face is
-bounded, so each bounded element below is reached through bounded ones.
+Its Moebius number is then minus the sum over the bounded elements
+strictly below it (unbounded elements contribute zero, and are neither
+emitted nor expanded).  Each bounded element holds one bit, in pop order,
+in a bitset per facet it lies on and in a bitset per Moebius number.  A
+popped element x other than the empty one is closed, so y lies inside x
+exactly when y is on every facet of F(x): the elements below x are the AND
+of those facets' bitsets, and the sum is a popcount per Moebius number.
 The budget counts the faces expanded, one `covers` call each; under
 `max_dim` they are not a prefix of the emitted list, since a face of rank
 max_dim can pop before a face of lower rank.
@@ -21,37 +23,35 @@ max_dim can pop before a face of lower rank.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
+from operator import and_
 from typing import Optional
 
 from .errors import InputError
-from .bounded import HasseDiagram, _cover_search
+from .bounded import HasseDiagram, _cover_search, facet_set
 from .bounded import covers  # noqa: F401  (perfbench's tracer wraps moebius.covers)
-from .incidence import IncidenceMatrix
+from .incidence import IncidenceMatrix, indices_from_mask
 from .polyhedron import DEFAULT_BUDGET
 
 
-def is_bounded(face: int, ups: dict[int, list[int]], mu: dict[int, int]) -> bool:
-    """Whether `face` has a nonzero Moebius number, which is then stored in
-    `mu`.  The number is minus the sum of mu over the bounded elements
-    strictly below face, reached from the empty face along `ups` through
-    elements inside face; `mu` holds the nonzero numbers of the elements
-    popped before face, and `ups` the covers each of them admitted.  Exact
-    once every element strictly below face has been popped."""
-    number = 1
-    if face:
-        outside = ~face
-        seen = {0}
-        stack = [0]
-        while stack:
-            for up in ups[stack.pop()]:
-                if up not in seen and not up & outside and up in mu:
-                    seen.add(up)
-                    stack.append(up)
-        number = -sum(map(mu.__getitem__, seen))
+def moebius_number(face: int, inc: IncidenceMatrix, holds: list[int],
+                   numbers: dict[int, int]) -> int:
+    """The Moebius number of the closed set `face`, registered when
+    nonzero.  holds[i] has the bit of each element registered so far that
+    lies on facet i, and holds[m], a row that every element lies on, all
+    of them; `numbers` maps each nonzero number to the bits of its
+    elements.  Exact once every element strictly below face has been
+    registered, in any order, with holds = [0] * (m + 1) at the start."""
+    rows = indices_from_mask(facet_set(face, inc) | 1 << inc.m)
+    below = reduce(and_, map(holds.__getitem__, rows))
+    number = -sum(value * (below & elements).bit_count()
+                  for value, elements in numbers.items()) if face else 1
     if number:
-        mu[face] = number
-    return number != 0
+        bit = holds[-1] + 1  # the bits taken so far are the low ones
+        numbers[number] = numbers.get(number, 0) | bit
+        for i in rows:
+            holds[i] |= bit
+    return number
 
 
 def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
@@ -62,4 +62,5 @@ def moebius_generation(inc: IncidenceMatrix, max_dim: Optional[int] = None,
     expand raise BudgetExceededError."""
     if inc.far_face is not None:
         raise InputError("far-face data present; restrict to near vertices first")
-    return _cover_search(inc, 0, max_dim, budget, partial(is_bounded, mu={}))
+    return _cover_search(inc, 0, max_dim, budget,
+                         partial(moebius_number, inc=inc, holds=[0] * (inc.m + 1), numbers={}))

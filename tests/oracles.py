@@ -22,7 +22,9 @@ vertices are found combinatorially, by propagating w through every
 labeled spanning tree (Prufer sequences) with every choice of one row per
 edge; the library walks the tropical H-rep instead.  The vertex poset is
 the whole poset of vertex sets of faces with its Moebius numbers, the
-plain recursion that `moebius_generation` interleaves with its search.
+plain recursion that `moebius_generation` interleaves with its search;
+within that search, the numbers are also found by walking each face's
+down-set along covers, where the library ANDs bitsets of facets.
 The simple polyhedron's face numbers are counted again along a seeded
 random objective, found by retries, in place of the library's fixed
 order.
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from polybound.bounded import facet_set
+from polybound.bounded import covers, facet_set
 from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask
 from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
@@ -444,6 +446,37 @@ def vertex_poset(inc: IncidenceMatrix, budget: int = 10**6) -> VertexPoset:
     for s in ordered:
         mu[s] = 1 if s == 0 else -sum(m for t, m in mu.items() if t != s and t & ~s == 0)
     return VertexPoset(inc.n, tuple(ordered), mu, -sum(mu.values()))
+
+
+class ReferenceMoebiusWalk:
+    """`keep` for the library's face search: the Moebius number of each
+    popped face by walking the down-set from the empty face, where the
+    library ANDs per-facet bitsets.  Each bounded element's covers are
+    found again here, and only those inside the face are followed, so the
+    walk reaches every bounded element strictly below it.  `numbers` maps
+    each popped face to its number, zero ones included."""
+
+    def __init__(self, inc: IncidenceMatrix):
+        self.inc = inc
+        self.ups = {}  # bounded element -> its covers
+        self.numbers = {}
+
+    def __call__(self, face: int) -> bool:
+        number = 1
+        if face:
+            outside = ~face
+            seen = {0}
+            stack = [0]
+            while stack:
+                for up in self.ups[stack.pop()]:
+                    if up not in seen and not up & outside and up in self.ups:
+                        seen.add(up)
+                        stack.append(up)
+            number = -sum(map(self.numbers.__getitem__, seen))
+        self.numbers[face] = number
+        if number:
+            self.ups[face] = covers(face, self.inc)
+        return number != 0
 
 
 def moebius_oracle_filter(vp: VertexPoset) -> set:

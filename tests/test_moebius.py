@@ -1,13 +1,20 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import instance, strip
-from oracles import faces, moebius_oracle_filter, vertex_poset, vertex_sets
-from polybound.bounded import (covers, filter_bounded, full_face_lattice,
+from oracles import (ReferenceMoebiusWalk, faces, moebius_oracle_filter, vertex_poset,
+                     vertex_sets)
+from polybound.bounded import (_cover_search, filter_bounded, full_face_lattice,
                                relabel_vertices, selective_generation)
-from polybound.errors import BudgetExceededError, InputError
-from polybound.incidence import IncidenceMatrix, restrict_to_near
-from polybound.moebius import is_bounded, moebius_generation
+from polybound.errors import BudgetExceededError, InputError, InternalError
+from polybound.formats import read_incidence
+from polybound.incidence import IncidenceMatrix, indices_from_mask, restrict_to_near
+from polybound.moebius import moebius_generation, moebius_number
 from polybound.pipeline import closure_data
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def halfline_incidence():
@@ -107,20 +114,86 @@ def test_moebius_matches_selective_and_oracle():
 
 
 def test_below_sets_track_bounded_elements():
-    # the down-set walk along admitted covers gives vertex_poset's mu everywhere
+    # the bitsets of the bounded elements below each element give
+    # vertex_poset's mu everywhere, 0 on the unbounded elements
     for family, params in [("dwarfed-cube", (3,)), ("thrackle", (4,)),
                            ("tropical-cyclic", (3, 3))]:
         _, _, _, _, inc = instance(family, *params)
         near_inc, _ = restrict_to_near(inc)
         vp = vertex_poset(near_inc)
-        ups, mu = {}, {}
+        holds, numbers = [0] * (near_inc.m + 1), {}
         for element in vp.elements:  # already ordered by cardinality
-            bounded = is_bounded(element, ups, mu)
-            assert mu.get(element, 0) == vp.mu[element]
-            assert bounded == (vp.mu[element] != 0)
-            if bounded:
-                ups[element] = covers(element, near_inc)
-        assert mu == {s: m for s, m in vp.mu.items() if m}
+            assert moebius_number(element, near_inc, holds, numbers) == vp.mu[element]
+        bounded = [s for s in vp.elements if vp.mu[s]]
+        assert holds[-1] == (1 << len(bounded)) - 1
+        assert {value: indices_from_mask(bits) for value, bits in numbers.items()} == {
+            value: tuple(i for i, s in enumerate(bounded) if vp.mu[s] == value)
+            for value in set(vp.mu.values()) - {0}}
+
+
+def recording_keep(inc):
+    """moebius_generation's `keep` with the number of each popped face
+    recorded, zero ones included: (numbers, keep)."""
+    holds, by_number, numbers = [0] * (inc.m + 1), {}, {}
+
+    def keep(face):
+        numbers[face] = moebius_number(face, inc, holds, by_number)
+        return numbers[face]
+
+    return numbers, keep
+
+
+def outcome(search):
+    """A face search's nodes in order and its arcs, or the error that it
+    raises on a matrix whose faces are not graded."""
+    try:
+        hd = search()
+    except InternalError as error:
+        return str(error)
+    return hd.masks, hd.ranks, hd.arcs
+
+
+def near_part(path):
+    """The near restriction of a stored closure's incidences, which
+    moebius searches."""
+    return restrict_to_near(read_incidence(str(path)))[0]
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.inc")), ids=lambda path: path.stem)
+def test_moebius_matches_reference_walk_on_stored_files(path):
+    inc = near_part(path)
+    walk, (numbers, keep) = ReferenceMoebiusWalk(inc), recording_keep(inc)
+    expected = outcome(lambda: _cover_search(inc, 0, keep=walk))
+    assert outcome(lambda: moebius_generation(inc)) == expected
+    _cover_search(inc, 0, keep=keep)
+    assert list(numbers.items()) == list(walk.numbers.items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=7),
+    st.sampled_from([None, 0, 1, 2]))))
+def test_moebius_matches_reference_walk_on_arbitrary_matrices(case):
+    # moebius searches near restrictions, which are no polytope's matrices,
+    # so the numbers must be exact on any 0/1 matrix
+    n, rows, max_dim = case
+    inc = IncidenceMatrix(n, tuple(rows))
+    walk, (numbers, keep) = ReferenceMoebiusWalk(inc), recording_keep(inc)
+    expected = outcome(lambda: _cover_search(inc, 0, max_dim, keep=walk))
+    assert outcome(lambda: moebius_generation(inc, max_dim)) == expected
+    outcome(lambda: _cover_search(inc, 0, max_dim, keep=keep))
+    assert list(numbers.items()) == list(walk.numbers.items())
+
+
+@pytest.mark.parametrize("stem", ["tropical-permutohedron-4", "thrackle-8", "tropical-cyclic-5-5"])
+def test_bounded_faces_have_the_moebius_number_of_their_rank(stem):
+    # the interval from the empty face to a bounded face F is the face
+    # lattice of the polytope F, so its Moebius number is fixed by F's rank
+    inc = near_part(DATA / f"{stem}.inc")
+    numbers, keep = recording_keep(inc)
+    hd = _cover_search(inc, 0, keep=keep)
+    assert [numbers[mask] for mask in hd.masks] == [(-1) ** (rank + 1) for rank in hd.ranks]
+    assert len(numbers) > hd.node_count()  # unbounded elements were popped too
 
 
 def test_moebius_rejects_far_face_data():

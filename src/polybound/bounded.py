@@ -6,11 +6,14 @@ closed vertex set H are generated as Kaibel & Pfetsch do ("Computing the
 face lattice of a polytope from its vertex-facet incidences", Comput.
 Geom. 23, 2002): the facets through H + {v} are F(H) & col(v), v's key,
 and the closure of a key covers H exactly when no other key strictly
-contains it.  Such a key's closure is H plus the vertices of that key, so
-covers are read off the vertices grouped by key, with no meet.  The meet,
-the AND of a facet set's rows read from the incidence matrix's byte table
-of precomputed row ANDs (`IncidenceMatrix.row_ands`, one lookup per 8
-rows), checks that H itself is closed.
+contains it.  The keys one facet short of F(H) are read off prefix and
+suffix ANDs of F(H)'s rows, as Kaibel & Pfetsch drop one facet at a
+vertex; the other covers off the vertices that lie on every facet those
+drop, grouped by key.  So the work per face grows with |F(H)| and those
+vertices, not with all n.  The meet, the AND of a facet set's rows read
+from the incidence matrix's byte table of precomputed row ANDs
+(`IncidenceMatrix.row_ands`, one lookup per 8 rows), checks that H itself
+is closed.
 A face of the closure polytope is bounded exactly when its vertex set
 avoids the far face, so the main algorithm simply refuses to step onto
 far-meeting faces and thereby runs in time proportional to the bounded
@@ -29,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
+from itertools import accumulate, compress
 from operator import and_
 from typing import Callable, Optional
 
 from .errors import InputError, InternalError
-from .incidence import IncidenceMatrix, indices_from_mask, mask_from_indices
+from .incidence import IncidenceMatrix, bit_flags, indices_from_mask, mask_from_indices
 from .incidence import closure_mask  # noqa: F401  (perfbench's tracer wraps bounded.closure_mask)
 from .polyhedron import DEFAULT_BUDGET, meter
 
@@ -46,38 +50,51 @@ def facet_set(mask: int, inc: IncidenceMatrix) -> int:
 
 def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     """Faces covering the set `mask`: the inclusion-minimal closures
-    cl(mask + {v}) over vertices v outside mask, by decreasing key size.
+    cl(mask + {v}) over vertices v outside mask, by decreasing key size,
+    then by lowest new vertex.
 
     A set that is not closed has one cover, its closure meet(F(mask)).
     Else v outside mask has the key F(mask) & col(v), and v is in meet(K)
     iff v's key contains K.  A closure is minimal iff all its new vertices
-    share its key, so iff that key K is maximal: in no other key.  Then
-    only K's own vertices hold K, so meet(K) = mask | groups[K], with the
-    vertices grouped by key in one pass: no meet per cover.  The keys one
-    facet short of F(mask) are maximal and come first.  With D the facets
-    they drop, a key lies in one of them iff it misses a facet of D, so
-    only the keys that hold D (no one-drop key does) are sorted by size,
-    largest first, and kept unless they lie in a key kept before; keys of
-    one size never do.  A key of 0 (the whole polytope) is none."""
+    share its key, so iff that key K is maximal: in no other key.  The
+    keys one facet short of F(mask) are maximal: for each facet i of F,
+    meet(F - {i}), read off prefix and suffix ANDs of F's rows, is a cover
+    with key F - {i} unless it is mask itself.  With D the facets that
+    give one, a key lies in a one-drop key iff it misses a facet of D, so
+    every other maximal key holds D, and only the vertices of meet(D) can
+    have one.  Only those are grouped by key: a maximal K's closure is
+    mask | groups[K], as only K's own vertices hold K.  Their keys are
+    sorted by size, largest first, and kept unless they lie in a key kept
+    before; keys of one size never do.  A key of 0 (the whole polytope)
+    is none, so with fewer than two facets there is no cover."""
     facets = facet_set(mask, inc)
     closed = inc.meet(facets)
     if closed != mask:
         return [closed] if facets else []
+    if facets.bit_count() < 2:
+        return []
+    rows = list(compress(inc.row_masks, bit_flags(facets)))
+    # meet(F - {i}) is the AND of the rows before i and of the rows after it
+    suffix = list(accumulate(reversed(rows), and_, initial=inc.all_mask))[::-1]
+    drops = list(map(and_, accumulate(rows, and_, initial=inc.all_mask), suffix[1:]))
+    gave = list(map(mask.__ne__, drops))  # per facet of F: is it in D
+    # g - mask holds g's new vertices, and x & -x is x's lowest bit
+    found = sorted(compress(drops, gave), key=lambda g: (g - mask) & (mask - g))
+    if len(found) == len(rows):  # D = F: every other key misses a facet of D
+        return found
+    on_dropped = reduce(and_, compress(rows, gave), inc.all_mask) & ~mask  # meet(D) - mask
+    cols = inc.column_masks
     groups: dict[int, int] = {}  # key -> its vertices, in first-occurrence order
-    for v, key in enumerate(map(facets.__and__, inc.column_masks)):
+    for v in compress(range(inc.n), bit_flags(on_dropped)):
+        key = facets & cols[v]
         groups[key] = groups.get(key, 0) | 1 << v
     groups.pop(0, None)
-    groups.pop(facets, None)  # the key of the vertices inside mask
-    short = facets.bit_count() - 1
-    minimal = [key for key in groups if key.bit_count() == short]
-    dropped = facets & ~reduce(and_, minimal, facets)  # D, the facets they drop
-    keys = sorted((key for key in groups if key & dropped == dropped),
-                  key=int.bit_count, reverse=True)
+    keys = sorted(groups, key=int.bit_count, reverse=True)
     while keys and keys[-1].bit_count() < keys[0].bit_count():
         key = keys[0]
-        minimal.append(key)
+        found.append(mask | groups[key])
         keys = list(filter((~key).__and__, keys))
-    return [mask | groups[key] for key in minimal + keys]  # keys of one size: none lies in another
+    return found + [mask | groups[key] for key in keys]  # keys of one size: none lies in another
 
 
 @dataclass

@@ -42,6 +42,15 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One 0/1 byte per bit of mask, lowest bit first: a selector for
+    `itertools.compress`, which splits a dense mask's bits in C."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
+
+
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """Facet x vertex 0/1 matrix; rows are vertex-set bitmasks.

@@ -24,13 +24,14 @@ max_dim can pop before a face of lower rank.
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import compress
 from operator import and_
 from typing import Optional
 
 from .errors import InputError
 from .bounded import HasseDiagram, _cover_search, facet_set
 from .bounded import covers  # noqa: F401  (perfbench's tracer wraps moebius.covers)
-from .incidence import IncidenceMatrix, indices_from_mask
+from .incidence import IncidenceMatrix, bit_flags, indices_from_mask
 from .polyhedron import DEFAULT_BUDGET
 
 
@@ -42,14 +43,14 @@ def moebius_number(face: int, inc: IncidenceMatrix, holds: list[int],
     of them; `numbers` maps each nonzero number to the bits of its
     elements.  Exact once every element strictly below face has been
     registered, in any order, with holds = [0] * (m + 1) at the start."""
-    rows = indices_from_mask(facet_set(face, inc) | 1 << inc.m)
-    below = reduce(and_, map(holds.__getitem__, rows))
+    rows = facet_set(face, inc) | 1 << inc.m
+    below = reduce(and_, compress(holds, bit_flags(rows)))
     number = -sum(value * (below & elements).bit_count()
                   for value, elements in numbers.items()) if face else 1
     if number:
         bit = holds[-1] + 1  # the bits taken so far are the low ones
         numbers[number] = numbers.get(number, 0) | bit
-        for i in rows:
+        for i in indices_from_mask(rows):
             holds[i] |= bit
     return number
 

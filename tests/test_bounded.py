@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -168,6 +171,48 @@ def test_covers_match_reference_on_arbitrary_matrices(case):
     found, expected = covers(mask, inc), reference_covers(mask, inc)
     assert sorted(found) == expected
     assert found == in_covers_order(expected, mask, inc)
+
+
+def test_covers_hit_each_branch_on_closed_sets_of_arbitrary_matrices():
+    # a closed set's covers come from one of three branches, named by D,
+    # the facets whose drop from F leaves a cover: D = F (the one-drop
+    # covers are all), D = 0 (every outside vertex is grouped) and neither
+    # (only the vertices of meet(D) are grouped); D is read off the
+    # reference covers, whose keys are their facet sets
+    hits = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=9, unique=True),
+        st.integers(0, (1 << n) - 1))))
+    def check(case):
+        n, rows, chosen = case
+        inc = IncidenceMatrix(n, tuple(rows))
+        mask = inc.meet(facet_set(chosen, inc))  # the closure of the chosen vertices
+        found, expected = covers(mask, inc), reference_covers(mask, inc)
+        assert found == in_covers_order(expected, mask, inc)
+        if expected:
+            facets = facet_set(mask, inc)
+            short = [key for key in (facet_set(c, inc) for c in expected)
+                     if key.bit_count() == facets.bit_count() - 1]
+            dropped = facets & ~reduce(and_, short, facets)
+            hits["D = F" if dropped == facets else "D = 0" if not dropped else "between"] += 1
+
+    check()  # rows are unique: a repeated row is never dropped alone, so D = F would be rare
+    assert min(hits["D = F"], hits["D = 0"], hits["between"]) >= 60, hits  # 79, 92, 337
+
+
+def test_covers_group_only_the_vertices_on_every_dropped_facet():
+    # at vertex 0, on all five rows, the keys are the columns: 11101 (v2)
+    # and 11110 (v3) drop one facet each, so D = 00011 and meet(D) = {0, 4,
+    # 5, 6}; the two-drop keys 01011 (v4) and 10011 (v5) hold D and are
+    # covers, and 00011 (v6) lies in both; v1's key 01100 lies in a
+    # one-drop key, so v1 is not grouped, else {0, 1} would pass as a cover
+    inc = IncidenceMatrix(7, (0b1110101, 0b1111001, 0b0001111, 0b0011111, 0b0101101))
+    assert inc.column_masks == (0b11111, 0b01100, 0b11101, 0b11110, 0b01011, 0b10011, 0b00011)
+    assert inc.meet(0b00011) == 0b1110001
+    assert covers(0b1, inc) == [0b101, 0b1001, 0b10001, 0b100001]
+    assert covers(0b1, inc) == in_covers_order(reference_covers(0b1, inc), 0b1, inc)
 
 
 def test_covers_take_the_one_drop_keys_in_one_batch():

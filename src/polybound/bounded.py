@@ -13,7 +13,7 @@ drop, grouped by key.  So the work per face grows with |F(H)| and those
 vertices, not with all n.  The meet, the AND of a facet set's rows read
 from the incidence matrix's byte table of precomputed row ANDs
 (`IncidenceMatrix.row_ands`, one lookup per 8 rows), checks that H itself
-is closed.
+is closed.  A vertex's edges are its covers with two vertices.
 A face of the closure polytope is bounded exactly when its vertex set
 avoids the far face, so the main algorithm simply refuses to step onto
 far-meeting faces and thereby runs in time proportional to the bounded
@@ -95,6 +95,24 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
         found.append(mask | groups[key])
         keys = list(filter((~key).__and__, keys))
     return found + [mask | groups[key] for key in keys]  # keys of one size: none lies in another
+
+
+def polytope_edges(inc: IncidenceMatrix) -> list[tuple[int, int]]:
+    """All edges of a polytope from incidences alone, sorted pairs (u, w)
+    with u < w: {u,w} is an edge iff some facet holds both and the meet of
+    those facets is {u,w}.  No closure lies strictly between {u} and an
+    edge, so u's edges are its covers with two vertices; where {u} is not
+    closed, its one cover meet(col(u)) is an edge exactly when it has two
+    vertices.  So this holds on any 0/1 matrix, with one `covers` call,
+    and so one table meet, per vertex."""
+    edges = []
+    for u in range(inc.n):
+        bit = 1 << u
+        for cover in covers(bit, inc):
+            w = cover ^ bit
+            if w > bit and cover.bit_count() == 2:
+                edges.append((u, w.bit_length() - 1))
+    return sorted(edges)
 
 
 @dataclass

@@ -183,6 +183,12 @@ def parse_incidence(text_lines: list[str]) -> IncidenceMatrix:
             j = next((j for j, other in enumerate(masks) if j != i and row & ~other == 0), i)
             relation = "equals" if row == masks[j] else "lies inside"
             _expect(j == i, f"facet row {i} {relation} row {j}")
+        # a polytope with 3 or more vertices has dimension d >= 2, so at least
+        # d vertices on each facet and d facets at each vertex; rows suffice,
+        # as a closed vertex on a single row is that row
+        single = next((i for i, row in enumerate(masks) if row.bit_count() < 2), None)
+        _expect(n < 3 or single is None, f"facet row {single} holds a single vertex; each "
+                "facet of a polytope with 3 or more vertices holds at least 2")
     return inc
 
 

@@ -28,7 +28,8 @@ from math import comb
 from typing import Sequence
 
 from .errors import InputError, InternalError
-from .incidence import IncidenceMatrix, is_simple, polytope_edges, indices_from_mask
+from .bounded import polytope_edges
+from .incidence import IncidenceMatrix, is_simple, indices_from_mask
 from .polyhedron import VRep, numerators_over_lcm
 from .rational import format_point
 

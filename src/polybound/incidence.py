@@ -7,9 +7,7 @@ meet of a facet set (the AND of its rows) is read from a byte table of
 precomputed row ANDs, the "Four Russians" trick of Arlazarov, Dinic,
 Kronrod & Faradzev (1970).  The incidences and the far face are read off
 a `VRep`'s integer points as they are held: a row's slack at num/den is
-the integer b*den - a.num.  A polytope's edges are read off meets too: a
-simple vertex's are the meets of its facets with one dropped, d meets,
-and only the other vertices test pairs among themselves.
+the integer b*den - a.num.
 """
 
 from __future__ import annotations
@@ -215,57 +213,6 @@ def far_face_vertices(v: VRep) -> set[int]:
 def is_simple(inc: IncidenceMatrix, d: int) -> bool:
     """True iff every vertex lies on exactly d facets."""
     return all(col.bit_count() == d for col in inc.column_masks)
-
-
-def polytope_edges(inc: IncidenceMatrix) -> list[tuple[int, int]]:
-    """All edges of an arbitrary polytope from incidences alone, sorted
-    pairs (u, v) with u < v: {u,v} is an edge iff some facet holds both
-    and the meet of those facets, the closure of Kaibel & Pfetsch (2002),
-    is {u,v}.
-
-    Each vertex u first tries the drop-one rule: for every facet r through
-    u, key = col(u) minus r must be nonzero and meet(key) must hold exactly
-    two vertices, u and a partner.  If so, the partners are all of u's
-    edges, found with one meet per facet through u, so n*d meets on a
-    simple polytope.  Each such 2-set {u, w} is an edge: key lies inside
-    col(u) & col(w), so the meet of that is {u, w} too.  And u has no
-    other: u's vertex figure then has, for each of its facets, a vertex on
-    all the others, so it is a pyramid over each facet, a simplex, and u
-    is simple.  The rule holds on any 0/1 matrix, too: an edge {u, x}
-    whose col(u) & col(x) misses a facet r of u lies in the meet of key
-    for r, so it is that 2-set, and if col(u) & col(x) = col(u), every
-    drop-one meet holds {u, x}.  The key must be nonzero: meet(0) holds
-    every vertex, which would make a segment an edge of itself.  Vertices
-    that fail the rule test pairs only among themselves, since an edge to
-    a vertex that passes was found from its side."""
-    cols, meet = inc.column_masks, inc.meet
-    edges = []
-    rest = []
-    failed = 0
-    for u, col in enumerate(cols):
-        bit = 1 << u
-        partners = 0
-        facets = col
-        while facets:
-            low = facets & -facets
-            facets ^= low
-            key = col ^ low
-            other = meet(key) ^ bit if key else 0
-            if not other or other & (other - 1):
-                rest.append(u)
-                failed |= bit
-                break
-            partners |= other
-        else:
-            # an edge to an earlier vertex that passed is already listed
-            edges += [(u, w) if u < w else (w, u)
-                      for w in indices_from_mask(partners & (failed | -bit))]
-    for i, u in enumerate(rest):
-        for v in rest[i + 1:]:
-            key = cols[u] & cols[v]
-            if key and meet(key) == (1 << u) | (1 << v):
-                edges.append((u, v))
-    return sorted(edges)
 
 
 def restrict_to_near(inc: IncidenceMatrix) -> tuple[IncidenceMatrix, tuple[int, ...]]:

@@ -16,8 +16,8 @@ raises `ObjectiveError`.  The library instead orders every polyhedron by
 one fixed lexicographic objective, so it has neither.  The closure
 operator on vertex sets, `closure`, is the meet of the facets holding a
 set; the library's cover search reads meets off facet keys instead, and
-its edge search reads a simple vertex's edges off one meet per facet,
-where `reference_polytope_edges` closes every vertex pair.  The tropical
+reads each vertex's edges off its covers with two vertices, where
+`reference_polytope_edges` closes every vertex pair.  The tropical
 vertices are found combinatorially, by propagating w through every
 labeled spanning tree (Prufer sequences) with every choice of one row per
 edge; the library walks the tropical H-rep instead.  The vertex poset is
@@ -399,7 +399,7 @@ def closure(mask: int, inc: IncidenceMatrix):
 def reference_polytope_edges(inc: IncidenceMatrix):
     """Every edge of a polytope by the pair scan: {u,v} is an edge iff its
     closure is {u,v}, one closure per vertex pair where the library reads
-    a simple vertex's edges off one meet per facet through it."""
+    each vertex's edges off one `covers` call."""
     return [(u, v) for u in range(inc.n) for v in range(u + 1, inc.n)
             if closure(1 << u | 1 << v, inc) == 1 << u | 1 << v]
 

@@ -129,6 +129,10 @@ BAD_INCIDENCE_FILES = {
     "equal facet rows, far face": "facets 4 vertices 3\n100\n010\n001\n001\nfarface 2\n",
     # a triangle with a spurious row {1}; used to exit 0
     "facet row inside another, far face": "facets 4 vertices 3\n110\n011\n101\n010\nfarface 0\n",
+    # used to end in exit 4 (Euler characteristic 2): each row and each
+    # vertex is a single point, though a polytope with 3 vertices has 2 on
+    # each facet and 2 facets at each vertex
+    "single-vertex facet rows, far face": "facets 3 vertices 3\n100\n001\n010\nfarface 1\n",
     "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
     "non-integer facet count": "facets x vertices 2\n11\n",
     "non-integer vertex count": "facets 1 vertices 2.5\n11\n",

@@ -4,16 +4,18 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segment,
                       square_pyramid, strip, unit_square)
 from oracles import as_fractions, reference_polytope_edges
-from polybound import formats
+from polybound import bounded, formats
+from polybound.bounded import polytope_edges
 from polybound.errors import InputError
 from polybound.generators import dwarfed_cube
 from polybound.incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
                                  indices_from_mask, is_simple, mask_from_indices,
-                                 polytope_edges, restrict_to_near)
+                                 restrict_to_near)
 from polybound.linalg import dot, rank
 from polybound.pipeline import closure_data
 from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
@@ -204,38 +206,49 @@ def test_polytope_edges_match_closure_scan():
         assert polytope_edges(inc) == reference_polytope_edges(inc)
 
 
-def _counting_meets(monkeypatch):
-    keys = []
-    meet = IncidenceMatrix.meet
-
-    def counted(self, key):
-        keys.append(key)
-        return meet(self, key)
-    monkeypatch.setattr(IncidenceMatrix, "meet", counted)
-    return keys
-
-
 def test_polytope_edges_meet_count_on_a_simple_closure(monkeypatch):
-    # one meet per facet through each vertex, each key one facet short:
-    # n*d = 226*15, where the pair scan would close C(226, 2) pairs
+    # each vertex's edges are its covers with two vertices, and `covers`
+    # makes one table meet, keyed by the vertex's facets; a simple vertex
+    # reads its d drop-one meets off prefix and suffix ANDs, with no meet
     inc = instance("dwarfed-cube", 15)[4]
-    keys = _counting_meets(monkeypatch)
+    calls = []
+    meets = []
+    counted_covers, meet = bounded.covers, IncidenceMatrix.meet
+
+    def counted(mask, inc):
+        calls.append(mask)
+        return counted_covers(mask, inc)
+
+    def counted_meet(self, key):
+        meets.append(key)
+        return meet(self, key)
+    monkeypatch.setattr(bounded, "covers", counted)
+    monkeypatch.setattr(IncidenceMatrix, "meet", counted_meet)
     assert len(polytope_edges(inc)) == 226 * 15 // 2
-    assert len(keys) == 3390
-    assert {key.bit_count() for key in keys} == {14}
+    assert calls == [1 << u for u in range(226)]
+    assert meets == list(inc.column_masks)
+    assert {key.bit_count() for key in meets} == {15}
 
 
-def test_polytope_edges_fall_back_to_pairs_on_degenerate_vertices(monkeypatch):
-    # no vertex of the (24,4) closure passes the drop-one rule, so every pair
-    # that shares a facet is closed
-    inc = _stored_incidences()["tropical-permutohedron-4"]
-    cols = inc.column_masks
-    pair_keys = [cols[u] & cols[v] for u in range(inc.n) for v in range(u + 1, inc.n)]
-    pair_keys = [key for key in pair_keys if key]
-    expected = reference_polytope_edges(inc)
-    keys = _counting_meets(monkeypatch)
-    assert polytope_edges(inc) == expected
-    assert Counter(keys) >= Counter(pair_keys)
+def test_polytope_edges_match_pair_scan_on_arbitrary_matrices():
+    # the rule must hold on any 0/1 matrix; rows may repeat, and the draws
+    # must hold vertices on no row, on one row, and on rows that do not
+    # meet in them alone
+    kinds = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=9))))
+    def check(case):
+        n, rows = case
+        inc = IncidenceMatrix(n, tuple(rows))
+        assert polytope_edges(inc) == reference_polytope_edges(inc)
+        kinds.update("on no row" if not col else "on one row" if col.bit_count() == 1
+                     else "not closed" if inc.meet(col) != 1 << u else "closed"
+                     for u, col in enumerate(inc.column_masks))
+
+    check()
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds  # 865, 963, 1,808, 1,790
 
 
 def _and_of_rows(inc, key):

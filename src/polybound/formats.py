@@ -7,7 +7,6 @@ everywhere, so re-running a command reproduces files bit for bit.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from operator import or_
 from typing import Optional
@@ -201,23 +200,24 @@ def read_incidence(path: str) -> IncidenceMatrix:
     return parse_incidence(_lines(path))
 
 
-def hasse_to_json_dict(hd: HasseDiagram) -> dict:
-    """JSON form of the canonical diagram: faces numbered in canonical
-    order; the empty face has rank -1 and vertices []."""
-    faces, arcs = hd.canonical()
-    far = list(indices_from_mask(hd.far_face)) if hd.far_face is not None else []
-    return {
-        "n_vertices": hd.n,
-        "far_face": far,
-        "faces": [{"id": i, "rank": rank, "vertices": list(vertices)}
-                  for i, (rank, vertices) in enumerate(faces)],
-        "arcs": [list(arc) for arc in arcs],
-        "f_vector": hd.f_vector(),
-    }
+def _json_list(items, indent: str) -> str:
+    """A list as `json.dumps(..., indent=1)` lays it out at `indent`."""
+    return (f"[\n{indent} " + f",\n{indent} ".join(map(str, items)) + f"\n{indent}]"
+            if items else "[]")
 
 
 def hasse_to_json(hd: HasseDiagram) -> str:
-    return json.dumps(hasse_to_json_dict(hd), sort_keys=True, indent=1) + "\n"
+    """`json.dumps(..., sort_keys=True, indent=1)` of the canonical diagram, faces
+    numbered in canonical order, written directly: json's encoder is slow with `indent`."""
+    faces, arcs = hd.canonical()
+    far = indices_from_mask(hd.far_face) if hd.far_face is not None else ()
+    face_texts = [f'{{\n   "id": {i},\n   "rank": {rank},\n   "vertices": {_json_list(v, "   ")}\n  }}'
+                  for i, (rank, v) in enumerate(faces)]
+    arc_texts = [f"[\n   {lo},\n   {hi}\n  ]" for lo, hi in arcs]
+    return (f'{{\n "arcs": {_json_list(arc_texts, " ")},\n'
+            f' "f_vector": {_json_list(hd.f_vector(), " ")},\n'
+            f' "faces": {_json_list(face_texts, " ")},\n "far_face": {_json_list(far, " ")},\n'
+            f' "n_vertices": {hd.n}\n}}\n')
 
 
 def write_hasse(hd: HasseDiagram, path: str) -> None:

@@ -9,24 +9,29 @@ Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
 entry equals det.  `_echelon` drives it over the columns in order for
 `rank`, `nullspace`, `kernel_vector` (and so `kernel_line`),
 `scaled_inverse` and the start vertex of `polyhedron`; the simplex
-tableau in `lp` pivots with it directly.  Rational rows, those of H-reps
+tableau in `lp` pivots with it directly, and `exchange` runs it on the
+columns of the pivot walk's dictionary.  Rational rows, those of H-reps
 and of the LP, reach it through `integer_row` or `common_denominator`, a
 positive scaling, which leaves the rref unchanged; points need no such
 step, since they are integer vectors over one denominator throughout.
 
 `scaled_inverse` reads delta*B^-1 off one elimination of [B | I].  It is
 the closure transform's inverse, and it gives the edges of a simple
-vertex in the pivot walk and reverse search, one column per active row;
-at a degenerate vertex of the walk it gives the rays of the simplicial
-cone that double description starts from.  `kernel_line` is behind
-brute force, which reads a candidate vertex off the kernel of d rows
-[a, -b] and a candidate ray off that of d-1 coefficient rows a; the walk
-does not use it.
+vertex in reverse search, one column per active row; at a degenerate
+vertex of the walk it gives the rays of the simplicial cone that double
+description starts from.  The pivot walk inverts once where it starts
+and carries the result as lrs's dictionary, each step to a neighbour one
+`exchange`, the same step as `_pivot` on the dictionary's columns.
+`kernel_line` is behind brute force, which reads a candidate vertex off
+the kernel of d rows [a, -b] and a candidate ray off that of d-1
+coefficient rows a; the walk does not use it.
 
-`ratio_step` is the one ratio test: it moves a point held as an integer
-vector over one denominator (a `polyhedron.Point`) along an integer
-direction, comparing slack/(a.v) by cross-multiplying.  The pivot walk,
-reverse search and the LP's vertex purification all step with it.
+`ratio_step` is the ratio test along a direction: it moves a point held
+as an integer vector over one denominator (a `polyhedron.Point`) along an
+integer direction, comparing slack/(a.v) by cross-multiplying.  Reverse
+search, the LP's vertex purification and the pivot walk at vertices that
+hold no dictionary step with it; a dictionary's edge reads its ratio test
+off its own column instead.
 """
 
 from __future__ import annotations
@@ -91,6 +96,23 @@ def _pivot(rows: list, r: int, col: int, det: int) -> int:
         elif p != det:
             rows[i] = [p * x // det for x in row]
     return p
+
+
+def exchange(cols: list, j: int, r: int, det: int) -> tuple[list, int]:
+    """The exchange form of `_pivot`, for a dictionary held as columns over
+    a divisor det > 0 (lrs's, Avis 2000): (new columns, new divisor).
+
+    Row r's slack takes the place of column j's among the nonbasic
+    variables, at the pivot p = cols[j][r] < 0.  It is `_pivot` on the columns laid out as rows, at (j, r), over
+    -det: every other column k becomes (cols[k][r]*cols[j] - p*cols[k]) //
+    det, exact for the same reason, and column j is kept, here negated, so
+    that the new divisor -p is positive.  The columns passed in are left
+    as they are.
+    """
+    cols = list(cols)
+    p = _pivot(cols, j, r, -det)
+    cols[j] = [-x for x in cols[j]]
+    return cols, -p
 
 
 def _echelon(rows: list) -> tuple[list, list[int], int]:

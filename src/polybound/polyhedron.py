@@ -16,9 +16,10 @@ Three enumerators are provided:
   (d-1)-subset; it is the independent oracle for everything else.
 * `enumerate_vertices_pivoting` walks the vertex-edge graph with one edge
   rule: a vertex's edges are the extreme rays of its tangent cone.  A
-  simple vertex reads its d of them off one inverse of its active rows; a
-  degenerate one starts from that simplicial cone on d independent active
-  rows and adds the others by double description, so the walk is exact on
+  simple vertex reads its d of them off lrs's integer dictionary over its
+  active rows, carried from its parent by one exchange step; a degenerate
+  one starts from the simplicial cone on d independent active rows and
+  adds the others by double description, so the walk is exact on
   degenerate (non-simple) polyhedra such as tropical ones as well.
 * `reverse_search_vertices` is the classic reverse search for simple
   polyhedra, ordered by one fixed lexicographic objective (the sum of the
@@ -27,10 +28,12 @@ Three enumerators are provided:
 
 The walk and reverse search run in integers: integer rows, `Point`s,
 edges read off one Bareiss elimination (`linalg.scaled_inverse`) and
-combined in integers at a degenerate vertex, and the one ratio test
-`linalg.ratio_step`.  All three enumerators build their `VRep` from
-integer points and directions; only its `vertices` and `rays` views are
-`Fraction`s.
+combined in integers at a degenerate vertex, and the ratio test
+`linalg.ratio_step`.  The walk carries the elimination from a simple
+vertex to its simple neighbours by fraction-free exchange steps
+(`linalg.exchange`), so it inverts only where it starts or meets ties.
+All three enumerators build their `VRep` from integer points and
+directions; only its `vertices` and `rays` views are `Fraction`s.
 
 `projective_closure` and all three enumerators find a first vertex (or
 refuse empty and non-pointed input) through `_start_vertex`, one
@@ -51,7 +54,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError
-from .linalg import (ZERO, Vector, _echelon, as_vector, common_denominator, dot,
+from .linalg import (ZERO, Vector, _echelon, as_vector, common_denominator, dot, exchange,
                      integer_row, kernel_line, ratio_step, scaled_inverse)
 # perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
 from .linalg import nullspace, rank  # noqa: F401
@@ -306,20 +309,25 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
 
     At each vertex the incident edge directions are the extreme rays of its
     tangent cone {v : a_i.v <= 0 for every active row i}.  A simple vertex
-    (exactly d active rows) reads all d of them off one inverse of its
-    active rows, `_simple_edges`, as lrs does; a degenerate one starts from
-    that simplicial cone on d independent active rows and adds the others
-    by double description, `_cone_edges`, so degenerate vertices are
-    handled without perturbation.  The budget is charged d per vertex plus
-    one per ray pair tested for adjacency.  `start` is a vertex of h to
-    walk from, a `Point` in any terms, and a point that is none is
+    (exactly d active rows) holds lrs's integer dictionary over those rows
+    (Avis 2000), `_dictionary`: its d edges are its columns, and each
+    edge's ratio test is one pass over its column.  A degenerate vertex
+    starts from the simplicial cone on d independent active rows and adds
+    the others by double description, `_cone_edges`, so degenerate vertices
+    are handled without perturbation.  The budget is charged d per vertex
+    plus one per ray pair tested for adjacency.  `start` is a vertex of h
+    to walk from, a `Point` in any terms, and a point that is none is
     refused; without it one is found by LP.
 
-    The walk runs in integers, as lrs does (Avis, 2000): rows are scaled
-    to integers once, a point is a reduced `Point`, and an edge direction
-    is a primitive integer vector.  Each vertex gets one integer slack
-    vector b*den - a.num, which gives its active rows and the ratio test,
-    `ratio_step`.
+    The walk runs in integers: rows are scaled to integers once, a point is
+    a reduced `Point`, and an edge direction is a primitive integer vector.
+    A neighbour of a simple vertex blocked by one row is simple too and
+    gets its dictionary from its parent's by one fraction-free exchange
+    step, `linalg.exchange`.  Any other vertex (the start, those reached
+    with ties) gets one integer slack vector b*den - a.num, which gives its
+    active rows and, when they are d independent ones, its dictionary by
+    one `scaled_inverse`; otherwise `ratio_step` steps along each of its
+    `_cone_edges`.
     """
     d = h.dim
     if start is None:
@@ -327,28 +335,99 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     rows = [integer_row([*a, b]) for a, b in h.rows]
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
+    m = len(rows)
     point = _reduced(*start)
     charge = meter(budget, "pivot enumeration")
     visited = {point}
-    stack = [point]
+    # each entry is a vertex and the exchange step that gives its
+    # dictionary from its parent's, or None when it has to be found afresh
+    stack: list[tuple[Point, Optional[tuple]]] = [(point, None)]
     rays: set[tuple[int, ...]] = set()
     while stack:
-        point = stack.pop()
-        num, den = point
-        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
-        act = [i for i, s in enumerate(slack) if not s]
+        point, step = stack.pop()
         charge(d)
-        directions = _simple_edges(a_rows, act) if len(act) == d else None
-        if directions is None:
-            directions = _cone_edges(a_rows, act, charge)
-        for v in directions:
-            nxt, _ = ratio_step(a_rows, slack, point, v)
-            if nxt is None:
-                rays.add(v)
-            elif nxt not in visited:
+        if step is not None:
+            cols, delta = exchange(*step)
+        else:
+            num, den = point
+            slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+            # only the start can violate a row: the others are reached by ratio tests
+            if min(slack) < 0:
+                raise InputError("start point is not a vertex")
+            act = [i for i, s in enumerate(slack) if not s]
+            found = _dictionary(a_rows, slack, point, act) if len(act) == d else None
+            if found is None:
+                for v in _cone_edges(a_rows, act, charge):
+                    nxt, _ = ratio_step(a_rows, slack, point, v)
+                    if nxt is None:
+                        rays.add(v)
+                    elif nxt not in visited:
+                        visited.add(nxt)
+                        stack.append((nxt, None))
+                continue
+            cols, delta = found
+        rhs = cols[0]
+        coords = rhs[m:]
+        for j in range(1, d + 1):
+            col = cols[j]
+            edge = col[m:]
+            r, ties = _column_ratio(rhs, col, m)
+            if r is None:
+                g = gcd(*edge)
+                rays.add(tuple(x // g for x in edge))
+                continue
+            # the other end, (p*X + S_r*C_j) / delta over p = -T_j[r]
+            p, s = -col[r], rhs[r]
+            nxt = _reduced([(p * x + s * c) // delta for x, c in zip(coords, edge)], p)
+            if nxt not in visited:
                 visited.add(nxt)
-                stack.append(nxt)
+                stack.append((nxt, (cols, j, r, delta) if ties == 1 else None))
     return VRep.from_integers(d, visited, rays)
+
+
+def _dictionary(a_rows: Sequence[Sequence[int]], slack: Sequence[int], point: Point,
+                act: Sequence[int]) -> Optional[tuple[list[list[int]], int]]:
+    """lrs's integer dictionary at a vertex whose d active rows `act` are
+    independent, as (columns, delta); None when they are not.
+
+    With B the active rows and M = delta*B^-1 (delta > 0), column 0 holds
+    delta times the slacks b_i - a_i.x of the m rows, then delta*x; column
+    k (k = 1..d) holds a_i.M_k for each row i, then -M_k, the edge that
+    relaxes row act[k-1] and keeps the others tight.  Along that edge,
+    delta*slack_i grows by a_i.M_k and delta*x by -M_k per unit of row
+    act[k-1]'s slack, so a row blocks it where a_i.M_k < 0.  `slack` is
+    the vertex's integer slack vector over its denominator; as delta*x is
+    integral, that denominator divides delta.
+    """
+    inv = scaled_inverse([a_rows[i] for i in act])
+    if inv is None:
+        return None
+    inverse, delta = inv
+    num, den = point
+    scale = delta // den
+    cols = [[s * scale for s in slack] + [n * scale for n in num]]
+    for col in zip(*inverse):
+        cols.append([sum(map(mul, a, col)) for a in a_rows] + [-x for x in col])
+    return cols, delta
+
+
+def _column_ratio(rhs: Sequence[int], col: Sequence[int], m: int) -> tuple[Optional[int], int]:
+    """The ratio test of a dictionary's edge column over its m rows: the
+    first row r to block it, least rhs[r]/-col[r] over the rows with
+    col[r] < 0, compared by cross-multiplying, and the number of rows that
+    tie with it; (None, 0) when no row blocks.  The rows with zero slack
+    are the basis, on which col is delta or 0, so none of them blocks.
+    The search starts from the ratio 1/0, which every row beats."""
+    best, best_s, best_t, ties = None, 1, 0, 0
+    for i in range(m):
+        t = col[i]
+        if t < 0:
+            diff = best_s * t - rhs[i] * best_t
+            if diff < 0:
+                best, best_s, best_t, ties = i, rhs[i], t, 1
+            elif not diff:
+                ties += 1
+    return best, ties
 
 
 def _simple_edges(a_rows: Sequence[Sequence[int]],

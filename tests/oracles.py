@@ -13,14 +13,17 @@ denominator and sorts them by an integer key.  Reverse search here runs
 under a given objective, from the LP optimum; `bounded_generic_objective`
 gives seeded ones, and an objective that ties two vertices or is unbounded
 raises `ObjectiveError`.  The library instead orders every polyhedron by
-one fixed lexicographic objective, so it has neither.  The closure
-operator on vertex sets, `closure`, is the meet of the facets holding a
-set; the library's cover search reads meets off facet keys instead, and
-reads each vertex's edges off its covers with two vertices, where
-`reference_polytope_edges` closes every vertex pair.  The tropical
-vertices are found combinatorially, by propagating w through every
-labeled spanning tree (Prufer sequences) with every choice of one row per
-edge; the library walks the tropical H-rep instead.  The vertex poset is
+one fixed lexicographic objective, so it has neither.  The integer pivot
+walk is kept as it ran before it carried lrs's dictionary,
+`reference_integer_walk`: one inverse and one full ratio test per edge
+at every vertex, where the library exchanges one dictionary for the
+next.  The closure operator on vertex sets, `closure`, is the meet of
+the facets holding a set; the library's cover search reads meets off
+facet keys instead, and reads each vertex's edges off its covers with
+two vertices, where `reference_polytope_edges` closes every vertex pair.
+The tropical vertices are found combinatorially, by propagating w
+through every labeled spanning tree (Prufer sequences) with every choice
+of one row per edge; the library walks the tropical H-rep instead.  The vertex poset is
 the whole poset of vertex sets of faces with its Moebius numbers, the
 plain recursion that `moebius_generation` interleaves with its search;
 within that search, the numbers are also found by walking each face's
@@ -36,13 +39,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from polybound.bounded import covers, facet_set
 from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask
-from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row
+from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row, ratio_step
 from polybound.lp import LpStatus, lp_solve
-from polybound.polyhedron import HRep, VRep, _start_vertex
+from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, _cone_edges, _reduced,
+                                  _simple_edges, _start_vertex, meter)
 
 
 # -- linear algebra over Fractions ------------------------------------------
@@ -214,6 +219,45 @@ def purify_to_vertex(rows, b, c, x):
             x = [xi - t_bwd * vi for xi, vi in zip(x, v)]
             continue
         return tuple(x)
+
+
+# -- the pivot walk --------------------------------------------------------------
+def reference_integer_walk(h: HRep, budget: int = DEFAULT_BUDGET,
+                           start=None) -> VRep:
+    """The integer pivot walk before it carried a dictionary: at every
+    vertex one slack vector, the edges of a simple vertex off one
+    `scaled_inverse` of its active rows (`_simple_edges`), those of a
+    degenerate one by double description (`_cone_edges`), and one full
+    `ratio_step` per edge.  It charges the budget as the library's walk
+    does: d per vertex plus one per ray pair."""
+    d = h.dim
+    if start is None:
+        start, _ = _start_vertex(h)
+    rows = [integer_row([*a, b]) for a, b in h.rows]
+    a_rows = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    point = _reduced(*start)
+    charge = meter(budget, "pivot enumeration")
+    visited = {point}
+    stack = [point]
+    rays: set[tuple[int, ...]] = set()
+    while stack:
+        point = stack.pop()
+        num, den = point
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+        act = [i for i, s in enumerate(slack) if not s]
+        charge(d)
+        directions = _simple_edges(a_rows, act) if len(act) == d else None
+        if directions is None:
+            directions = _cone_edges(a_rows, act, charge)
+        for v in directions:
+            nxt, _ = ratio_step(a_rows, slack, point, v)
+            if nxt is None:
+                rays.add(v)
+            elif nxt not in visited:
+                visited.add(nxt)
+                stack.append(nxt)
+    return VRep.from_integers(d, visited, rays)
 
 
 # -- reverse search -----------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import instance, square_incidence, unit_square
-from polybound.bounded import selective_generation
+from polybound.bounded import HasseDiagram, selective_generation
 from polybound.errors import InputError
+from polybound.incidence import indices_from_mask
 from polybound.formats import (hasse_to_json, hrep_to_text, incidence_to_text,
                                parse_hrep, parse_incidence, parse_vrep,
                                read_hrep, read_incidence, read_vrep,
@@ -73,6 +75,41 @@ def test_hasse_json_schema_and_determinism():
     assert empty["rank"] == -1 and empty["vertices"] == []
     ranks = {f["id"]: f["rank"] for f in data["faces"]}
     assert all(ranks[hi] == ranks[lo] + 1 for lo, hi in data["arcs"])
+
+
+def json_oracle(hd):
+    """The diagram's JSON as the standard library writes it."""
+    faces, arcs = hd.canonical()
+    far = list(indices_from_mask(hd.far_face)) if hd.far_face is not None else []
+    return json.dumps({
+        "n_vertices": hd.n,
+        "far_face": far,
+        "faces": [{"id": i, "rank": rank, "vertices": list(vertices)}
+                  for i, (rank, vertices) in enumerate(faces)],
+        "arcs": [list(arc) for arc in arcs],
+        "f_vector": hd.f_vector(),
+    }, sort_keys=True, indent=1) + "\n"
+
+
+@st.composite
+def diagrams(draw):
+    """Arbitrary diagrams: distinct masks with any ranks, any arcs between
+    them, and a far face or none."""
+    n = draw(st.integers(0, 9))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=12))
+    ranks = draw(st.lists(st.integers(-1, 4), min_size=len(masks), max_size=len(masks)))
+    node = st.integers(0, max(len(masks) - 1, 0))
+    arcs = draw(st.lists(st.tuples(node, node), max_size=15)) if masks else []
+    far = draw(st.none() | st.integers(0, (1 << n) - 1))
+    return HasseDiagram(n, masks, ranks, arcs, far)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(diagrams())
+@example(HasseDiagram(0, [], [], []))
+@example(HasseDiagram(3, [0, 0b11, 0b1], [-1, 1, 0], [(0, 2), (2, 1)], None))
+def test_hasse_json_is_json_dumps_text(hd):
+    assert hasse_to_json(hd) == json_oracle(hd)
 
 
 @pytest.mark.parametrize("lines", [

@@ -3,17 +3,20 @@ import random
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cube3, instance, quadrant, random_pointed_hrep, square_pyramid, strip, unit_square
 from polybound.errors import BudgetExceededError, InputError
 from polybound.generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
                                   thrackle_metric, tight_span_hrep, tropical_hrep)
+import oracles
 from polybound import linalg, pipeline, polyhedron
 from oracles import (ObjectiveError, as_fractions, bounded_generic_objective, normalize_ray,
-                     ray_step, reference_closure, reference_nullspace, reference_reverse_search,
-                     reference_vrep)
+                     ray_step, reference_closure, reference_integer_walk, reference_nullspace,
+                     reference_reverse_search, reference_vrep)
 from polybound.errors import PolyboundError
 from polybound.linalg import (ZERO, as_vector, common_denominator, dot, integer_row, rank,
                               ratio_step)
@@ -381,6 +384,14 @@ def test_walk_refuses_a_start_that_is_no_vertex():
     for start in (((1, 1), 1), ((0, 1), 1)):
         with pytest.raises(InputError, match="^start point is not a vertex$"):
             enumerate_vertices_pivoting(quadrant(), start=start)
+    # each start lies on d independent rows but violates another: the walk
+    # listed (1, 1) as a vertex of the cut square, and from (0, 0) it
+    # returned (0, 0) alone, missing both real vertices
+    cut_square = HRep.from_rows(2, [*unit_square().rows, ((1, 1), Fraction(3, 2))])
+    corner = HRep.from_rows(2, [((-1, 0), 0), ((0, -1), 0), ((-1, -1), -1)])
+    for h, start in ((cut_square, ((1, 1), 1)), (corner, ((0, 0), 1))):
+        with pytest.raises(InputError, match="^start point is not a vertex$"):
+            enumerate_vertices_pivoting(h, start=start)
 
 
 def test_walk_budget_at_a_degenerate_vertex():
@@ -402,9 +413,12 @@ def test_tropical_cyclic_closure_walks_within_a_small_budget():
     assert enumerate_vertices_pivoting(clo.closure, 10**4) == vbar
 
 
-def test_simple_vertex_takes_one_elimination_and_no_kernel_line(monkeypatch):
-    h = tight_span_hrep(thrackle_metric(5))
-    start, _ = polyhedron._start_vertex(h)
+def test_simple_walk_takes_one_elimination_and_no_kernel_line(monkeypatch):
+    # every vertex of thrackle-5's and thrackle-8's tight spans is simple:
+    # the start vertex's dictionary comes from one `scaled_inverse`, one
+    # elimination of its d active rows, and every other vertex's from its
+    # parent's by an exchange step: one elimination per walk over 16 or 128
+    # vertices, not one per vertex
     eliminations = []
     real_echelon = linalg._echelon
 
@@ -413,15 +427,131 @@ def test_simple_vertex_takes_one_elimination_and_no_kernel_line(monkeypatch):
         return real_echelon(rows)
 
     def refuse(*args):
-        raise AssertionError("a simple vertex left the one-inverse path")
+        raise AssertionError("a simple vertex left the dictionary path")
 
-    monkeypatch.setattr(linalg, "_echelon", echelon)
-    monkeypatch.setattr(linalg, "kernel_line", refuse)
-    monkeypatch.setattr(polyhedron, "kernel_line", refuse)
-    monkeypatch.setattr(polyhedron, "_cone_edges", refuse)
-    v = enumerate_vertices_pivoting(h, start=start)
-    assert set(active_counts(h, v.vertices)) == {h.dim}
-    assert eliminations == [h.dim] * len(v.vertices)
+    for d, vertices in ((5, 16), (8, 128)):
+        h = tight_span_hrep(thrackle_metric(d))
+        start, _ = polyhedron._start_vertex(h)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_echelon", echelon)
+            patch.setattr(linalg, "kernel_line", refuse)
+            patch.setattr(polyhedron, "kernel_line", refuse)
+            patch.setattr(polyhedron, "_cone_edges", refuse)
+            v = enumerate_vertices_pivoting(h, start=start)
+        assert len(v.vertices) == vertices
+        assert set(active_counts(h, v.vertices)) == {h.dim}
+        assert eliminations == [h.dim]
+        eliminations.clear()
+
+
+def fresh_dictionary(h):
+    """A function from a simple vertex of h to its dictionary built afresh
+    by `scaled_inverse`, over the rows as the walk scales them."""
+    rows = [integer_row([*a, b]) for a, b in h.rows]
+    a_rows = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+
+    def fresh(point):
+        num, den = point
+        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+        act = [i for i, s in enumerate(slack) if not s]
+        assert len(act) == h.dim
+        return polyhedron._dictionary(a_rows, slack, point, act)
+
+    return fresh
+
+
+def test_exchange_step_gives_the_dictionary_built_afresh():
+    # from each simple vertex, step along every edge blocked by one row and
+    # compare the exchanged dictionary with one built by `scaled_inverse`
+    # on the new basis: the same rhs and divisor, and the same edge columns
+    # up to their order, which follows the basis positions
+    cases = [tight_span_hrep(thrackle_metric(5)), dwarfed_cube(5)[1],
+             projective_closure(dwarfed_cube(4)[1]).closure, fractional_rows(),
+             tropical_hrep(cyclic_matrix(4, 4))]
+    steps = 0
+    for h in cases:
+        d, m = h.dim, len(h.rows)
+        fresh = fresh_dictionary(h)
+        start = polyhedron._reduced(*polyhedron._start_vertex(h)[0])
+        stack, seen = [(start, fresh(start))], {start}
+        while stack:
+            point, (cols, delta) = stack.pop()
+            assert polyhedron._reduced(cols[0][m:], delta) == point
+            for j in range(1, d + 1):
+                r, ties = polyhedron._column_ratio(cols[0], cols[j], m)
+                if r is None or ties > 1:
+                    continue
+                new_cols, new_delta = linalg.exchange(cols, j, r, delta)
+                nxt = polyhedron._reduced(new_cols[0][m:], new_delta)
+                want_cols, want_delta = fresh(nxt)
+                assert new_delta == want_delta
+                assert new_cols[0] == want_cols[0]
+                assert sorted(new_cols[1:]) == sorted(want_cols[1:])
+                steps += 1
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, (new_cols, new_delta)))
+    assert steps > 150
+
+
+def walk_charges(h):
+    """The budget the reference walk uses on h: the total it charges."""
+    total = 0
+
+    def counting(budget, what):
+        charge = polyhedron.meter(budget, what)
+
+        def count(units):
+            nonlocal total
+            total += units
+            charge(units)
+
+        return count
+
+    with mock.patch.object(oracles, "meter", counting):
+        reference_integer_walk(h)
+    return total
+
+
+def through_a_vertex(rng, h, count):
+    """h with `count` random rows added through its start vertex, which
+    stays a vertex and becomes degenerate."""
+    num, den = polyhedron._start_vertex(h)[0]
+    rows = list(h.rows)
+    for _ in range(count):
+        a = [rng.randint(-3, 3) for _ in range(h.dim)]
+        if any(a):
+            rows.append((a, Fraction(sum(map(mul, a, num)), den)))
+    return HRep.from_rows(h.dim, rows)
+
+
+TROPICAL_WALKS = [tropical_hrep(cyclic_matrix(3, 3)), tropical_hrep(cyclic_matrix(3, 4)),
+                  tropical_hrep(permutohedron_matrix(3)),
+                  projective_closure(tropical_hrep(cyclic_matrix(3, 3))).closure,
+                  square_pyramid()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.one_of(
+    st.tuples(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 6), st.integers(0, 3)),
+    st.sampled_from(range(len(TROPICAL_WALKS)))))
+def test_walk_matches_reference_walk_and_its_budget(case):
+    # random pointed H-reps, some with rows through a shared vertex, and
+    # degenerate tropical polyhedra: the same V-rep as the walk without a
+    # dictionary, and the same budget use, w passing and w - 1 raising
+    if isinstance(case, int):
+        h = TROPICAL_WALKS[case]
+    else:
+        seed, d, extra, through = case
+        rng = random.Random(seed)
+        h = through_a_vertex(rng, random_pointed_hrep(rng, d, extra), through)
+    work = walk_charges(h)
+    want = reference_integer_walk(h, work)
+    assert enumerate_vertices_pivoting(h, work) == want
+    for walk in (enumerate_vertices_pivoting, reference_integer_walk):
+        with pytest.raises(BudgetExceededError, match=f"pivot enumeration \\(budget {work - 1}\\)"):
+            walk(h, work - 1)
 
 
 def counting_lp(monkeypatch):

@@ -38,9 +38,13 @@ class Metric:
         return self.entries[key]
 
     def check_triangle(self) -> bool:
+        """d(i, j) <= d(i, k) + d(k, j) for all i, j, k.  It holds when any
+        two of them are equal, and d is symmetric, so each pair i < j is
+        tested against each other k once."""
         pts = range(1, self.d + 1)
-        return all(self.dist(i, j) <= self.dist(i, k) + self.dist(k, j)
-                   for i in pts for j in pts for k in pts)
+        dist = self.dist
+        return all(dist(i, j) <= dist(i, k) + dist(k, j)
+                   for i, j in itertools.combinations(pts, 2) for k in pts if k != i and k != j)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from operator import and_, getitem, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .linalg import integer_row
 from .linalg import rank  # noqa: F401  (perfbench's tracer wraps incidence.rank)
 from .polyhedron import HRep, VRep
 from .rational import format_point
@@ -171,8 +170,7 @@ def compute_incidences(h: HRep, v: VRep) -> IncidenceMatrix:
     if not v.points:
         raise InputError("V-rep has no vertex")
     masks = []
-    for a, b in h.rows:
-        *a_int, b_int = integer_row([*a, b])
+    for *a_int, b_int in h.integer_rows:
         mask = 0
         for i, (num, den) in enumerate(v.points):
             slack = b_int * den - sum(map(mul, a_int, num))

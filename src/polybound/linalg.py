@@ -6,11 +6,14 @@ integer-preserving Gauss-Jordan step of Edmonds ("Systems of distinct
 representatives and linear algebra", J. Res. NBS 71B, 1967), which is the
 Gauss-Jordan form of Bareiss's fraction-free elimination (Math. Comp. 22,
 1968): rows hold integers over one common divisor det, and every pivot
-entry equals det.  `_echelon` drives it over the columns in order for
-`rank`, `nullspace`, `kernel_vector` (and so `kernel_line`),
-`scaled_inverse` and the start vertex of `polyhedron`; the simplex
-tableau in `lp` pivots with it directly, and `exchange` runs it on the
-columns of the pivot walk's dictionary.  Rational rows, those of H-reps
+entry equals det.  A unit pivot, one equal to det already, rewrites only
+the rows it eliminates and only where the pivot row is nonzero, which
+saves work on the sparse simplex tableau.  `_echelon` drives
+it over the columns in order for `rank`, `nullspace`, `kernel_vector`
+(and so `kernel_line`), `scaled_inverse` and the start vertex of
+`polyhedron`; the compact simplex tableau in `lp` pivots with it
+directly, and `exchange` runs it on the columns of the pivot walk's
+dictionary.  Rational rows, those of H-reps
 and of the LP, reach it through `integer_row` or `common_denominator`, a
 positive scaling, which leaves the rref unchanged; points need no such
 step, since they are integer vectors over one denominator throughout.
@@ -41,8 +44,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
-
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -51,12 +52,6 @@ ONE = Fraction(1)
 
 def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(v) for v in values)
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise InputError("dimension mismatch in dot product")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 def common_denominator(values: Sequence) -> tuple[list[int], int]:
@@ -85,16 +80,28 @@ def _pivot(rows: list, r: int, col: int, det: int) -> int:
     the division is exact because every entry is, up to sign, a minor of
     the rows the elimination started from.  Row r is kept.  Rows are
     replaced, never mutated, so callers may pass rows they share.
+
+    A unit pivot, p == det, leaves the divisor as it is: rows with f = 0
+    stay, and row i becomes row_i - f*row_r // det, which changes it only
+    where row r is nonzero.
     """
     pivot_row = rows[r]
     p = pivot_row[col]
+    if p == det:
+        support = [(k, y) for k, y in enumerate(pivot_row) if y]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row = rows[i] = list(row)
+                for k, y in support:
+                    row[k] -= f * y // det
+        return p
     for i, row in enumerate(rows):
         f = row[col]
-        if f:
-            if i != r:
-                rows[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
-        elif p != det:
+        if not f:
             rows[i] = [p * x // det for x in row]
+        elif i != r:
+            rows[i] = [(p * x - f * y) // det for x, y in zip(row, pivot_row)]
     return p
 
 

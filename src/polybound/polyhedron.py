@@ -1,13 +1,16 @@
 """Polyhedron representations and vertex enumeration.
 
-An `HRep` is a system of inequalities a.x <= b with `Fraction` entries; a
-`VRep` lists vertices and (normalized) extreme ray directions, each held
-as lrs holds a point (Avis 2000): an integer numerator vector over one
-positive denominator, a `Point`.  `projective_closure` turns a pointed
+An `HRep` is a system of inequalities a.x <= b with `Fraction` entries,
+and `HRep.integer_rows` is their one integer form, computed once and read
+by every step below that works in integers; a `VRep` lists vertices and
+(normalized) extreme ray directions, each held as lrs holds a point (Avis
+2000): an integer numerator vector over one positive denominator, a
+`Point`.  `projective_closure` turns a pointed
 unbounded polyhedron into a projectively equivalent polytope inside the
 standard simplex, with the directions of unboundedness realized on the
 hyperplane sum(x) = 1; its transform, its rows and its point and ray maps
-are computed in integers, and the maps take and return `Point`s.
+are computed in integers, and the maps take and return `Point`s.  The
+closure's integer rows are the ones it is built from.
 
 Three enumerators are provided:
 
@@ -49,13 +52,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalError
-from .linalg import (ZERO, Vector, _echelon, as_vector, common_denominator, dot, exchange,
-                     integer_row, kernel_line, ratio_step, scaled_inverse)
+from .linalg import (Vector, _echelon, as_vector, common_denominator, exchange, integer_row,
+                     kernel_line, ratio_step, scaled_inverse)
 # perfbench's tracer wraps polyhedron.rank and polyhedron.nullspace
 from .linalg import nullspace, rank  # noqa: F401
 from .lp import LpStatus, lp_solve
@@ -105,6 +109,13 @@ class HRep:
 
     def rhs(self) -> list[Fraction]:
         return [b for _, b in self.rows]
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row as `integer_row([*a, b])`: coprime integers, a positive
+        multiple of the row.  Computed once, and read by every integer
+        consumer of the rows."""
+        return tuple(tuple(integer_row([*a, b])) for a, b in self.rows)
 
 
 def numerators_over_lcm(points: Sequence[Point]) -> list[tuple[int, ...]]:
@@ -238,34 +249,37 @@ def projective_closure(h: HRep) -> ClosureResult:
     inv_cols = list(zip(*inv))
     shift, t = v
     new_rows = []
-    for a, bi in h.rows:
-        *a_int, b_int = integer_row([*a, bi])
+    for *a_int, b_int in h.integer_rows:
         beta = delta * (t * b_int - sum(map(mul, a_int, shift)))
         row = [t * rho_den * sum(map(mul, a_int, col)) + beta for col in inv_cols]
-        new_rows.append(integer_row([*row, beta]))
-    new_rows.append([1] * (d + 1))
+        new_rows.append(tuple(integer_row([*row, beta])))
+    new_rows.append((1,) * (d + 1))
     closure = HRep.from_rows(d, [(row[:-1], row[-1]) for row in new_rows])
+    # new_rows are already `integer_row`'s form of the closure's rows
+    vars(closure)["integer_rows"] = tuple(new_rows)
     return ClosureResult(closure, v, rho, rho_den)
 
 
 def _start_vertex(h: HRep) -> tuple[Point, list[Vector]]:
     """A vertex of h, found by one feasibility LP, as a reduced `Point`,
     and a dual basis there: the first rows active at the vertex, in input
-    order, that are independent of the rows before them.  Errors: "empty polyhedron" when
-    infeasible, "not pointed" when the feasible point found lies on fewer
-    than d independent rows (h then contains a line and has no vertex)."""
-    out = lp_solve(h.coefficient_rows(), h.rhs(), [ZERO] * h.dim)
+    order, that are independent of the rows before them, read off integer
+    slacks of h's `integer_rows` at the `Point`.  Errors: "empty
+    polyhedron" when infeasible, "not pointed" when the feasible point
+    found lies on fewer than d independent rows (h then contains a line
+    and has no vertex)."""
+    out = lp_solve(h.coefficient_rows(), h.rhs(), [0] * h.dim)
     if out.status is LpStatus.INFEASIBLE:
         raise InputError("empty polyhedron")
-    start = out.point
-    active = [a for a, bi in h.rows if dot(a, start) == bi]
+    num, den = common_denominator(out.point)
+    rows = h.integer_rows
+    active = [i for i, (*a, b) in enumerate(rows) if b * den == sum(map(mul, a, num))]
     # the independent rows are the pivot columns of the active rows laid
     # out as columns
-    _, pivots, _ = _echelon([integer_row(col) for col in zip(*active)])
+    _, pivots, _ = _echelon([list(col) for col in zip(*(rows[i][:-1] for i in active))])
     if len(pivots) < h.dim:
         raise InputError("not pointed")
-    nums, den = common_denominator(start)
-    return (tuple(nums), den), [active[j] for j in pivots]
+    return (tuple(num), den), [h.rows[active[j]][0] for j in pivots]
 
 
 def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
@@ -286,7 +300,7 @@ def enumerate_vertices_bruteforce(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep
     if comb(m + 1, d) > budget:
         raise BudgetExceededError(
             f"instance too large for brute force: C({m + 1},{d}) subsets exceed budget {budget}")
-    eqs = [integer_row([*a, -b]) for a, b in h.rows]
+    eqs = [(*row[:-1], -row[-1]) for row in h.integer_rows]
     a_rows = [eq[:-1] for eq in eqs]
     points = set()
     for subset in itertools.combinations(eqs, d):
@@ -332,7 +346,7 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     d = h.dim
     if start is None:
         start, _ = _start_vertex(h)
-    rows = [integer_row([*a, b]) for a, b in h.rows]
+    rows = h.integer_rows
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
     m = len(rows)
@@ -519,7 +533,7 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     `_simple_edges`, and `ratio_step` finds each edge's other end.
     """
     d = h.dim
-    rows = [integer_row([*a, b]) for a, b in h.rows]
+    rows = h.integer_rows
     a_rows = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
     c = [sum(col) for col in zip(*a_rows)]

@@ -6,7 +6,11 @@ in integers: a reduced row echelon form, the projective closure with its
 point and ray maps, the LP's vertex purification with its ratio test, and
 reverse search.  They share with the library only the start vertex, the
 LP that finds a first point and the normalization of their output
-(`integer_row`, `VRep.build`).  The V-rep's own order and ray
+(`integer_row`, `VRep.build`).  That LP and that start vertex have their
+`Fraction` forms too: `reference_lp_solve` pivots the full two-phase
+tableau, a column for every variable, where `lp_solve` stores only the
+columns that are no other column's negation, and `reference_start_vertex`
+finds the active rows with `Fraction` dot products.  The V-rep's own order and ray
 normalization have their `Fraction` form here too, `reference_vrep`:
 the library holds points as integer numerator vectors over one
 denominator and sorts them by an integer key.  Reverse search here runs
@@ -44,13 +48,19 @@ from operator import mul
 from polybound.bounded import covers, facet_set
 from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask
-from polybound.linalg import ONE, ZERO, as_vector, dot, integer_row, ratio_step
-from polybound.lp import LpStatus, lp_solve
+from polybound.linalg import ONE, ZERO, as_vector, common_denominator, integer_row, ratio_step
+from polybound.lp import LpOutcome, LpStatus, lp_solve
 from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, _cone_edges, _reduced,
                                   _simple_edges, _start_vertex, meter)
 
 
 # -- linear algebra over Fractions ------------------------------------------
+def dot(a, b):
+    """The dot product of two rational vectors of one length."""
+    assert len(a) == len(b), "dimension mismatch in dot product"
+    return sum((x * y for x, y in zip(a, b)), ZERO)
+
+
 def reference_rref(a):
     """Reduced row echelon form over Fractions, one row operation at a
     time: (rows, pivot columns).  The oracle for the integer elimination."""
@@ -219,6 +229,112 @@ def purify_to_vertex(rows, b, c, x):
             x = [xi - t_bwd * vi for xi, vi in zip(x, v)]
             continue
         return tuple(x)
+
+
+# -- the start-vertex LP ----------------------------------------------------------
+def _fraction_pivot(rows, r, col, leaving):
+    """Scale row r to a 1 in `col` and clear `col` from every other row."""
+    leaving.append(r)
+    inv = 1 / rows[r][col]
+    pivot_row = rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+
+
+def _fraction_simplex(tableau, basis, costs, leaving):
+    while True:
+        entering = next((j for j, cj in enumerate(costs)
+                         if cj - sum(costs[var] * row[j] for var, row in zip(basis, tableau)) > 0),
+                        -1)
+        if entering < 0:
+            return "optimal"
+        leave, best = -1, None
+        for i, row in enumerate(tableau):
+            if row[entering] > 0:
+                ratio = row[-1] / row[entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            return "unbounded"
+        _fraction_pivot(tableau, leave, entering, leaving)
+        basis[leave] = entering
+
+
+def reference_lp_solve(a, b, c, leaving=None):
+    """The two-phase Bland simplex over Fractions on the full tableau: a
+    column for each of u and w in x = u - w, for each slack and for each
+    artificial, where `lp_solve` stores only u and the slacks, in integers,
+    and reads w and the artificials off them with a sign.  Then the
+    Fraction purification with its `ray_step` ratio test.  `leaving`, when
+    given, gets the tableau row of each pivot appended, in order, those
+    that expel artificials included."""
+    leaving = [] if leaving is None else leaving
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    obj = [Fraction(x) for x in c]
+    m, d = len(rows), len(obj)
+    base_cols = 2 * d + m
+    art_cols = []
+    ncols = base_cols + sum(1 for bi in rhs if bi < 0)
+    tableau, basis = [], []
+    for i, (row, bi) in enumerate(zip(rows, rhs)):
+        t = row + [-x for x in row] + [Fraction(int(i == j)) for j in range(m)]
+        t += [Fraction(0)] * (ncols - base_cols) + [bi]
+        if bi < 0:
+            t = [-x for x in t]
+            art_cols.append(base_cols + len(art_cols))
+            t[art_cols[-1]] = Fraction(1)
+            basis.append(art_cols[-1])
+        else:
+            basis.append(2 * d + i)
+        tableau.append(t)
+    if art_cols:
+        _fraction_simplex(tableau, basis, [Fraction(-(j in art_cols)) for j in range(ncols)],
+                          leaving)
+        if any(row[-1] for row, var in zip(tableau, basis) if var in art_cols):
+            return LpOutcome(LpStatus.INFEASIBLE)
+        i = 0
+        while i < len(tableau):
+            if basis[i] in art_cols:
+                col = next((j for j in range(base_cols) if tableau[i][j]), None)
+                if col is None:
+                    del tableau[i], basis[i]
+                    continue
+                _fraction_pivot(tableau, i, col, leaving)
+                basis[i] = col
+            i += 1
+    tableau = [row[:base_cols] + row[-1:] for row in tableau]
+    if _fraction_simplex(tableau, basis, obj + [-x for x in obj] + [Fraction(0)] * m,
+                         leaving) == "unbounded":
+        return LpOutcome(LpStatus.UNBOUNDED)
+    x = [Fraction(0)] * d
+    for row, var in zip(tableau, basis):
+        if var < d:
+            x[var] += row[-1]
+        elif var < 2 * d:
+            x[var - d] -= row[-1]
+    point = tuple(x)
+    if d:
+        point = purify_to_vertex(rows, rhs, obj, point)
+    return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
+
+
+def reference_start_vertex(h: HRep):
+    """`polyhedron._start_vertex` over Fractions: the vertex that
+    `reference_lp_solve` finds, as a reduced `Point`, and the first rows
+    active there that are independent of the rows before them, found from
+    `Fraction` dot products."""
+    out = reference_lp_solve(h.coefficient_rows(), h.rhs(), [ZERO] * h.dim)
+    if out.status is LpStatus.INFEASIBLE:
+        raise InputError("empty polyhedron")
+    start = out.point
+    active = [a for a, bi in h.rows if dot(a, start) == bi]
+    _, pivots = reference_rref([list(col) for col in zip(*active)])
+    if len(pivots) < h.dim:
+        raise InputError("not pointed")
+    return _reduced(*common_denominator(start)), [active[j] for j in pivots]
 
 
 # -- the pivot walk --------------------------------------------------------------

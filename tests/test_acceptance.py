@@ -12,12 +12,11 @@ from statistics import mean
 import pytest
 
 from conftest import instance, random_pointed_hrep
-from oracles import faces, vertex_poset
+from oracles import dot, faces, vertex_poset
 from polybound.bounded import (filter_bounded, full_face_lattice,
                                relabel_vertices, selective_generation)
 from polybound.fvector import f_vector_simple
 from polybound.incidence import restrict_to_near
-from polybound.linalg import dot
 from polybound.lp import LpStatus, lp_solve
 from polybound.moebius import moebius_generation
 from polybound.pipeline import closure_data, run_pipeline

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,10 +42,27 @@ def test_thrackle_metric_3_is_constant_2():
     assert all(m.dist(i, j) == 2 for i in (1, 2, 3) for j in (1, 2, 3) if i != j)
 
 
+def all_triples_triangle(m):
+    pts = range(1, m.d + 1)
+    return all(m.dist(i, j) <= m.dist(i, k) + m.dist(k, j)
+               for i in pts for j in pts for k in pts)
+
+
 def test_thrackle_metric_values():
     m = thrackle_metric(4)
     assert m.dist(1, 2) == 3 and m.dist(1, 3) == 4 and m.dist(1, 4) == 3
     assert m.check_triangle()
+    # checking each pair once against every other point decides as all
+    # triples do, on metrics that hold and on ones that violate it
+    metrics = [thrackle_metric(d) for d in range(3, 9)] + [random_metric(6, s) for s in range(3)]
+    rng = random.Random(3)
+    for _ in range(300):
+        d = rng.randint(3, 6)
+        metrics.append(Metric(d, {(i, j): Fraction(rng.randint(1, 12), rng.randint(1, 3))
+                                  for i in range(1, d + 1) for j in range(i + 1, d + 1)}))
+    verdicts = [m.check_triangle() for m in metrics]
+    assert verdicts == [all_triples_triangle(m) for m in metrics]
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 20
 
 
 def test_random_metric_deterministic_and_in_range():

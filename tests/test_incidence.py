@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (cube3, instance, quadrant, random_pointed_hrep, ray, segment,
                       square_pyramid, strip, unit_square)
-from oracles import as_fractions, reference_polytope_edges
+from oracles import as_fractions, dot, reference_polytope_edges
 from polybound import bounded, formats
 from polybound.bounded import polytope_edges
 from polybound.errors import InputError
@@ -16,7 +16,7 @@ from polybound.generators import dwarfed_cube
 from polybound.incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
                                  indices_from_mask, is_simple, mask_from_indices,
                                  restrict_to_near)
-from polybound.linalg import dot, rank
+from polybound.linalg import rank
 from polybound.pipeline import closure_data
 from polybound.polyhedron import (HRep, VRep, enumerate_vertices_bruteforce,
                                   projective_closure)

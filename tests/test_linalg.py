@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from oracles import reference_inverse, reference_nullspace, reference_rref
-from polybound.linalg import (_echelon, dot, integer_row, kernel_line, kernel_vector, nullspace,
+from oracles import dot, reference_inverse, reference_nullspace, reference_rref
+from polybound.linalg import (_echelon, integer_row, kernel_line, kernel_vector, nullspace,
                               rank, scaled_inverse)
 
 

@@ -3,12 +3,13 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pointed_hrep
-from oracles import bounded_generic_objective, purify_to_vertex, ray_step
+from oracles import bounded_generic_objective, dot, purify_to_vertex, ray_step, reference_lp_solve
 from polybound import lp
 from polybound.errors import InputError
-from polybound.linalg import dot, ratio_step
+from polybound.linalg import ratio_step
 from polybound.lp import LpOutcome, LpStatus, lp_solve
 from polybound.polyhedron import HRep, enumerate_vertices_bruteforce
 
@@ -135,87 +136,6 @@ def _random_bounded_lp(rng, d):
     return a, b, c
 
 
-def _fraction_pivot(rows, r, col):
-    """Scale row r to a 1 in `col` and clear `col` from every other row."""
-    inv = 1 / rows[r][col]
-    pivot_row = rows[r] = [x * inv for x in rows[r]]
-    for i, row in enumerate(rows):
-        f = row[col]
-        if f and i != r:
-            rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
-
-
-def _fraction_simplex(tableau, basis, costs):
-    while True:
-        entering = next((j for j, cj in enumerate(costs)
-                         if cj - sum(costs[var] * row[j] for var, row in zip(basis, tableau)) > 0),
-                        -1)
-        if entering < 0:
-            return "optimal"
-        leave, best = -1, None
-        for i, row in enumerate(tableau):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave < 0:
-            return "unbounded"
-        _fraction_pivot(tableau, leave, entering)
-        basis[leave] = entering
-
-
-def reference_lp_solve(a, b, c):
-    """The two-phase Bland simplex with its tableau over Fractions, column
-    for column the tableau `lp_solve` holds in integers, and the Fraction
-    purification with its `ray_step` ratio test."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    rhs = [Fraction(x) for x in b]
-    obj = [Fraction(x) for x in c]
-    m, d = len(rows), len(obj)
-    base_cols = 2 * d + m
-    art_cols = []
-    ncols = base_cols + sum(1 for bi in rhs if bi < 0)
-    tableau, basis = [], []
-    for i, (row, bi) in enumerate(zip(rows, rhs)):
-        t = row + [-x for x in row] + [Fraction(int(i == j)) for j in range(m)]
-        t += [Fraction(0)] * (ncols - base_cols) + [bi]
-        if bi < 0:
-            t = [-x for x in t]
-            art_cols.append(base_cols + len(art_cols))
-            t[art_cols[-1]] = Fraction(1)
-            basis.append(art_cols[-1])
-        else:
-            basis.append(2 * d + i)
-        tableau.append(t)
-    if art_cols:
-        _fraction_simplex(tableau, basis, [Fraction(-(j in art_cols)) for j in range(ncols)])
-        if any(row[-1] for row, var in zip(tableau, basis) if var in art_cols):
-            return LpOutcome(LpStatus.INFEASIBLE)
-        i = 0
-        while i < len(tableau):
-            if basis[i] in art_cols:
-                col = next((j for j in range(base_cols) if tableau[i][j]), None)
-                if col is None:
-                    del tableau[i], basis[i]
-                    continue
-                _fraction_pivot(tableau, i, col)
-                basis[i] = col
-            i += 1
-    tableau = [row[:base_cols] + row[-1:] for row in tableau]
-    if _fraction_simplex(tableau, basis, obj + [-x for x in obj] + [Fraction(0)] * m) == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED)
-    x = [Fraction(0)] * d
-    for row, var in zip(tableau, basis):
-        if var < d:
-            x[var] += row[-1]
-        elif var < 2 * d:
-            x[var - d] -= row[-1]
-    point = tuple(x)
-    if d:
-        point = purify_to_vertex(rows, rhs, obj, point)
-    return LpOutcome(LpStatus.OPTIMAL, point, dot(obj, point))
-
-
 def test_lp_matches_fraction_reference_on_pointed_polyhedra():
     rng = random.Random(29)
     for _ in range(30):
@@ -278,6 +198,70 @@ def test_lp_matches_fraction_reference_on_degenerate_equalities(expel_pivot_sign
     # the sample reaches the negative expel pivot, after which the tableau
     # and its det are negated
     assert False in expel_pivot_signs
+
+
+def random_lp(rng):
+    """Rows, right sides and objective of small ints and Fractions in any
+    signs: empty, unbounded and bounded regions all occur, so do rows with
+    negative right sides, and a third of the objectives are zero."""
+    d, m = rng.randint(1, 4), rng.randint(1, 7)
+
+    def entry():
+        x = rng.randint(-4, 4)
+        return x if rng.random() < 0.5 else Fraction(x, rng.randint(1, 3))
+
+    c = [entry() for _ in range(d)] if rng.random() < 0.67 else [0] * d
+    return [[entry() for _ in range(d)] for _ in range(m)], [entry() for _ in range(m)], c
+
+
+@pytest.fixture
+def leaving_rows(monkeypatch):
+    """The tableau row of each pivot `lp_solve` makes, in order."""
+    leaving = []
+    real_pivot = lp._pivot
+
+    def pivot(rows, r, col, det):
+        leaving.append(r)
+        return real_pivot(rows, r, col, det)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    return leaving
+
+
+def test_lp_pivots_as_the_full_fraction_tableau(expel_pivot_signs, leaving_rows):
+    # the compact integer tableau makes the pivots of the full Fraction one:
+    # the same outcome and the same leaving row at every pivot, phase I,
+    # the expelling of artificials and phase II alike
+    statuses = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.integers(0, 2**32), st.booleans())
+    def check(seed, degenerate):
+        rng = random.Random(seed)
+        a, b, c = degenerate_lp(rng, rng.randint(2, 4)) if degenerate else random_lp(rng)
+        want = []
+        out = reference_lp_solve(a, b, c, want)
+        del leaving_rows[:]
+        assert lp_solve(a, b, c) == out
+        assert leaving_rows == want
+        statuses.add(out.status)
+
+    check()
+    assert statuses == set(LpStatus)
+    assert False in expel_pivot_signs
+
+
+def test_lp_reenters_an_artificial(leaving_rows):
+    # phase I pivots the artificial of row 3 back in after it has left, and
+    # expelling it ends phase I: in the compact tableau, a pivot on minus
+    # row 3's slack column
+    a = [[1, -1], [1, 1], [0, -1], [-2, -1]]
+    b = [-3, 3, 2, -3]
+    want = []
+    out = lp_solve(a, b, [0, 0])
+    assert out == reference_lp_solve(a, b, [0, 0], want)
+    assert out.point == (0, 3)
+    assert leaving_rows == want == [3, 3, 1, 0, 0]
 
 
 def test_lp_scales_the_system_by_one_denominator():

@@ -44,3 +44,15 @@ def test_tracer_counts_every_covers_call():
     assert counts["moebius.covers_calls"] == 42
     assert counts["filter.covers_calls"] == 263
     assert counts["bounded.lattice_faces"] == 264
+
+
+def test_tracer_times_the_one_start_vertex_lp():
+    # the closure finds its start vertex by one LP, which the walk reuses;
+    # the tracer counts and times it through polyhedron.lp_solve
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pipeline.run_pipeline("thrackle", (5,))
+    metrics = tracer.metrics()
+    assert metrics["lp.calls"] == (1, "count")
+    assert metrics["lp.s"][0] > 0

@@ -14,11 +14,12 @@ from polybound.generators import (cyclic_matrix, dwarfed_cube, permutohedron_mat
                                   thrackle_metric, tight_span_hrep, tropical_hrep)
 import oracles
 from polybound import linalg, pipeline, polyhedron
-from oracles import (ObjectiveError, as_fractions, bounded_generic_objective, normalize_ray,
-                     ray_step, reference_closure, reference_integer_walk, reference_nullspace,
-                     reference_reverse_search, reference_vrep)
+from oracles import (ObjectiveError, as_fractions, bounded_generic_objective, dot,
+                     normalize_ray, ray_step, reference_closure, reference_integer_walk,
+                     reference_nullspace, reference_reverse_search, reference_start_vertex,
+                     reference_vrep)
 from polybound.errors import PolyboundError
-from polybound.linalg import (ZERO, as_vector, common_denominator, dot, integer_row, rank,
+from polybound.linalg import (ZERO, as_vector, common_denominator, integer_row, rank,
                               ratio_step)
 from polybound.lp import LpStatus, lp_solve
 from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep,
@@ -117,6 +118,9 @@ def test_closure_matches_fraction_reference():
     for h, v in cases:
         clo, ref = projective_closure(h), reference_closure(h)
         assert clo.closure == ref.closure
+        # the integer form the closure is built with is the one its rows give
+        assert clo.closure.integer_rows == tuple(tuple(integer_row([*a, b]))
+                                                 for a, b in ref.closure.rows)
         assert as_fractions(clo.translation) == ref.translation
         assert [tuple(Fraction(x, clo.rho_den) for x in row) for row in clo.rho] == list(ref.rho)
         assert ([as_fractions(clo.map_point(x)) for x in v.points]
@@ -577,6 +581,71 @@ def test_one_start_vertex_lp_per_instance(monkeypatch):
     del calls[:]
     reverse_search_vertices(dwarfed_cube(4)[1])
     assert len(calls) == 1
+
+
+def random_hrep(rng, d, m, line, empty):
+    """Random rows of small ints and Fractions in any signs; with `line`
+    all of them are 0 in one coordinate, so no vertex exists, and with
+    `empty` a pair a.x <= b, -a.x <= -b - 1 makes the region empty."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    rows = [([entry() for _ in range(d)], entry()) for _ in range(m)]
+    if empty:
+        a = [entry() for _ in range(d)]
+        rows += [(a, 0), ([-x for x in a], -1)]
+    if line:
+        j = rng.randrange(d)
+        for a, _ in rows:
+            a[j] = 0
+    return HRep.from_rows(d, rows)
+
+
+START_ROSTER = ([("thrackle", (d,)) for d in range(3, 9)] + [("random-metric", (6, 1))]
+                + [("dwarfed-cube", (d,)) for d in (5, 10)] + [("tropical-cyclic", (4, 4))])
+
+
+def start_outcome(find, h):
+    """find(h), or the message of the InputError it raises."""
+    try:
+        return find(h)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_start_vertex_matches_fraction_reference():
+    # the vertex and its basis, or the error, found through the compact
+    # integer tableau and integer slacks equal those found through the
+    # full Fraction tableau and Fraction dot products: on random, pointed
+    # (some degenerate at the start), non-pointed and empty H-reps, and on
+    # the benchmark instances and their closures
+    seen = set()
+
+    def check(h):
+        want = start_outcome(reference_start_vertex, h)
+        assert start_outcome(polyhedron._start_vertex, h) == want
+        seen.add(want if isinstance(want, str) else "vertex")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(
+        st.tuples(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 6), st.integers(0, 3)),
+        st.tuples(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 6), st.booleans(),
+                  st.booleans())))
+    def check_random(case):
+        rng = random.Random(case[0])
+        if len(case) == 4:
+            _, d, extra, through = case
+            check(through_a_vertex(rng, random_pointed_hrep(rng, d, extra), through))
+        else:
+            _, d, m, line, empty = case
+            check(random_hrep(rng, d, m + 1, line, empty))
+
+    check_random()
+    assert seen == {"vertex", "empty polyhedron", "not pointed"}
+    for family, params in START_ROSTER:
+        _, h, clo, _, _ = instance(family, *params)
+        check(h)
+        check(clo.closure)
 
 
 def test_reverse_search_square():

@@ -19,22 +19,23 @@ positive scaling, which leaves the rref unchanged; points need no such
 step, since they are integer vectors over one denominator throughout.
 
 `scaled_inverse` reads delta*B^-1 off one elimination of [B | I].  It is
-the closure transform's inverse, and it gives the edges of a simple
-vertex in reverse search, one column per active row; at a degenerate
-vertex of the walk it gives the rays of the simplicial cone that double
-description starts from.  The pivot walk inverts once where it starts
-and carries the result as lrs's dictionary, each step to a neighbour one
-`exchange`, the same step as `_pivot` on the dictionary's columns.
-`kernel_line` is behind brute force, which reads a candidate vertex off
-the kernel of d rows [a, -b] and a candidate ray off that of d-1
-coefficient rows a; the walk does not use it.
+the closure transform's inverse, and it gives lrs's dictionary at a
+simple vertex, one edge column per active row; at a degenerate vertex of
+the walk it gives the rays of the simplicial cone that double
+description starts from.  The pivot walk and reverse search invert once
+where they start (the walk again where it meets ties) and carry the
+result as lrs's dictionary, each step to a neighbour one `exchange`, the
+same step as `_pivot` on the dictionary's columns.  `kernel_line` is
+behind brute force, which reads a candidate vertex off the kernel of d
+rows [a, -b] and a candidate ray off that of d-1 coefficient rows a; the
+walk does not use it.
 
 `ratio_step` is the ratio test along a direction: it moves a point held
 as an integer vector over one denominator (a `polyhedron.Point`) along an
-integer direction, comparing slack/(a.v) by cross-multiplying.  Reverse
-search, the LP's vertex purification and the pivot walk at vertices that
-hold no dictionary step with it; a dictionary's edge reads its ratio test
-off its own column instead.
+integer direction, comparing slack/(a.v) by cross-multiplying.  The LP's
+vertex purification and the pivot walk at vertices that hold no
+dictionary step with it; a dictionary's edge reads its ratio test off its
+own column instead.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from statistics import mean, pstdev
 from typing import Optional, Sequence
@@ -20,7 +21,7 @@ from .generators import (cyclic_matrix, dwarfed_cube, permutohedron_matrix,
 # perfbench's tracer wraps pipeline.tropical_vertices
 from .generators import tropical_vertices  # noqa: F401
 from .incidence import (IncidenceMatrix, compute_incidences, far_face_vertices,
-                        restrict_to_near)
+                        indices_from_mask, restrict_to_near)
 from .polyhedron import (DEFAULT_BUDGET, ClosureResult, HRep, VRep,
                          enumerate_vertices_pivoting, projective_closure)
 from . import formats
@@ -107,11 +108,15 @@ def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
     expressed in the closure's vertex indexing.  Each algorithm refuses to
     expand more than `budget` faces.
 
-    Two cheap invariants are checked on every diagram, and a failure
-    raises InternalError naming the algorithm: every arc raises the rank
-    by one, and with a far face attached and no `max_dim` the Euler
-    characteristic sum((-1)^k f_k) is 1, because the faces of a polytope
-    that avoid a proper face form a contractible complex (Hirai 2006)."""
+    Three cheap invariants are checked on every diagram, each failure
+    naming the algorithm: every arc raises the rank by one; with a far face
+    attached and no `max_dim` the Euler characteristic sum((-1)^k f_k) is
+    1, because the faces of a polytope that avoid a proper face form a
+    contractible complex (Hirai 2006); and every interval of length 2 has
+    exactly two faces in between, the diamond property of a polytope's
+    faces (Ziegler, Lectures on Polytopes, Lecture 2).  The first two raise
+    InternalError; the third InputError, as the input checks let through
+    some incidences that are no polytope's."""
     if alg == "selective":
         hd = selective_generation(inc, max_dim, budget)
     elif alg == "filter":
@@ -135,6 +140,15 @@ def bounded_diagram(inc: IncidenceMatrix, alg: str = "selective",
         if euler != 1:
             raise InternalError(f"{alg}: the bounded complex has Euler characteristic {euler}, "
                                 "not 1")
+    down: list[list[int]] = [[] for _ in ranks]
+    for lo, hi in hd.arcs:
+        down[hi].append(lo)
+    counts = Counter((lo, hi) for mid, hi in hd.arcs for lo in down[mid])
+    bad = next((pair for pair, count in counts.items() if count != 2), None)
+    if bad is not None:
+        lo, hi = (list(indices_from_mask(hd.masks[i])) for i in bad)
+        raise InputError(f"{alg}: not a polytope's face lattice: the interval from face {lo} to "
+                         f"face {hi} has {counts[bad]} faces in between, not 2 (diamond property)")
     return hd
 
 

@@ -29,12 +29,15 @@ Three enumerators are provided:
   rows, ties broken by x_1, ..., x_d); an edge whose ratio test never
   blocks is a ray.
 
-The walk and reverse search run in integers: integer rows, `Point`s,
-edges read off one Bareiss elimination (`linalg.scaled_inverse`) and
-combined in integers at a degenerate vertex, and the ratio test
-`linalg.ratio_step`.  The walk carries the elimination from a simple
-vertex to its simple neighbours by fraction-free exchange steps
-(`linalg.exchange`), so it inverts only where it starts or meets ties.
+The walk and reverse search run in integers, on integer rows and
+`Point`s, and handle a simple vertex one way: lrs's dictionary,
+`_dictionary`.  It is read off one Bareiss elimination
+(`linalg.scaled_inverse`) and carried to a neighbour by one
+fraction-free exchange step (`linalg.exchange`); each edge's ratio test
+is read off its column (`_column_ratio`).  Reverse search inverts once,
+at its start vertex, and the walk where it starts or meets ties.  At a
+degenerate vertex the walk combines the edges of a simplicial cone in
+integers and steps along each with the ratio test `linalg.ratio_step`.
 All three enumerators build their `VRep` from integer points and
 directions; only its `vertices` and `rays` views are `Fraction`s.
 
@@ -338,10 +341,9 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     A neighbour of a simple vertex blocked by one row is simple too and
     gets its dictionary from its parent's by one fraction-free exchange
     step, `linalg.exchange`.  Any other vertex (the start, those reached
-    with ties) gets one integer slack vector b*den - a.num, which gives its
-    active rows and, when they are d independent ones, its dictionary by
-    one `scaled_inverse`; otherwise `ratio_step` steps along each of its
-    `_cone_edges`.
+    with ties) gets its slacks, active rows and, when simple, dictionary
+    afresh from `_dictionary`; otherwise `ratio_step` steps along each of
+    its `_cone_edges`.
     """
     d = h.dim
     if start is None:
@@ -363,13 +365,10 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
         if step is not None:
             cols, delta = exchange(*step)
         else:
-            num, den = point
-            slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+            slack, act, found = _dictionary(a_rows, b, point)
             # only the start can violate a row: the others are reached by ratio tests
             if min(slack) < 0:
                 raise InputError("start point is not a vertex")
-            act = [i for i, s in enumerate(slack) if not s]
-            found = _dictionary(a_rows, slack, point, act) if len(act) == d else None
             if found is None:
                 for v in _cone_edges(a_rows, act, charge):
                     nxt, _ = ratio_step(a_rows, slack, point, v)
@@ -399,30 +398,32 @@ def enumerate_vertices_pivoting(h: HRep, budget: int = DEFAULT_BUDGET,
     return VRep.from_integers(d, visited, rays)
 
 
-def _dictionary(a_rows: Sequence[Sequence[int]], slack: Sequence[int], point: Point,
-                act: Sequence[int]) -> Optional[tuple[list[list[int]], int]]:
-    """lrs's integer dictionary at a vertex whose d active rows `act` are
-    independent, as (columns, delta); None when they are not.
+def _dictionary(a_rows: Sequence[Sequence[int]], b: Sequence[int], point: Point
+                ) -> tuple[list[int], list[int], Optional[tuple[list[list[int]], int]]]:
+    """A vertex's integer slack vector b*den - a.num, its active rows `act`
+    (those of zero slack, in row order), and lrs's integer dictionary over
+    them as (columns, delta), or None unless they are d independent rows.
 
     With B the active rows and M = delta*B^-1 (delta > 0), column 0 holds
     delta times the slacks b_i - a_i.x of the m rows, then delta*x; column
     k (k = 1..d) holds a_i.M_k for each row i, then -M_k, the edge that
     relaxes row act[k-1] and keeps the others tight.  Along that edge,
     delta*slack_i grows by a_i.M_k and delta*x by -M_k per unit of row
-    act[k-1]'s slack, so a row blocks it where a_i.M_k < 0.  `slack` is
-    the vertex's integer slack vector over its denominator; as delta*x is
-    integral, that denominator divides delta.
+    act[k-1]'s slack, so a row blocks it where a_i.M_k < 0.  As delta*x is
+    integral, the point's denominator divides delta.
     """
-    inv = scaled_inverse([a_rows[i] for i in act])
-    if inv is None:
-        return None
-    inverse, delta = inv
     num, den = point
+    slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
+    act = [i for i, s in enumerate(slack) if not s]
+    inv = scaled_inverse([a_rows[i] for i in act]) if len(act) == len(num) else None
+    if inv is None:
+        return slack, act, None
+    inverse, delta = inv
     scale = delta // den
     cols = [[s * scale for s in slack] + [n * scale for n in num]]
     for col in zip(*inverse):
         cols.append([sum(map(mul, a, col)) for a in a_rows] + [-x for x in col])
-    return cols, delta
+    return slack, act, (cols, delta)
 
 
 def _column_ratio(rhs: Sequence[int], col: Sequence[int], m: int) -> tuple[Optional[int], int]:
@@ -444,33 +445,14 @@ def _column_ratio(rhs: Sequence[int], col: Sequence[int], m: int) -> tuple[Optio
     return best, ties
 
 
-def _simple_edges(a_rows: Sequence[Sequence[int]],
-                  act: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
-    """The edge directions at a vertex whose d active rows `act` are
-    independent, or None when they are not.
-
-    With B the active rows and M = delta*B^-1 (delta > 0), direction j is
-    -column j of M made primitive: a_{act[i]}.v is -delta/g for i = j and
-    0 otherwise, so it is the edge that relaxes row act[j] and keeps the
-    others tight, and it points into the polyhedron without a sign test.
-    """
-    inv = scaled_inverse([a_rows[i] for i in act])
-    if inv is None:
-        return None
-    edges = []
-    for col in zip(*inv[0]):
-        g = gcd(*col)
-        edges.append(tuple(-x // g for x in col))
-    return edges
-
-
 def _cone_edges(a_rows: Sequence[Sequence[int]], act: Sequence[int],
                 charge: Callable[[int], None]) -> list[tuple[int, ...]]:
     """The extreme rays of {v : a_i.v <= 0 for i in act}, by double
     description (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
-    The first d independent rows of `act` make a simplicial cone whose rays
-    are their `_simple_edges`.  Each other row a is then added: the rays
+    The first d independent rows of `act`, B, make a simplicial cone whose
+    rays are the columns of -delta*B^-1 made primitive, each relaxing one
+    row of B.  Each other row a is then added: the rays
     with a.r > 0 go, and each pair (p, n) with a.p > 0 > a.n that is
     adjacent gives the primitive ray (a.p)*n - (a.n)*p, on which a is
     tight.  p and n are adjacent when no third ray is tight on every row
@@ -484,8 +466,9 @@ def _cone_edges(a_rows: Sequence[Sequence[int]], act: Sequence[int],
     if len(pivots) < d:
         raise InputError("start point is not a vertex")
     basis = sum(1 << j for j in pivots)
-    cone = [(v, basis ^ 1 << j)
-            for v, j in zip(_simple_edges(a_rows, [act[j] for j in pivots]), pivots)]
+    inverse, _ = scaled_inverse([a_rows[act[j]] for j in pivots])
+    cone = [(tuple(integer_row([-x for x in col])), basis ^ 1 << j)
+            for col, j in zip(zip(*inverse), pivots)]
     for k in range(len(act)):
         if basis >> k & 1:
             continue
@@ -514,8 +497,8 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     """Vertices and rays of a simple pointed polyhedron by reverse search
     (Avis & Fukuda 1992).
 
-    An edge direction whose ratio test never blocks is a ray.  Raises "not
-    simple" when a visited vertex lies on more than d facets.
+    An edge whose ratio test never blocks is a ray.  Raises "not simple"
+    when a visited vertex lies on more than d rows, a repeated row twice.
 
     The order is fixed: an edge direction v goes up when (c.v, v_1, ...,
     v_d) > 0 lexicographically, with c the sum of h's integer rows.  It is
@@ -523,54 +506,60 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     two vertices tie, and c.r < 0 on every ray r of a pointed polyhedron,
     so every ray goes down and one vertex, the sink, is on top.  The search
     climbs from `_start_vertex` to the sink along the first up edge at each
-    vertex (Bland's rule), then walks the tree of those steps down from it:
-    y is a child of x when the edge x -> y goes down and y's first up edge
-    leads back to x.  The budget is charged d per vertex stepped on, the
-    climb included, as the pivot walk charges.
+    vertex (Bland's rule: the edge relaxing the lowest-index active row),
+    then walks the tree of those steps down from it: y is a child of x
+    when the edge x -> y goes down and y's first up edge leads back to x.
+    The budget is charged d per vertex stepped on, the climb included, as
+    the pivot walk charges.
 
-    It runs in integers, as the pivot walk does: a point is a `Point`, the
-    edges relaxing its d active rows are read off one inverse of them,
-    `_simple_edges`, and `ratio_step` finds each edge's other end.
+    It runs on lrs's dictionary, as the walk does at a simple vertex: one
+    `_dictionary` at the start, one `exchange` per step, each edge's ratio
+    test and ray read off its column.  The step x -> y swaps the row that
+    blocked it in for the row it relaxed, so y's edge back to x is the
+    column just exchanged.
     """
     d = h.dim
     rows = h.integer_rows
     a_rows = [row[:-1] for row in rows]
-    b = [row[-1] for row in rows]
+    m = len(rows)
     c = [sum(col) for col in zip(*a_rows)]
     level = (0,) * (d + 1)
     charge = meter(budget, "reverse search")
 
-    def up(v) -> bool:
-        return (sum(map(mul, c, v)), *v) > level
+    def up(edge) -> bool:
+        return (sum(map(mul, c, edge)), *edge) > level
 
-    def edges_at(point) -> tuple[list[int], list[tuple[int, ...]]]:
-        """The slacks of a vertex and the edges relaxing each of its
-        active rows, in row order: there must be d independent ones."""
-        num, den = point
-        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
-        act = [i for i, s in enumerate(slack) if not s]
-        directions = _simple_edges(a_rows, act) if len(act) == d else None
-        if directions is None:
+    def blocking(cols, j) -> Optional[int]:
+        """The one row that blocks column j; None when it is a ray."""
+        r, ties = _column_ratio(cols[0], cols[j], m)
+        if ties > 1:
             raise InputError("not simple")
-        return slack, directions
+        return r
 
-    def step(point, slack, v):
-        """The other end of edge v, or None when v is a ray."""
-        y, blocking = ratio_step(a_rows, slack, point, v)
-        if blocking > 1:
-            raise InputError("not simple")
-        return y
+    def ascent(vertex) -> Optional[tuple[int, int]]:
+        """The first up column and the row that blocks it; None at the sink."""
+        cols, _, basis = vertex
+        for _, j in basis:
+            if up(cols[j][m:]):
+                return j, blocking(cols, j)
+        return None
 
-    def ascent_neighbor(point):
-        """The other end of the first up edge; None at the sink."""
-        slack, directions = edges_at(point)
-        v = next((v for v in directions if up(v)), None)
-        return None if v is None else step(point, slack, v)
+    def step(vertex, j, r):
+        """The vertex across column j, blocked by row r."""
+        cols, delta, basis = vertex
+        return (*exchange(cols, j, r, delta),
+                sorted((r, k) if k == j else (i, k) for i, k in basis))
 
-    root, _ = _start_vertex(h)
+    start, _ = _start_vertex(h)
     charge(d)
-    while (higher := ascent_neighbor(root)) is not None:
-        root = higher
+    _, act, found = _dictionary(a_rows, [row[-1] for row in rows], start)
+    if found is None:
+        raise InputError("not simple")
+    # a vertex: its dictionary's columns, their divisor, and (row relaxed,
+    # column) pairs in row order
+    root = (*found, list(zip(act, range(1, d + 1))))
+    while (edge := ascent(root)) is not None:
+        root = step(root, *edge)
         charge(d)
 
     vertices = []
@@ -578,13 +567,15 @@ def reverse_search_vertices(h: HRep, budget: int = DEFAULT_BUDGET) -> VRep:
     stack = [root]
     while stack:
         x = stack.pop()
+        cols, delta, basis = x
         charge(d)
-        vertices.append(x)
-        slack, directions = edges_at(x)
-        for v in directions:
-            y = step(x, slack, v)
-            if y is None:
-                rays.add(v)
-            elif not up(v) and ascent_neighbor(y) == x:
-                stack.append(y)
+        vertices.append((cols[0][m:], delta))
+        for _, j in basis:
+            r = blocking(cols, j)
+            if r is None:
+                rays.add(tuple(cols[j][m:]))
+            elif not up(cols[j][m:]):
+                y = step(x, j, r)
+                if ascent(y)[0] == j:
+                    stack.append(y)
     return VRep.from_integers(d, vertices, rays)

@@ -21,8 +21,10 @@ one fixed lexicographic objective, so it has neither.  The integer pivot
 walk is kept as it ran before it carried lrs's dictionary,
 `reference_integer_walk`: one inverse and one full ratio test per edge
 at every vertex, where the library exchanges one dictionary for the
-next.  The closure operator on vertex sets, `closure`, is the meet of
-the facets holding a set; the library's cover search reads meets off
+next.  Its edges of a simple vertex, `_simple_edges`, read off that one
+inverse, also serve the tests' reverse search under an objective.  The
+closure operator on vertex sets, `closure`, is the meet of the facets
+holding a set; the library's cover search reads meets off
 facet keys instead, and reads each vertex's edges off its covers with
 two vertices, where `reference_polytope_edges` closes every vertex pair.
 The tropical vertices are found combinatorially, by propagating w
@@ -42,16 +44,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from polybound.bounded import covers, facet_set
 from polybound.errors import BudgetExceededError, InputError, InternalError
 from polybound.incidence import IncidenceMatrix, indices_from_mask
-from polybound.linalg import ONE, ZERO, as_vector, common_denominator, integer_row, ratio_step
+from polybound.linalg import (ONE, ZERO, as_vector, common_denominator, integer_row, ratio_step,
+                              scaled_inverse)
 from polybound.lp import LpOutcome, LpStatus, lp_solve
 from polybound.polyhedron import (DEFAULT_BUDGET, HRep, VRep, _cone_edges, _reduced,
-                                  _simple_edges, _start_vertex, meter)
+                                  _start_vertex, meter)
 
 
 # -- linear algebra over Fractions ------------------------------------------
@@ -338,6 +341,26 @@ def reference_start_vertex(h: HRep):
 
 
 # -- the pivot walk --------------------------------------------------------------
+def _simple_edges(a_rows, act):
+    """The edge directions at a vertex whose d active rows `act` are
+    independent, or None when they are not, as the library read them
+    before it carried a dictionary.
+
+    With B the active rows and M = delta*B^-1 (delta > 0), direction j is
+    -column j of M made primitive: a_{act[i]}.v is -delta/g for i = j and
+    0 otherwise, so it is the edge that relaxes row act[j] and keeps the
+    others tight, and it points into the polyhedron without a sign test.
+    """
+    inv = scaled_inverse([a_rows[i] for i in act])
+    if inv is None:
+        return None
+    edges = []
+    for col in zip(*inv[0]):
+        g = gcd(*col)
+        edges.append(tuple(-x // g for x in col))
+    return edges
+
+
 def reference_integer_walk(h: HRep, budget: int = DEFAULT_BUDGET,
                            start=None) -> VRep:
     """The integer pivot walk before it carried a dictionary: at every

@@ -133,6 +133,11 @@ BAD_INCIDENCE_FILES = {
     # vertex is a single point, though a polytope with 3 vertices has 2 on
     # each facet and 2 facets at each vertex
     "single-vertex facet rows, far face": "facets 3 vertices 3\n100\n001\n010\nfarface 1\n",
+    # used to exit 0 with a wrong diagram (4 with --verify): its closed sets
+    # are no lattice of a polytope, as [{2}, {1,2,3,4}] has three faces in
+    # between and [{1}, {1,2,3,4}] one
+    "interval of length 2 that is no diamond": "facets 6 vertices 6\n101101\n100111\n101011\n"
+                                                "110000\n011001\n011110\nfarface 5\n",
     "non-integer far face": "facets 1 vertices 2\n11\nfarface x\n",
     "non-integer facet count": "facets x vertices 2\n11\n",
     "non-integer vertex count": "facets 1 vertices 2.5\n11\n",

@@ -456,11 +456,9 @@ def fresh_dictionary(h):
     b = [row[-1] for row in rows]
 
     def fresh(point):
-        num, den = point
-        slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
-        act = [i for i, s in enumerate(slack) if not s]
+        _, act, found = polyhedron._dictionary(a_rows, b, point)
         assert len(act) == h.dim
-        return polyhedron._dictionary(a_rows, slack, point, act)
+        return found
 
     return fresh
 
@@ -683,6 +681,35 @@ def test_reverse_search_obeys_the_budget():
     assert reverse_search_vertices(h, budget=14) == reverse_search_vertices(h)
 
 
+def test_reverse_search_takes_one_inverse_and_no_ratio_step(monkeypatch):
+    # every vertex of thrackle-5's and thrackle-8's tight spans and of the
+    # dwarfed-10 closure is simple: the start vertex's dictionary comes
+    # from one `scaled_inverse` and every other vertex's from a
+    # neighbour's by an exchange step, and every ratio test is read off a
+    # dictionary column, so reverse search never runs `ratio_step`
+    inverses = []
+    real_inverse = polyhedron.scaled_inverse
+
+    def scaled_inverse(rows):
+        inverses.append(len(rows))
+        return real_inverse(rows)
+
+    def refuse(*args):
+        raise AssertionError("reverse search stepped off the dictionary")
+
+    cases = [(tight_span_hrep(thrackle_metric(5)), 16), (tight_span_hrep(thrackle_metric(8)), 128),
+             (projective_closure(dwarfed_cube(10)[1]).closure, 101)]
+    for h, vertices in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(polyhedron, "scaled_inverse", scaled_inverse)
+            patch.setattr(polyhedron, "ratio_step", refuse)
+            v = reverse_search_vertices(h)
+        assert len(v.points) == vertices
+        assert v == enumerate_vertices_pivoting(h)
+        assert inverses == [h.dim]
+        inverses.clear()
+
+
 def objective_reverse_search(h, objective):
     """Reverse search under a given objective, from its LP optimum, as the
     library ran it before its order was fixed: "objective not generic" on
@@ -710,7 +737,7 @@ def objective_reverse_search(h, objective):
         num, den = point
         slack = [bi * den - sum(map(mul, a, num)) for a, bi in zip(a_rows, b)]
         act = [i for i, s in enumerate(slack) if not s]
-        edges = polyhedron._simple_edges(a_rows, act) if len(act) == d else None
+        edges = oracles._simple_edges(a_rows, act) if len(act) == d else None
         if edges is None:
             raise InputError("not simple")
         return slack, edges

@@ -10,10 +10,9 @@ contains it.  The keys one facet short of F(H) are read off prefix and
 suffix ANDs of F(H)'s rows, as Kaibel & Pfetsch drop one facet at a
 vertex; the other covers off the vertices that lie on every facet those
 drop, grouped by key.  So the work per face grows with |F(H)| and those
-vertices, not with all n.  The meet, the AND of a facet set's rows read
-from the incidence matrix's byte table of precomputed row ANDs
-(`IncidenceMatrix.row_ands`, one lookup per 8 rows), checks that H itself
-is closed.  A vertex's edges are its covers with two vertices.
+vertices, not with all n.  The first suffix AND, over all of F(H)'s
+rows, is the meet of F(H), and checks that H itself is closed.  A
+vertex's edges are its covers with two vertices.
 A face of the closure polytope is bounded exactly when its vertex set
 avoids the far face, so the main algorithm simply refuses to step onto
 far-meeting faces and thereby runs in time proportional to the bounded
@@ -53,7 +52,8 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     cl(mask + {v}) over vertices v outside mask, by decreasing key size,
     then by lowest new vertex.
 
-    A set that is not closed has one cover, its closure meet(F(mask)).
+    A set that is not closed has one cover, its closure meet(F(mask)),
+    the AND of F(mask)'s rows and so the first of their suffix ANDs.
     Else v outside mask has the key F(mask) & col(v), and v is in meet(K)
     iff v's key contains K.  A closure is minimal iff all its new vertices
     share its key, so iff that key K is maximal: in no other key.  The
@@ -68,14 +68,14 @@ def covers(mask: int, inc: IncidenceMatrix) -> list[int]:
     before; keys of one size never do.  A key of 0 (the whole polytope)
     is none, so with fewer than two facets there is no cover."""
     facets = facet_set(mask, inc)
-    closed = inc.meet(facets)
-    if closed != mask:
-        return [closed] if facets else []
-    if facets.bit_count() < 2:
-        return []
     rows = list(compress(inc.row_masks, bit_flags(facets)))
     # meet(F - {i}) is the AND of the rows before i and of the rows after it
     suffix = list(accumulate(reversed(rows), and_, initial=inc.all_mask))[::-1]
+    closed = suffix[0]  # meet(F), all_mask when F is 0
+    if closed != mask:
+        return [closed] if facets else []
+    if len(rows) < 2:
+        return []
     drops = list(map(and_, accumulate(rows, and_, initial=inc.all_mask), suffix[1:]))
     gave = list(map(mask.__ne__, drops))  # per facet of F: is it in D
     # g - mask holds g's new vertices, and x & -x is x's lowest bit
@@ -103,8 +103,8 @@ def polytope_edges(inc: IncidenceMatrix) -> list[tuple[int, int]]:
     those facets is {u,w}.  No closure lies strictly between {u} and an
     edge, so u's edges are its covers with two vertices; where {u} is not
     closed, its one cover meet(col(u)) is an edge exactly when it has two
-    vertices.  So this holds on any 0/1 matrix, with one `covers` call,
-    and so one table meet, per vertex."""
+    vertices.  So this holds on any 0/1 matrix, with one `covers` call
+    per vertex."""
     edges = []
     for u in range(inc.n):
         bit = 1 << u

@@ -3,18 +3,17 @@
 Vertex sets are stored as Python int bitmasks (bit v set <=> vertex v in
 the set), which makes the set operations used by the face enumeration
 algorithms exact and fast.  Facet sets are bitmasks over rows, and the
-meet of a facet set (the AND of its rows) is read from a byte table of
-precomputed row ANDs, the "Four Russians" trick of Arlazarov, Dinic,
-Kronrod & Faradzev (1970).  The incidences and the far face are read off
-a `VRep`'s integer points as they are held: a row's slack at num/den is
-the integer b*den - a.num.
+meet of a facet set is the AND of its rows.  The incidences and the far
+face are read off a `VRep`'s integer points as they are held: a row's
+slack at num/den is the integer b*den - a.num.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, getitem, mul
+from itertools import compress
+from operator import and_, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -106,32 +105,17 @@ class IncidenceMatrix:
                 cols[v] |= 1 << i
         return tuple(cols)
 
-    @cached_property
-    def row_ands(self) -> tuple[tuple[int, ...], ...]:
-        """Per byte j of a row-set mask, the meets of rows 8j..8j+7:
-        `row_ands[j][b]` is the AND of the rows that byte value b selects,
-        all_mask for b = 0.  When 8 does not divide m, the last table has
-        only the 2**(m % 8) entries that a row-set mask can select."""
-        tables = []
-        for j in range(0, self.m, 8):
-            table = [self.all_mask]
-            for row in self.row_masks[j:j + 8]:
-                table += [t & row for t in table]
-            tables.append(tuple(table))
-        return tuple(tables)
-
     def meet(self, key: int) -> int:
-        """AND of the rows in the row-set mask `key`, one table lookup per
-        byte of key; all_mask when key is 0."""
-        return reduce(and_, map(getitem, self.row_ands,
-                                key.to_bytes(len(self.row_ands), "little")), self.all_mask)
+        """AND of the rows in the row-set mask `key`, its rows picked in C
+        by `compress`; all_mask when key is 0."""
+        return reduce(and_, compress(self.row_masks, bit_flags(key)), self.all_mask)
 
     def with_far_face(self, far: Iterable[int]) -> "IncidenceMatrix":
         """This matrix with the far face `far`, keeping the cached
-        `column_masks` and `row_ands`: they depend only on n and the rows."""
+        `column_masks`: it depends only on n and the rows."""
         inc = IncidenceMatrix(self.n, self.row_masks, mask_from_indices(far))
-        inc.__dict__.update({name: self.__dict__[name] for name in ("column_masks", "row_ands")
-                             if name in self.__dict__})
+        if "column_masks" in self.__dict__:
+            inc.__dict__["column_masks"] = self.column_masks
         return inc
 
 

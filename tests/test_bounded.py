@@ -47,7 +47,7 @@ def test_closure_properties_random():
 
 
 def test_closure_matches_row_scan():
-    # the table meet of F(mask) against closure_mask's scan over all rows
+    # the meet of F(mask) against closure_mask's scan over all rows
     rng = random.Random(3)
     incs = [square_incidence(), IncidenceMatrix(3, ())]
     incs += [closure_data(random_pointed_hrep(rng, rng.randint(2, 4), rng.randint(1, 4)))[2]
@@ -126,7 +126,7 @@ def test_covers_match_reference_on_every_lattice_face():
             for _ in range(10)]
     incs += [instance(family, *params)[4] for family, params in
              [("dwarfed-cube", (3,)), ("thrackle", (5,)), ("tropical-cyclic", (4, 4)),
-              ("tropical-permutohedron", (3,))]]  # m = 19: a partial last table byte
+              ("tropical-permutohedron", (3,))]]
     for inc in incs:
         for mask in full_face_lattice(inc).masks:
             assert sorted(covers(mask, inc)) == reference_covers(mask, inc)
@@ -147,10 +147,10 @@ def test_covers_match_reference_on_sets_that_are_not_closed():
 
 
 def test_covers_match_reference_on_stored_permutohedron_4():
-    # the (24,4) closure incidences of the benchmark: m = 97, 13 table bytes
+    # the (24,4) closure incidences of the benchmark
     path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "tropical-permutohedron-4.inc"
     inc = read_incidence(str(path))
-    assert (inc.m, inc.n, len(inc.row_ands)) == (97, 152, 13)
+    assert (inc.m, inc.n) == (97, 152)
     hd = selective_generation(inc)
     assert hd.node_count() == 1424
     for mask in hd.masks:
@@ -178,8 +178,10 @@ def test_covers_hit_each_branch_on_closed_sets_of_arbitrary_matrices():
     # the facets whose drop from F leaves a cover: D = F (the one-drop
     # covers are all), D = 0 (every outside vertex is grouped) and neither
     # (only the vertices of meet(D) are grouped); D is read off the
-    # reference covers, whose keys are their facet sets
-    hits = Counter()
+    # reference covers, whose keys are their facet sets.  The chosen set
+    # as drawn takes one of the early exits, on no facet or not closed, or
+    # else is closed on one facet or on two or more
+    hits, exits = Counter(), Counter()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
     @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
@@ -188,7 +190,11 @@ def test_covers_hit_each_branch_on_closed_sets_of_arbitrary_matrices():
     def check(case):
         n, rows, chosen = case
         inc = IncidenceMatrix(n, tuple(rows))
-        mask = inc.meet(facet_set(chosen, inc))  # the closure of the chosen vertices
+        on = facet_set(chosen, inc)
+        mask = inc.meet(on)  # the closure of the chosen vertices
+        exits["on no facet" if not on else "not closed" if mask != chosen
+              else "closed on one facet" if on.bit_count() == 1 else "closed on two or more"] += 1
+        assert covers(chosen, inc) == in_covers_order(reference_covers(chosen, inc), chosen, inc)
         found, expected = covers(mask, inc), reference_covers(mask, inc)
         assert found == in_covers_order(expected, mask, inc)
         if expected:
@@ -199,7 +205,8 @@ def test_covers_hit_each_branch_on_closed_sets_of_arbitrary_matrices():
             hits["D = F" if dropped == facets else "D = 0" if not dropped else "between"] += 1
 
     check()  # rows are unique: a repeated row is never dropped alone, so D = F would be rare
-    assert min(hits["D = F"], hits["D = 0"], hits["between"]) >= 60, hits  # 79, 92, 337
+    assert min(hits["D = F"], hits["D = 0"], hits["between"]) >= 60, hits  # 97, 61, 314
+    assert len(exits) == 4 and min(exits.values()) >= 50, exits  # 296, 331, 67, 306
 
 
 def test_covers_group_only_the_vertices_on_every_dropped_facet():
@@ -249,14 +256,14 @@ def counted_search(monkeypatch, inc, alg):
 
 @pytest.mark.parametrize("alg, calls, found", [("selective", 1424, 37988),
                                                ("moebius", 1424, 7132)])
-def test_covers_make_one_meet_per_call_on_stored_permutohedron_4(monkeypatch, alg, calls,
-                                                                  found):
-    # one meet checks that a face is closed, and each cover is read off its
-    # key's vertices; meeting every distinct facet key took 190,722 meets
-    # for selective, and one meet per cover 39,412
+def test_covers_make_no_meet_on_stored_permutohedron_4(monkeypatch, alg, calls, found):
+    # the closure check is the first suffix AND of the face's facet rows,
+    # and each cover is read off its key's vertices; for selective, meeting
+    # every distinct facet key took 190,722 meets, one meet per cover
+    # 39,412, and one meet per closure check 1,424
     inc = read_incidence(str(DATA / "tropical-permutohedron-4.inc"))
     counts, _ = counted_search(monkeypatch, inc, alg)
-    assert counts == {"calls": calls, "covers": found, "meets": calls}
+    assert counts == {"calls": calls, "covers": found, "meets": 0}
 
 
 @pytest.mark.parametrize("stem, nodes", [("thrackle-8", 578), ("tropical-cyclic-5-5", 322),
